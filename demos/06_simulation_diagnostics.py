@@ -2,8 +2,6 @@
 censored solve, and return times to a sublevel set of V.
 
 Everything here is seeded, so repeated runs print identical numbers.
-Replica sweeps honor the CRN_THREADS environment variable without
-changing any result.
 """
 
 from crnkit import (

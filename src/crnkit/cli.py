@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, TextIO
 from . import __version__
 from .errors import CRNError
 from .kinetics import total_rate
-from .network import Complex, MassActionSystem, State
+from .network import MassActionSystem, State
 from .parser import parse
 from .structure import (
     VERDICT_POSITIVE_RECURRENT,
@@ -106,10 +106,6 @@ def _parse_state(text: str, dim: int, flag: str) -> State:
     return values
 
 
-def _format_complex(c: Complex, species) -> str:
-    return c.format(species)
-
-
 def _render_law(law) -> str:
     if isinstance(law, Const):
         return str(law.value)
@@ -133,14 +129,14 @@ def _partition_json(partition, net) -> dict:
         "tiers": [
             {
                 "complexes": sorted(
-                    _format_complex(net.complexes[i], species) for i in tier
+                    net.complexes[i].format(species) for i in tier
                 ),
                 "degree": str(partition.degrees[next(iter(tier))]),
             }
             for tier in partition.tiers
         ],
         "infinite": sorted(
-            _format_complex(net.complexes[i], species) for i in partition.infinite
+            net.complexes[i].format(species) for i in partition.infinite
         ),
     }
 
@@ -186,12 +182,12 @@ def _cmd_analyze(args) -> int:
         "n_species": len(species),
         "n_complexes": len(net.complexes),
         "n_reactions": len(net.reactions),
-        "complexes": [_format_complex(c, species) for c in net.complexes],
+        "complexes": [c.format(species) for c in net.complexes],
         "reactions": [r.format(species) for r in net.reactions],
     }
     report["linkage_classes"] = {
         "classes": [
-            sorted(_format_complex(net.complexes[i], species) for i in cls)
+            sorted(net.complexes[i].format(species) for i in cls)
             for cls in partition.classes
         ],
         "strongly_connected": list(partition.strongly_connected),
@@ -203,7 +199,7 @@ def _cmd_analyze(args) -> int:
         "binary": verdict.binary,
         "species_condition": verdict.species_condition,
         "witnesses": {
-            name: (_format_complex(c, species) if c is not None else None)
+            name: (c.format(species) if c is not None else None)
             for name, c in zip(species, verdict.species_report.witnesses)
         },
         "failing_species": list(verdict.species_report.failing),
@@ -222,7 +218,7 @@ def _cmd_analyze(args) -> int:
                 else None
             ),
             "violating_complex": (
-                _format_complex(net.complexes[scan.violating_complex], species)
+                net.complexes[scan.violating_complex].format(species)
                 if scan.violating_complex is not None
                 else None
             ),

@@ -14,7 +14,7 @@ and finite-path probabilities of the embedded chain.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .network import Complex, MassActionSystem, Reaction, State, as_state
 
@@ -31,6 +31,30 @@ __all__ = [
 ]
 
 
+def _rates(table, x) -> Tuple[List[float], float]:
+    """Per-reaction rates and their total at ``x`` from a system's rate table.
+
+    Each rate is kappa times the exact integer falling product over the
+    source's species, prod x_i (x_i - 1) ... (x_i - y_i + 1), which is zero
+    whenever some x_i < y_i.  Every rate in the package comes from here.
+    """
+    rates = []
+    total = 0.0
+    for kappa, pairs, _ in table:
+        prod = 1
+        for i, c in pairs:
+            xi = x[i]
+            if xi < c:
+                prod = 0
+                break
+            # math.perm(n, k) is the exact falling factorial n (n-1) ... (n-k+1).
+            prod *= xi if c == 1 else xi * (xi - 1) if c == 2 else math.perm(xi, c)
+        lam = kappa * prod  # the int converts exactly as float(prod) would
+        rates.append(lam)
+        total += lam
+    return rates, total
+
+
 def intensity(y: Complex, x: Iterable[int]) -> float:
     """Mass-action intensity of complex ``y`` at state ``x``.
 
@@ -39,15 +63,8 @@ def intensity(y: Complex, x: Iterable[int]) -> float:
     whenever some coordinate of ``x`` is below the complex's requirement.
     """
     xs = as_state(x, y.dim)
-    out = 1
-    for xi, yi in zip(xs, y.coeffs):
-        if yi == 0:
-            continue
-        if xi < yi:
-            return 0.0
-        # math.perm(n, k) is the exact falling factorial n (n-1) ... (n-k+1).
-        out *= math.perm(xi, yi)
-    return float(out)
+    pairs = tuple((i, c) for i, c in enumerate(y.coeffs) if c > 0)
+    return _rates(((1.0, pairs, ()),), xs)[1]
 
 
 def reaction_rate(system: MassActionSystem, reaction: Reaction, x: Iterable[int]) -> float:
@@ -58,11 +75,7 @@ def reaction_rate(system: MassActionSystem, reaction: Reaction, x: Iterable[int]
 
 def total_rate(system: MassActionSystem, x: Iterable[int]) -> float:
     """Total jump rate at ``x``.  Zero exactly when ``x`` is absorbing."""
-    xs = as_state(x, system.network.dim)
-    return sum(
-        k * intensity(r.source, xs)
-        for r, k in zip(system.network.reactions, system.rate_constants)
-    )
+    return _rates(system._rate_table, as_state(x, system.network.dim))[1]
 
 
 def transition_rates(system: MassActionSystem, x: Iterable[int]) -> Dict[State, float]:
@@ -71,10 +84,9 @@ def transition_rates(system: MassActionSystem, x: Iterable[int]) -> Dict[State, 
     Reactions sharing the same net change pool their rates.  Jumps with zero
     rate are omitted, so an absorbing state yields an empty dict.
     """
-    xs = as_state(x, system.network.dim)
+    rates, _ = _rates(system._rate_table, as_state(x, system.network.dim))
     out: Dict[State, float] = {}
-    for r, k in zip(system.network.reactions, system.rate_constants):
-        lam = k * intensity(r.source, xs)
+    for r, lam in zip(system.network.reactions, rates):
         if lam > 0.0:
             h = r.change
             out[h] = out.get(h, 0.0) + lam
@@ -130,9 +142,9 @@ def generator_applied(system: MassActionSystem, x: Iterable[int]) -> float:
     evaluate V at negative arguments.
     """
     xs = as_state(x, system.network.dim)
+    rates, _ = _rates(system._rate_table, xs)
     acc = 0.0
-    for r, k in zip(system.network.reactions, system.rate_constants):
-        lam = k * intensity(r.source, xs)
+    for r, lam in zip(system.network.reactions, rates):
         if lam > 0.0:
             acc += lam * lyapunov_difference(xs, r.change)
     return acc
@@ -170,15 +182,18 @@ def path_probability(
     rate zero or an intermediate state is absorbing.  The empty path has
     probability 1.
     """
-    xs = list(as_state(x, system.network.dim))
+    dim = system.network.dim
+    xs = list(as_state(x, dim))
+    table = system._rate_table
+    index = {r: j for j, r in enumerate(system.network.reactions)}
     prob = 1.0
     for r in path:
-        kappa = system.rate_constant(r)  # KeyError for foreign reactions
-        lam = kappa * intensity(r.source, xs)
-        if lam == 0.0:
+        j = index[r]  # KeyError for foreign reactions
+        # as_state rejects a path that leaves the supported coordinate range
+        rates, lam_bar = _rates(table, as_state(xs, dim))
+        if rates[j] == 0.0:
             return 0.0
-        lam_bar = total_rate(system, xs)
-        prob *= lam / lam_bar
-        for i, hi in enumerate(r.change):
+        prob *= rates[j] / lam_bar
+        for i, hi in table[j][2]:
             xs[i] += hi
     return prob

@@ -240,6 +240,17 @@ class MassActionSystem:
                 )
         self.rate_constants = rates
         self._kappa = {r: k for r, k in zip(network.reactions, rates)}
+        # Per reaction: (kappa, (species, coefficient) pairs of the source,
+        # sparse net change).  Every rate in kinetics and simulate is
+        # evaluated from this one table.
+        self._rate_table = tuple(
+            (
+                k,
+                tuple((i, c) for i, c in enumerate(r.source.coeffs) if c > 0),
+                tuple((i, c) for i, c in enumerate(r.change) if c != 0),
+            )
+            for r, k in zip(network.reactions, rates)
+        )
 
     def rate_constant(self, reaction: Reaction) -> float:
         """Rate constant of ``reaction``; KeyError if not in the network."""

@@ -4,9 +4,9 @@ All randomness comes from numpy's counter-based Philox generator.  A run
 with seed s uses the stream of ``SeedSequence(s)``; replica r of a
 multi-replica estimate uses ``SeedSequence(s, spawn_key=(r,))``.  Equal
 seeds therefore give identical trajectories, and replicas are independent
-and reproducible regardless of execution order or thread count (the
-``CRN_THREADS`` environment variable only sets the worker count).
+and reproducible; replica sweeps run them one after another.
 
+Every sampler advances by the same direct-method step (Gillespie 1977).
 Each jump consumes exactly two variates, one exponential for the holding
 time and one uniform for the reaction choice, drawn in blocks of 4096; the
 embedded-chain sampler shares this discipline, so it visits exactly the
@@ -16,16 +16,14 @@ states of the full simulation with the same seed.
 from __future__ import annotations
 
 import math
-import os
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import AmbiguousRegionError
-from .kinetics import lyapunov, lyapunov_difference, transition_rates
+from .kinetics import _rates, lyapunov, lyapunov_difference, transition_rates
 from .network import STATE_COORD_MAX, MassActionSystem, State, as_state
 
 __all__ = [
@@ -52,90 +50,44 @@ def _generator(seed: int, replica: Optional[int] = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CRN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CRN_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"CRN_THREADS must be positive, got {n}")
-    return n
-
-
-def _replica_map(fn: Callable[[int], object], replicas: int) -> list:
-    """Evaluate fn(0..replicas-1), possibly on CRN_THREADS workers.
-
-    Results are ordered by replica index, so the outcome does not depend on
-    the worker count."""
-    workers = min(_thread_count(), replicas) if replicas else 1
-    if workers <= 1:
-        return [fn(i) for i in range(replicas)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicas)))
-
-
-class _Kernel:
-    """Precompiled per-reaction tables for the inner simulation loop."""
-
-    def __init__(self, system: MassActionSystem):
-        self.system = system
-        self.dim = system.network.dim
-        self.table = []
-        for r, kappa in zip(system.network.reactions, system.rate_constants):
-            pairs = tuple(
-                (i, c) for i, c in enumerate(r.source.coeffs) if c > 0
-            )
-            change = tuple(
-                (i, c) for i, c in enumerate(r.change) if c != 0
-            )
-            self.table.append((kappa, pairs, change))
-
-    def rates(self, x: list) -> Tuple[list, float]:
-        out = []
-        total = 0.0
-        for kappa, pairs, _ in self.table:
-            lam = kappa
-            for i, c in pairs:
-                xi = x[i]
-                if c == 1:
-                    lam *= xi
-                elif xi < c:
-                    lam = 0.0
-                    break
-                elif c == 2:
-                    lam *= xi * (xi - 1)
-                else:
-                    lam *= math.perm(xi, c)
-                if lam == 0.0:
-                    break
-            out.append(lam)
-            total += lam
-        return out, total
-
-
 class _DrawBlock:
-    """Blocked draws: one exponential and one uniform per jump."""
+    """Blocked draws: one exponential and one uniform per jump, refilled
+    ``block`` at a time as ``_step`` consumes them."""
 
     def __init__(self, rng: np.random.Generator, block: int = _BLOCK):
         self.rng = rng
         self.block = block
-        self.exps = rng.standard_exponential(block)
-        self.unis = rng.random(block)
+        self.refill()
+
+    def refill(self) -> None:
+        # Python floats index and multiply faster than numpy scalars and
+        # hold the same values.
+        self.exps = self.rng.standard_exponential(self.block).tolist()
+        self.unis = self.rng.random(self.block).tolist()
         self.pos = 0
 
-    def next_pair(self) -> Tuple[float, float]:
-        if self.pos == self.block:
-            self.exps = self.rng.standard_exponential(self.block)
-            self.unis = self.rng.random(self.block)
-            self.pos = 0
-        e = self.exps[self.pos]
-        u = self.unis[self.pos]
-        self.pos += 1
-        return e, u
 
+def _step(table: tuple, x: list, draws: _DrawBlock) -> Optional[Tuple[float, tuple]]:
+    """One direct-method jump from ``x``, applied to ``x`` in place.
 
-def _apply(x: list, change: tuple):
+    ``table`` is the system's rate table.  Returns None when ``x`` is
+    absorbing (no draws consumed), otherwise (holding time, sparse change).
+    """
+    rates, total = _rates(table, x)
+    if total == 0.0:
+        return None
+    if draws.pos == draws.block:
+        draws.refill()
+    pos = draws.pos
+    draws.pos = pos + 1
+    target = draws.unis[pos] * total
+    acc = 0.0
+    change = table[-1][2]
+    for lam, row in zip(rates, table):
+        acc += lam
+        if target < acc:
+            change = row[2]
+            break
     for i, c in change:
         xi = x[i] + c
         if xi > STATE_COORD_MAX:
@@ -144,6 +96,7 @@ def _apply(x: list, change: tuple):
                 "during simulation"
             )
         x[i] = xi
+    return draws.exps[pos] / total, change
 
 
 TERMINATED_MAX_TIME = "max_time"
@@ -190,8 +143,9 @@ def ssa_simulate(
         raise ValueError(f"max_time must be nonnegative, got {max_time}")
     if max_jumps is not None and max_jumps < 0:
         raise ValueError(f"max_jumps must be nonnegative, got {max_jumps}")
-    kernel = _Kernel(system)
-    x = list(as_state(x0, kernel.dim))
+    table = system._rate_table
+    dim = system.network.dim
+    x = list(as_state(x0, dim))
     draws = _DrawBlock(_generator(seed))
     times = array("d", [0.0])
     states = array("q", x)
@@ -202,31 +156,21 @@ def ssa_simulate(
         if max_jumps is not None and jumps >= max_jumps:
             terminated = TERMINATED_MAX_JUMPS
             break
-        rates, total = kernel.rates(x)
-        if total == 0.0:
+        jump = _step(table, x, draws)
+        if jump is None:
             terminated = TERMINATED_ABSORBED
             break
-        e, u = draws.next_pair()
-        dt = e / total
+        dt = jump[0]
         if max_time is not None and t + dt > max_time:
-            terminated = TERMINATED_MAX_TIME
+            terminated = TERMINATED_MAX_TIME  # the applied jump is not recorded
             break
         t += dt
-        target = u * total
-        acc = 0.0
-        chosen = kernel.table[-1][2]
-        for lam, (_, _, change) in zip(rates, kernel.table):
-            acc += lam
-            if target < acc:
-                chosen = change
-                break
-        _apply(x, chosen)
         times.append(t)
         states.extend(x)
         jumps += 1
     return TrajectorySample(
         times=np.asarray(times, dtype=np.float64),
-        states=np.asarray(states, dtype=np.int64).reshape(-1, kernel.dim),
+        states=np.asarray(states, dtype=np.int64).reshape(-1, dim),
         seed=seed,
         terminated_by=terminated,
     )
@@ -305,8 +249,8 @@ def return_times(
     time), reached an absorbing state outside the target, or exhausted the
     time horizon.
     """
-    kernel = _Kernel(system)
-    x_start = as_state(x0, kernel.dim)
+    table = system._rate_table
+    x_start = as_state(x0, system.network.dim)
     if not target(x_start):
         raise ValueError(f"start state {x_start} is not in the target set")
     if replicas < 1:
@@ -325,29 +269,19 @@ def return_times(
         t = 0.0
         left = False
         while True:
-            rates, total = kernel.rates(x)
-            if total == 0.0:
+            jump = _step(table, x, draws)
+            if jump is None:
                 return None  # stuck outside the target (or inside, pre-exit)
-            e, u = draws.next_pair()
-            t += e / total
+            t += jump[0]
             if t > horizon:
                 return None
-            acc = 0.0
-            chosen = kernel.table[-1][2]
-            target_rate = u * total
-            for lam, (_, _, change) in zip(rates, kernel.table):
-                acc += lam
-                if target_rate < acc:
-                    chosen = change
-                    break
-            _apply(x, chosen)
             inside = target(tuple(x))
             if left and inside:
                 return t
             if not inside:
                 left = True
 
-    results = _replica_map(run, replicas)
+    results = [run(r) for r in range(replicas)]
     returned = [t for t in results if t is not None]
     return ReturnTimeStats(
         target_description=desc,
@@ -391,33 +325,19 @@ def occupancy_estimate(
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    kernel = _Kernel(system)
-    x = list(as_state(x0, kernel.dim))
+    table = system._rate_table
+    x = list(as_state(x0, system.network.dim))
     draws = _DrawBlock(_generator(seed))
     weights: Dict[State, float] = {}
     t = 0.0
     while True:
-        rates, total = kernel.rates(x)
         here = tuple(x)
-        if total == 0.0:
+        jump = _step(table, x, draws)
+        if jump is None or t + jump[0] >= t_max:
             weights[here] = weights.get(here, 0.0) + (t_max - t)
             break
-        e, u = draws.next_pair()
-        dt = e / total
-        if t + dt >= t_max:
-            weights[here] = weights.get(here, 0.0) + (t_max - t)
-            break
-        weights[here] = weights.get(here, 0.0) + dt
-        t += dt
-        acc = 0.0
-        chosen = kernel.table[-1][2]
-        target_rate = u * total
-        for lam, (_, _, change) in zip(rates, kernel.table):
-            acc += lam
-            if target_rate < acc:
-                chosen = change
-                break
-        _apply(x, chosen)
+        weights[here] = weights.get(here, 0.0) + jump[0]
+        t += jump[0]
     support = tuple(sorted(weights))
     probs = np.asarray([weights[s] for s in support], dtype=np.float64)
     probs /= probs.sum()
@@ -526,8 +446,8 @@ def drift_estimate_mc(
         raise ValueError("k must be nonnegative")
     if replicas < 2:
         raise ValueError("need at least two replicas for a standard error")
-    kernel = _Kernel(system)
-    x_start = as_state(x, kernel.dim)
+    table = system._rate_table
+    x_start = as_state(x, system.network.dim)
     if k == 0:
         return 0.0, 0.0
 
@@ -537,24 +457,13 @@ def drift_estimate_mc(
         draws = _DrawBlock(_generator(seed, replica), block)
         state = list(x_start)
         for _ in range(k):
-            rates, total = kernel.rates(state)
-            if total == 0.0:
+            if _step(table, state, draws) is None:
                 break
-            e, u = draws.next_pair()
-            acc = 0.0
-            chosen = kernel.table[-1][2]
-            target_rate = u * total
-            for lam, (_, _, change) in zip(rates, kernel.table):
-                acc += lam
-                if target_rate < acc:
-                    chosen = change
-                    break
-            _apply(state, chosen)
         return lyapunov_difference(
             x_start, tuple(a - b for a, b in zip(state, x_start))
         )
 
-    values = np.asarray(_replica_map(run, replicas), dtype=np.float64)
+    values = np.asarray([run(r) for r in range(replicas)], dtype=np.float64)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(replicas))
     return mean, stderr

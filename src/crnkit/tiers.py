@@ -41,7 +41,7 @@ from .errors import (
     TailNotNormalizedError,
     WitnessPathError,
 )
-from .kinetics import lyapunov_difference
+from .kinetics import _rates, lyapunov_difference
 from .network import Complex, MassActionSystem, Reaction, ReactionNetwork, as_state
 
 __all__ = [
@@ -801,22 +801,24 @@ def exact_kstep_drift(
         raise ValueError("k must be nonnegative")
     net = system.network
     x0 = as_state(x, net.dim)
-    rates0 = [
-        kk * _intensity_fast(r.source.coeffs, x0)
-        for r, kk in zip(net.reactions, system.rate_constants)
-    ]
-    if sum(rates0) == 0.0:
+    table = system._rate_table
+    if _rates(table, x0)[1] == 0.0:
         raise AbsorbingStateError(f"state {x0} is absorbing (total rate 0)")
     if k == 0:
         return 0.0
-    if len(net.reactions) ** k > budget:
+    # r ** k > budget, decided without building r ** k: k may be huge.
+    r = len(net.reactions)
+    paths = 1
+    for _ in range(k):
+        if paths > budget or r == 1:
+            break
+        paths *= r
+    if paths > budget:
         raise BudgetExceededError(
-            f"{len(net.reactions)} ** {k} paths exceed the budget of {budget}"
+            f"{r} ** {k} paths exceed the budget of {budget}"
         )
 
-    changes = [r.change for r in net.reactions]
-    sources = [r.source.coeffs for r in net.reactions]
-    kappas = system.rate_constants
+    changes = [rr.change for rr in net.reactions]
     memo: Dict[tuple, float] = {}
 
     def rel_v(state: tuple) -> float:
@@ -829,8 +831,7 @@ def exact_kstep_drift(
         hit = memo.get(key)
         if hit is not None:
             return hit
-        rates = [kk * _intensity_fast(src, state) for src, kk in zip(sources, kappas)]
-        lam_bar = sum(rates)
+        rates, lam_bar = _rates(table, state)
         if lam_bar == 0.0:
             out = rel_v(state)
         else:
@@ -844,22 +845,6 @@ def exact_kstep_drift(
         return out
 
     return expected(x0, k)
-
-
-def _intensity_fast(coeffs: tuple, x: tuple) -> float:
-    out = 1
-    for xi, yi in zip(x, coeffs):
-        if yi == 0:
-            continue
-        if xi < yi:
-            return 0.0
-        if yi == 1:
-            out *= xi
-        elif yi == 2:
-            out *= xi * (xi - 1)
-        else:
-            out *= math.perm(xi, yi)
-    return float(out)
 
 
 # ------------------------------------------------------- textual sequences

@@ -239,6 +239,13 @@ def test_drift_budget_violation_reports_bound(capsys):
     assert "budget" in captured.err.lower()
 
 
+def test_drift_huge_k_is_refused_by_the_budget(capsys):
+    code = main(["drift", CYCLE, "--x", "3,1,0", "--k", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "budget" in captured.err.lower()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

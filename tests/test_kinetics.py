@@ -5,6 +5,7 @@ Expected numbers were frozen from the independent reference computations in
 """
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from crnkit import (
     Complex,
+    parse,
     embedded_step_distribution,
     generator_applied,
     intensity,
@@ -27,8 +29,11 @@ from crnkit.catalog import (
     birth_death,
     creation_annihilation_loop,
     five_complex_cycle,
+    pair_annihilation,
     reversible_isomers,
 )
+from crnkit.kinetics import _rates
+from crnkit.network import STATE_COORD_MAX
 from oracles import hand_intensity, hand_rates, v_value
 
 CYCLE = five_complex_cycle()
@@ -251,6 +256,14 @@ def test_path_probability_absorbing_midway_is_zero():
     assert path_probability(iso, (1, 0), [a_to_b, a_to_b]) == 0.0
 
 
+def test_path_probability_rejects_intermediate_states_past_the_cap():
+    bd = birth_death()
+    birth = next(r for r in bd.network.reactions if r.change == (1,))
+    assert path_probability(bd, (STATE_COORD_MAX,), [birth]) > 0.0
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        path_probability(bd, (STATE_COORD_MAX,), [birth, birth])
+
+
 def test_path_probability_chain_rule():
     r = CYCLE.network.reactions
     path = [r[0], r[1], r[2]]
@@ -279,3 +292,43 @@ def test_path_probability_agrees_with_hand_walk():
         z = tuple(a + b for a, b in zip(z, rr.change))
     assert ok
     assert path_probability(CYCLE, x, path) == pytest.approx(expect, rel=1e-12)
+
+
+# --------------------------------------------------------------- rate table
+
+NETWORKS = Path(__file__).resolve().parent.parent / "demos" / "networks"
+
+RATE_SYSTEMS = [
+    five_complex_cycle((1.3, 0.7, 2.9, 0.11, 5.5)),
+    creation_annihilation_loop((0.5, 2.0, 1.25, 3.0, 0.1, 7.0, 0.3, 1.1)),
+    birth_death(3.7, 0.3),
+    reversible_isomers(0.4, 2.5),
+    pair_annihilation(0.3, 1.7),
+    # sources over two and three species with mixed coefficients
+    parse(
+        "species: A, B, C\n"
+        "0 -> A + B ; k=1.5\n"
+        "A + B -> C ; k=0.25\n"
+        "2A + 3B -> A ; k=0.003\n"
+        "A + B + C -> 0 ; k=0.7\n"
+        "C -> 0 ; k=7.0"
+    ),
+] + [parse(path.read_text()) for path in sorted(NETWORKS.glob("*.crn"))]
+
+coordinate = st.one_of(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=STATE_COORD_MAX),
+    st.integers(min_value=STATE_COORD_MAX - 3, max_value=STATE_COORD_MAX),
+)
+
+
+@given(st.sampled_from(RATE_SYSTEMS), st.data())
+def test_rate_table_equals_hand_rates_exactly(system, data):
+    x = tuple(data.draw(coordinate) for _ in range(system.network.dim))
+    rates, total = _rates(system._rate_table, x)
+    expected = hand_rates(system, x)
+    assert rates == expected
+    hand_total = 0.0
+    for lam in expected:  # left to right, the order the library sums in
+        hand_total += lam
+    assert total == hand_total

@@ -8,6 +8,7 @@ re-derive drift values by full path enumeration (``oracles.enum_kstep_drift``).
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from crnkit.catalog import (
     creation_annihilation_loop,
     five_complex_cycle,
     pair_annihilation,
+    pure_birth,
     reversible_isomers,
 )
 from crnkit.errors import (
@@ -533,6 +535,34 @@ def test_exact_drift_absorbing_raises():
 def test_exact_drift_budget_guard():
     with pytest.raises(BudgetExceededError):
         exact_kstep_drift(reversible_isomers(), (2, 0), 30, budget=10**6)
+
+
+def test_exact_drift_budget_guard_refuses_huge_k_promptly():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        exact_kstep_drift(CYCLE, (3, 1, 0), 10**9)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_drift_budget_guard_is_exact():
+    # refused iff r ** k > budget, for r = 1, 2 and 5 reactions
+    for sys_, x in [
+        (pure_birth(), (0,)),
+        (reversible_isomers(), (2, 0)),
+        (CYCLE, (3, 1, 0)),
+    ]:
+        r = len(sys_.network.reactions)
+        for k in range(1, 6):
+            for budget in (0, r**k - 1, r**k):
+                if r**k > budget:
+                    with pytest.raises(BudgetExceededError):
+                        exact_kstep_drift(sys_, x, k, budget=budget)
+                else:
+                    assert exact_kstep_drift(sys_, x, k, budget=budget) == (
+                        pytest.approx(enum_kstep_drift(sys_, x, k), abs=1e-12)
+                    )
+    with pytest.raises(BudgetExceededError):
+        exact_kstep_drift(pure_birth(), (0,), 10**9, budget=0)
 
 
 def test_exact_drift_absorbing_branch_freezes_v():
