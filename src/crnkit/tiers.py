@@ -18,6 +18,14 @@ these partitions as the sequence is shifted step by step, which gives exact
 limits of embedded-chain path probabilities and a constructive witness path
 whose probability-weighted Lyapunov increment diverges to minus infinity.
 
+The path walks take un-normalized sequences and need no per-step
+normalization.  Past the normalized start every growing coordinate exceeds
+every complex entry, so a complex's intensity vanishes exactly when some
+constant coordinate (law value plus offset) is below what the complex
+needs.  Neither that test nor the leading coefficient depends on the start
+or on the growing coordinates' offsets: a shift only moves integers, and
+the degrees never change.
+
 Sequences are not checked for reachability of the underlying chain; use
 ``ParametricSequence.samples`` against a ``ReachabilityReport`` when that
 matters for the conclusion being drawn.
@@ -31,7 +39,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .errors import (
     AbsorbingStateError,
@@ -154,19 +162,18 @@ def _degree_value(laws: tuple, coeffs: tuple) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=1 << 15)
 def _minimal_start(laws: tuple, offset: tuple, start: int, bound: int) -> int:
     """Smallest n >= start at which every growing coordinate exceeds
-    ``bound``, by doubling then bisection (each law is monotone in n)."""
+    ``bound``, by doubling then bisection (each law is monotone in n).
+    ``bound=-1`` asks for every growing coordinate to be nonnegative."""
     grown = tuple((l, w) for l, w in zip(laws, offset) if isinstance(l, Grow))
 
     def ok(n: int) -> bool:
         return all(_raw_value(l, n) + w > bound for l, w in grown)
 
-    lo = start
+    lo = hi = start  # start >= 1, so doubling moves hi
     if ok(lo):
         return lo
-    hi = max(lo, 1)
     while not ok(hi):
         hi *= 2
     while lo + 1 < hi:
@@ -176,6 +183,14 @@ def _minimal_start(laws: tuple, offset: tuple, start: int, bound: int) -> int:
         else:
             lo = mid
     return hi
+
+
+def _check_constants(laws: tuple, offset) -> None:
+    for l, w in zip(laws, offset):
+        if isinstance(l, Const) and l.value + w < 0:
+            raise InvalidSequenceError(
+                f"constant coordinate {l.value} with offset {w} is negative"
+            )
 
 
 @dataclass(frozen=True)
@@ -207,29 +222,13 @@ class ParametricSequence:
             )
         if not any(isinstance(l, Grow) for l in laws):
             raise InvalidSequenceError("sequence needs at least one growing coordinate")
-        for l, w in zip(laws, offset):
-            if isinstance(l, Const) and l.value + w < 0:
-                raise InvalidSequenceError(
-                    f"constant coordinate {l.value} with offset {w} is negative"
-                )
+        _check_constants(laws, offset)
         start = int(start)
         if start < 1:
             raise InvalidSequenceError(f"start index must be >= 1, got {start}")
-        while any(
-            self._raw(l, start) + w < 0
-            for l, w in zip(laws, offset)
-            if isinstance(l, Grow)
-        ):
-            start += 1
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "start", start)
-
-    @staticmethod
-    def _raw(law: CoordLaw, n: int) -> int:
-        if isinstance(law, Const):
-            return law.value
-        return _raw_value(law, n)
+        object.__setattr__(self, "start", _minimal_start(laws, offset, start, -1))
 
     @property
     def dim(self) -> int:
@@ -239,9 +238,7 @@ class ParametricSequence:
         """The state x_n; requires n >= start."""
         if n < self.start:
             raise ValueError(f"n={n} is below the sequence start {self.start}")
-        return tuple(
-            self._raw(l, n) + w for l, w in zip(self.laws, self.offset)
-        )
+        return tuple(_raw_value(l, n) + w for l, w in zip(self.laws, self.offset))
 
     def samples(self, ns) -> list:
         """States at several indices (for reachability cross-checks etc.)."""
@@ -270,19 +267,10 @@ class ParametricSequence:
             raise InvalidSequenceError("network dimension does not match sequence")
         max_entry = max((max(c.coeffs, default=0) for c in net.complexes), default=0)
         bound = max_entry + max((abs(w) for w in self.offset), default=0)
-
-        grown = tuple(
-            (l, w) for l, w in zip(self.laws, self.offset) if isinstance(l, Grow)
-        )
-
-        def ok(n: int) -> bool:
-            return all(_raw_value(l, n) + w > bound for l, w in grown)
-
-        lo = self.start
-        if ok(lo):
+        start = _minimal_start(self.laws, self.offset, self.start, bound)
+        if start == self.start:
             return self
-        hi = _minimal_start(self.laws, self.offset, self.start, bound)
-        return ParametricSequence(self.laws, self.offset, hi)
+        return ParametricSequence(self.laws, self.offset, start)
 
     def degree(self, c: Complex) -> Fraction:
         """Growth exponent of (x_n vee 1) ** c: sum of c_i * p_i over growing
@@ -290,33 +278,6 @@ class ParametricSequence:
         if c.dim != self.dim:
             raise InvalidSequenceError("complex dimension does not match sequence")
         return _degree_value(self.laws, c.coeffs)
-
-    def vanishes_forever(self, c: Complex) -> bool:
-        """True when lambda_c(x_n) = 0 for every n (a constant coordinate sits
-        below the complex's requirement)."""
-        return any(
-            isinstance(l, Const) and l.value + w < c.coeffs[i]
-            for i, (l, w) in enumerate(zip(self.laws, self.offset))
-        )
-
-    def leading_coefficient(self, c: Complex) -> float:
-        """Leading coefficient of lambda_c(x_n) ~ coef * n ** degree(c):
-        growth coefficients to the power c_i times falling factorials of the
-        constant coordinates.  Zero when the intensity vanishes identically.
-        """
-        out = 1.0
-        for i, (l, w) in enumerate(zip(self.laws, self.offset)):
-            ci = c.coeffs[i]
-            if ci == 0:
-                continue
-            if isinstance(l, Grow):
-                out *= l.coef**ci
-            else:
-                base = l.value + w
-                if base < ci:
-                    return 0.0
-                out *= float(math.perm(base, ci))
-        return out
 
 
 def evaluate_sequence(seq: ParametricSequence, n: int) -> tuple:
@@ -356,16 +317,67 @@ class TierPartition:
         return self.tiers[0] if self.tiers else frozenset()
 
 
-def _group_by_degree(indices, degrees) -> tuple:
-    # keyed by (numerator, denominator): cheap to hash, unlike Fraction
-    groups: Dict[tuple, set] = {}
-    for i in indices:
-        d = degrees[i]
-        groups.setdefault((d.numerator, d.denominator), set()).add(i)
-    return tuple(
-        frozenset(groups[k])
-        for k in sorted(groups, key=lambda k: Fraction(*k), reverse=True)
-    )
+class _Tail:
+    """The tail of one sequence along a network, followed through shifts:
+    each complex's degree, growth rank (0 is the top growth tier) and
+    requirements on the constant coordinates, and the current offsets."""
+
+    def __init__(self, net: ReactionNetwork, seq: ParametricSequence):
+        self.degrees = tuple(seq.degree(c) for c in net.complexes)
+        # integer degrees over a common denominator: cheap to hash and sort
+        common = math.lcm(*(d.denominator for d in self.degrees))
+        scaled = [d.numerator * (common // d.denominator) for d in self.degrees]
+        rank_of = {v: r for r, v in enumerate(sorted(set(scaled), reverse=True))}
+        self.rank = [rank_of[v] for v in scaled]
+        self.laws = seq.laws
+        self.offset = list(seq.offset)
+        self.coeffs = [c.coeffs for c in net.complexes]
+        self.needs = [
+            [(i, ci) for i, ci in enumerate(y) if ci and isinstance(seq.laws[i], Const)]
+            for y in self.coeffs
+        ]
+
+    def live(self) -> list:
+        """Indices of the complexes whose intensity does not vanish, ascending."""
+        laws, offset = self.laws, self.offset
+        return [
+            j
+            for j, need in enumerate(self.needs)
+            if all(laws[i].value + offset[i] >= ci for i, ci in need)
+        ]
+
+    def tiers(self, indices) -> tuple:
+        """``indices`` grouped by growth rank, top tier first."""
+        groups: Dict[int, set] = {}
+        for j in indices:
+            groups.setdefault(self.rank[j], set()).add(j)
+        return tuple(frozenset(groups[r]) for r in sorted(groups))
+
+    def top(self) -> frozenset:
+        """The top intensity tier at the current offsets."""
+        live = self.live()
+        best = min((self.rank[j] for j in live), default=None)
+        return frozenset(j for j in live if self.rank[j] == best)
+
+    def lead(self, j: int) -> float:
+        """Leading coefficient of live complex j's intensity ~ coef * n **
+        degree: growth coefficients to the power y_i times falling factorials
+        of the constant coordinates."""
+        out = 1.0
+        for i, ci in enumerate(self.coeffs[j]):
+            if ci == 0:
+                continue
+            law = self.laws[i]
+            if isinstance(law, Grow):
+                out *= law.coef**ci
+            else:
+                out *= float(math.perm(law.value + self.offset[i], ci))
+        return out
+
+    def shift(self, change) -> None:
+        """Move by ``change``, failing as ``ParametricSequence.shifted`` does."""
+        self.offset = [w + h for w, h in zip(self.offset, change)]
+        _check_constants(self.laws, self.offset)
 
 
 def d_partition(net: ReactionNetwork, seq: ParametricSequence) -> TierPartition:
@@ -374,9 +386,9 @@ def d_partition(net: ReactionNetwork, seq: ParametricSequence) -> TierPartition:
     Exact rational arithmetic on the exponents; invariant under shifts of
     ``seq``.
     """
-    degrees = tuple(seq.degree(c) for c in net.complexes)
-    tiers = _group_by_degree(range(len(net.complexes)), degrees)
-    return TierPartition("D", tiers, frozenset(), degrees)
+    tail = _Tail(net, seq)
+    tiers = tail.tiers(range(len(tail.degrees)))
+    return TierPartition("D", tiers, frozenset(), tail.degrees)
 
 
 def s_partition(net: ReactionNetwork, seq: ParametricSequence) -> TierPartition:
@@ -391,25 +403,21 @@ def s_partition(net: ReactionNetwork, seq: ParametricSequence) -> TierPartition:
     """
     if net.dim != seq.dim:
         raise InvalidSequenceError("network dimension does not match sequence")
+    tail = _Tail(net, seq)
     x_start = seq.evaluate(seq.start)
-    finite = []
-    infinite = set()
-    degrees: List[Optional[Fraction]] = []
-    for idx, c in enumerate(net.complexes):
-        if seq.vanishes_forever(c):
-            infinite.add(idx)
-            degrees.append(None)
-            continue
+    live = tail.live()
+    for idx in live:
+        c = net.complexes[idx]
         if any(x_start[i] < c.coeffs[i] for i in range(net.dim)):
             raise TailNotNormalizedError(
                 f"complex {net.format_complex(c)} has zero intensity at "
                 f"n={seq.start} but not identically; raise the start index "
                 "(see ParametricSequence.normalized_for)"
             )
-        finite.append(idx)
-        degrees.append(seq.degree(c))
-    tiers = _group_by_degree(finite, degrees)
-    return TierPartition("S", tiers, frozenset(infinite), tuple(degrees))
+    alive = set(live)
+    infinite = {j for j in range(len(tail.degrees)) if j not in alive}
+    degrees = tuple(d if j in alive else None for j, d in enumerate(tail.degrees))
+    return TierPartition("S", tail.tiers(live), frozenset(infinite), degrees)
 
 
 @dataclass(frozen=True)
@@ -448,28 +456,24 @@ def path_tier_membership(
     """Classify ``path`` against the tier partitions along ``seq``.
 
     Step m is judged with the sequence shifted by the accumulated net change
-    of the first m-1 reactions (start indices are raised internally as
-    needed).  ``InvalidSequenceError`` propagates if a shift drives a
-    constant coordinate negative.
+    of the first m-1 reactions; ``seq`` need not be normalized.
+    ``InvalidSequenceError`` propagates if a shift drives a constant
+    coordinate negative.
     """
     path = _check_path(net, path)
-    d_top = d_partition(net, seq).top
-    current = seq
+    tail = _Tail(net, seq)
     in_top_intensity = True
     sources_in_top_growth = True
     first_drop = None
     for m, r in enumerate(path, start=1):
-        s_part = s_partition(net, current.normalized_for(net))
         src = net.complex_index(r.source)
-        prd = net.complex_index(r.product)
-        if src not in s_part.top:
-            in_top_intensity = False
-        if src not in d_top:
+        in_top_intensity = in_top_intensity and src in tail.top()
+        if tail.rank[src]:
             sources_in_top_growth = False
-        if first_drop is None and prd not in d_top:
+        if first_drop is None and tail.rank[net.complex_index(r.product)]:
             first_drop = m
         if m < len(path):  # the shift after the last step is never consulted
-            current = current.shifted(r.change)
+            tail.shift(r.change)
     in_drop = bool(path) and sources_in_top_growth and first_drop is not None
     return PathTierReport(
         path=path,
@@ -491,26 +495,29 @@ def path_probability_limit(
         intensity tier of kappa' * lead(source'),
 
     with ``lead`` the intensity leading coefficient at that step's shift.
+    Shifts are checked as in ``path_tier_membership``, also on paths whose
+    limit is zero.
     """
     net = system.network
     path = _check_path(net, path)
-    report = path_tier_membership(net, seq, path)
-    if not report.in_top_intensity:
-        return 0.0
-    current = seq
+    tail = _Tail(net, seq)
     prob = 1.0
     for m, r in enumerate(path, start=1):
-        cur = current.normalized_for(net)
-        s_part = s_partition(net, cur)
-        top = s_part.top
-        num = system.rate_constant(r) * cur.leading_coefficient(r.source)
-        den = 0.0
-        for rr, kk in zip(net.reactions, system.rate_constants):
-            if net.complex_index(rr.source) in top:
-                den += kk * cur.leading_coefficient(rr.source)
-        prob *= num / den
+        # factors lie in [0, 1]: once prob is 0 only the shifts remain
+        top = tail.top() if prob else frozenset()
+        src = net.complex_index(r.source)
+        if src in top:
+            num = system.rate_constant(r) * tail.lead(src)
+            den = 0.0
+            for rr, kk in zip(net.reactions, system.rate_constants):
+                j = net.complex_index(rr.source)
+                if j in top:
+                    den += kk * tail.lead(j)
+            prob *= num / den
+        else:
+            prob = 0.0
         if m < len(path):
-            current = current.shifted(r.change)
+            tail.shift(r.change)
     return prob
 
 
@@ -556,17 +563,17 @@ def hypothesis_violation(
     """Index of a complex in the top intensity tier but outside the top
     growth tier along ``seq``, or None when the inclusion holds.
 
-    The start index is raised internally; the answer concerns the tail.
+    ``seq`` need not be normalized; the answer concerns the tail.
     """
-    seq = seq.normalized_for(net)
-    s_part = s_partition(net, seq)
-    if not s_part.tiers:
+    if net.dim != seq.dim:
+        raise InvalidSequenceError("network dimension does not match sequence")
+    tail = _Tail(net, seq)
+    top = tail.top()
+    if not top:
         return None
-    d_top = d_partition(net, seq).top
-    for idx in sorted(s_part.top):
-        if idx not in d_top:
-            return idx
-    return None
+    # the top intensity tier shares one growth rank: all inside or all out
+    idx = min(top)
+    return idx if tail.rank[idx] else None
 
 
 @dataclass(frozen=True)
@@ -610,12 +617,8 @@ def scan_patterns(
             break
         enumerated += 1
         seq = ParametricSequence(labels)
-        key = (
-            tuple(seq.degree(c) for c in net.complexes),
-            frozenset(
-                i for i, c in enumerate(net.complexes) if seq.vanishes_forever(c)
-            ),
-        )
+        tail = _Tail(net, seq)
+        key = (tail.degrees, tuple(tail.live()))
         if key in seen:
             continue
         seen.add(key)
@@ -637,26 +640,18 @@ def hypothesis_check(
     ``pattern_budget`` return a partial, non-exhaustive report.
     """
     family = scan_patterns(net, pattern_budget)
-    checked = 0
-    for seq in family.sequences:
-        checked += 1
+    checked, seq, idx = 0, None, None
+    for checked, seq in enumerate(family.sequences, start=1):
         idx = hypothesis_violation(net, seq)
         if idx is not None:
-            return HypothesisScanReport(
-                violation_found=True,
-                patterns_enumerated=family.enumerated,
-                patterns_checked=checked,
-                exhaustive=family.exhaustive,
-                violating_sequence=seq,
-                violating_complex=idx,
-            )
+            break
     return HypothesisScanReport(
-        violation_found=False,
+        violation_found=idx is not None,
         patterns_enumerated=family.enumerated,
         patterns_checked=checked,
         exhaustive=family.exhaustive,
-        violating_sequence=None,
-        violating_complex=None,
+        violating_sequence=None if idx is None else seq,
+        violating_complex=idx,
     )
 
 
@@ -681,19 +676,20 @@ def witness_path(
     Raises ``NoDropComplexError`` when all complexes share one growth tier,
     and ``WitnessPathError`` when construction or verification fails.
     """
-    d_part = d_partition(net, seq)
-    if len(d_part.tiers) <= 1:
+    tail = _Tail(net, seq)
+    d_tiers = tail.tiers(range(len(tail.degrees)))
+    if len(d_tiers) <= 1:
         raise NoDropComplexError(
             "every complex has the same growth exponent along the sequence; "
             "no path can drop out of the top growth tier"
         )
-    d_top = d_part.top
-    s_part = s_partition(net, seq.normalized_for(net))
-    if not s_part.tiers:
+    d_top = d_tiers[0]
+    s_top = tail.top()
+    if not s_top:
         raise WitnessPathError(
             "every complex has identically zero intensity along the sequence"
         )
-    if not s_part.top <= d_top:
+    if not s_top <= d_top:
         raise WitnessPathError(
             "top intensity tier is not contained in the top growth tier"
         )
@@ -705,7 +701,7 @@ def witness_path(
         out_edges.setdefault(net.complex_index(r.source), []).append(
             (net.complex_index(r.product), r)
         )
-    start = min(s_part.top)
+    start = min(s_top)
     parent: Dict[int, tuple] = {start: None}
     frontier = [start]
     goal = None
@@ -745,18 +741,17 @@ def witness_path(
         )
 
     path = list(prefix)
-    current = seq
     for r in path:
-        current = current.shifted(r.change)
+        tail.shift(r.change)
     while len(path) < length:
-        cur = current.normalized_for(net)
-        top = s_partition(net, cur).top
+        top = tail.top()
         best = None
         best_lead = -1.0
         for r in net.reactions:
-            if net.complex_index(r.source) not in top:
+            src = net.complex_index(r.source)
+            if src not in top:
                 continue
-            lead = cur.leading_coefficient(r.source)
+            lead = tail.lead(src)
             if lead > best_lead:
                 best = r
                 best_lead = lead
@@ -766,7 +761,7 @@ def witness_path(
                 "greedy extension"
             )
         path.append(best)
-        current = current.shifted(best.change)
+        tail.shift(best.change)
 
     report = path_tier_membership(net, seq, path)
     if not (report.in_top_intensity and report.in_drop):
@@ -788,11 +783,11 @@ def exact_kstep_drift(
 ) -> float:
     """Exact expectation of V(Z_k) - V(Z_0) for the embedded chain from ``x``.
 
-    Enumerates reaction sequences of length ``k`` depth first with
-    memoization on (state, remaining steps); zero-rate branches are pruned
-    and branches that reach an absorbing state hold V constant.  Lyapunov
-    differences are accumulated coordinate-wise relative to ``x``, so large
-    states do not lose precision to cancellation.
+    Collects the states reached level by level, then folds expectations back
+    from the last level; zero-rate branches are pruned and branches that
+    reach an absorbing state hold V constant.  Lyapunov differences are
+    accumulated coordinate-wise relative to ``x``, so large states do not
+    lose precision to cancellation.
 
     Raises ``AbsorbingStateError`` when ``x`` itself is absorbing and
     ``BudgetExceededError`` when ``r ** k`` exceeds ``budget``.
@@ -819,32 +814,36 @@ def exact_kstep_drift(
         )
 
     changes = [rr.change for rr in net.reactions]
-    memo: Dict[tuple, float] = {}
 
     def rel_v(state: tuple) -> float:
         return lyapunov_difference(x0, tuple(a - b for a, b in zip(state, x0)))
 
-    def expected(state: tuple, depth: int) -> float:
-        if depth == 0:
-            return rel_v(state)
-        key = (state, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        rates, lam_bar = _rates(table, state)
-        if lam_bar == 0.0:
-            out = rel_v(state)
-        else:
-            out = 0.0
+    # levels[j] maps each state reached after j steps to its _rates; the
+    # states after k steps need only V
+    levels = [{x0: _rates(table, x0)}]
+    for j in range(1, k + 1):
+        level: Dict[tuple, Optional[tuple]] = {}
+        for state, (rates, _total) in levels[-1].items():
             for lam, ch in zip(rates, changes):
-                if lam == 0.0:
-                    continue
-                nxt = tuple(a + b for a, b in zip(state, ch))
-                out += (lam / lam_bar) * expected(nxt, depth - 1)
-        memo[key] = out
-        return out
-
-    return expected(x0, k)
+                if lam != 0.0:
+                    nxt = tuple(a + b for a, b in zip(state, ch))
+                    if nxt not in level:
+                        level[nxt] = _rates(table, nxt) if j < k else None
+        levels.append(level)
+    # fold back, adding terms in reaction order: expected[state] is
+    # E[V(Z_k)] - V(x0) given the state at its level
+    expected = {state: rel_v(state) for state in levels.pop()}
+    for level in reversed(levels):
+        folded = {}
+        for state, (rates, lam_bar) in level.items():
+            out = rel_v(state) if lam_bar == 0.0 else 0.0
+            for lam, ch in zip(rates, changes):
+                if lam != 0.0:
+                    nxt = tuple(a + b for a, b in zip(state, ch))
+                    out += (lam / lam_bar) * expected[nxt]
+            folded[state] = out
+        expected = folded
+    return expected[x0]
 
 
 # ------------------------------------------------------- textual sequences

@@ -247,3 +247,63 @@ def coefficient_path_limit(system, laws, path):
         for i, hi in enumerate(r.change):
             offset[i] += hi
     return prob
+
+
+def top_tiers_at(net, laws, offset):
+    """(top growth tier, top intensity tier) of ``net`` along ``laws`` with
+    the constant coordinates moved by ``offset``.
+
+    ``laws`` has the format of ``coefficient_path_limit``.  Written straight
+    from the definitions: a complex fires along the tail unless some
+    constant coordinate sits below its entry, and its growth exponent sums
+    entry times power over the growing coordinates.
+    """
+    d = len(laws)
+    degrees = [
+        sum(Fraction(c.coeffs[i]) * laws[i][2] for i in range(d) if laws[i][0] == "grow")
+        for c in net.complexes
+    ]
+    top_degree = max(degrees)
+    growth_top = frozenset(j for j, g in enumerate(degrees) if g == top_degree)
+    firing = [
+        j
+        for j, c in enumerate(net.complexes)
+        if all(
+            laws[i][0] == "grow" or laws[i][1] + offset[i] >= c.coeffs[i]
+            for i in range(d)
+        )
+    ]
+    if not firing:
+        return growth_top, frozenset()
+    best = max(degrees[j] for j in firing)
+    return growth_top, frozenset(j for j in firing if degrees[j] == best)
+
+
+def path_membership_by_offsets(net, laws, path):
+    """Tier classification of ``path`` by explicit offset bookkeeping.
+
+    Step m is judged at the offsets accumulated over the first m-1
+    reactions.  Returns None when one of those consulted offsets drives a
+    constant coordinate negative (the shift after the last step is never
+    consulted); otherwise (in_top_intensity, in_drop, first_drop_index) as
+    in ``PathTierReport``.
+    """
+    d = len(laws)
+    offset = [0] * d
+    in_top = True
+    sources_in_growth_top = True
+    first_drop = None
+    for m, r in enumerate(path, start=1):
+        if m > 1:
+            for i, h in enumerate(path[m - 2].change):
+                offset[i] += h
+            if any(laws[i][0] == "const" and laws[i][1] + offset[i] < 0 for i in range(d)):
+                return None
+        growth_top, intensity_top = top_tiers_at(net, laws, offset)
+        src = net.complex_index(r.source)
+        in_top = in_top and src in intensity_top
+        sources_in_growth_top = sources_in_growth_top and src in growth_top
+        if first_drop is None and net.complex_index(r.product) not in growth_top:
+            first_drop = m
+    in_drop = bool(path) and sources_in_growth_top and first_drop is not None
+    return in_top, in_drop, first_drop

@@ -2,6 +2,7 @@
 and determinism of every command for a fixed seed."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 import referencing
 from referencing.jsonschema import DRAFT7
 
+import crnkit
 from crnkit.cli import main
+from crnkit.kinetics import lyapunov_difference
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -239,6 +242,13 @@ def test_drift_budget_violation_reports_bound(capsys):
     assert "budget" in captured.err.lower()
 
 
+def test_drift_long_horizon_on_one_reaction(capsys, tmp_path):
+    crn = tmp_path / "autocatalysis.crn"
+    crn.write_text("S -> 2S ; k=1\n")
+    payload = run_json(capsys, ["drift", str(crn), "--x", "1", "--k", "5000"], "drift")
+    assert payload["drift"]["value"] == pytest.approx(lyapunov_difference((1,), (5000,)))
+
+
 def test_drift_huge_k_is_refused_by_the_budget(capsys):
     code = main(["drift", CYCLE, "--x", "3,1,0", "--k", "1000000000"])
     captured = capsys.readouterr()
@@ -371,10 +381,15 @@ def test_stationary_needs_exactly_one_mode(capsys):
 
 
 def test_module_entry_point_runs_as_subprocess():
+    # the child imports the same crnkit as this process, however pytest found it
+    src = str(Path(crnkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "crnkit", "analyze", CYCLE],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"]["verdict"] == "PositiveRecurrent"

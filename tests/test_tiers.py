@@ -30,7 +30,12 @@ from crnkit.errors import (
     TailNotNormalizedError,
     WitnessPathError,
 )
-from crnkit.kinetics import embedded_step_distribution, lyapunov, path_probability
+from crnkit.kinetics import (
+    embedded_step_distribution,
+    lyapunov,
+    lyapunov_difference,
+    path_probability,
+)
 from crnkit.tiers import (
     Const,
     Grow,
@@ -47,7 +52,13 @@ from crnkit.tiers import (
     shift,
     witness_path,
 )
-from oracles import coefficient_path_limit, enum_kstep_drift, numeric_tier_partition
+from oracles import (
+    coefficient_path_limit,
+    enum_kstep_drift,
+    numeric_tier_partition,
+    path_membership_by_offsets,
+    top_tiers_at,
+)
 
 CYCLE = five_complex_cycle()
 CYCLE_SEQ = ParametricSequence((Grow(), Const(1), Const(0)))
@@ -117,6 +128,17 @@ def test_normalized_for_raises_start_past_complex_entries():
     assert norm.laws == seq.laws and norm.offset == seq.offset
     # already-normalized sequences come back unchanged
     assert norm.normalized_for(CYCLE.network) is norm
+
+
+def test_sequence_start_search_is_fast_for_deep_offsets():
+    began = time.perf_counter()
+    seq = ParametricSequence((Grow(1.0, Fraction(1, 2)),), (-3000,))
+    assert time.perf_counter() - began < 1.0
+    assert seq.start == 8_994_002
+    assert seq.evaluate(seq.start) == (0,)
+    # one index earlier the coordinate would be ceil(sqrt(n)) - 3000 = -1
+    bare = ParametricSequence((Grow(1.0, Fraction(1, 2)),))
+    assert bare.evaluate(seq.start - 1) == (2999,)
 
 
 def test_degree_uses_exact_fractions():
@@ -368,6 +390,50 @@ def test_path_probability_limit_matches_coefficient_oracle():
     assert compared > 25
 
 
+def test_tier_walks_match_offset_bookkeeping_oracle():
+    loop = creation_annihilation_loop((2.0, 1.0, 0.5, 1.0, 3.0, 1.0, 2.0, 0.25))
+    powers = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)]
+    rng = random.Random(60413)
+    compared = invalid = 0
+    for _ in range(400):
+        system = rng.choice([CYCLE, loop])
+        net = system.network
+        while True:
+            laws = []
+            for _ in range(net.dim):
+                if rng.random() < 0.5:
+                    laws.append(("const", rng.randrange(0, 4)))
+                else:
+                    coef = rng.choice([0.5, 1.0, 2.0, 3.0])
+                    laws.append(("grow", coef, rng.choice(powers)))
+            if any(law[0] == "grow" for law in laws):
+                break
+        seq = ParametricSequence(
+            tuple(Const(l[1]) if l[0] == "const" else Grow(l[1], l[2]) for l in laws)
+        )
+        growth_top, intensity_top = top_tiers_at(net, laws, [0] * net.dim)
+        outside = sorted(intensity_top - growth_top)
+        assert hypothesis_violation(net, seq) == (outside[0] if outside else None)
+
+        path = [rng.choice(net.reactions) for _ in range(rng.randrange(0, 6))]
+        want = path_membership_by_offsets(net, laws, path)
+        if want is None:
+            invalid += 1
+            with pytest.raises(InvalidSequenceError):
+                path_tier_membership(net, seq, path)
+            with pytest.raises(InvalidSequenceError):
+                path_probability_limit(system, seq, path)
+            continue
+        rep = path_tier_membership(net, seq, path)
+        assert (rep.in_top_intensity, rep.in_drop, rep.first_drop_index) == want
+        got = path_probability_limit(system, seq, path)
+        assert got == pytest.approx(
+            coefficient_path_limit(system, laws, path), rel=1e-12, abs=1e-15
+        )
+        compared += 1
+    assert compared > 250 and invalid > 20
+
+
 # ------------------------------------------------------------ pattern scan
 
 def test_hypothesis_violation_pair_annihilation():
@@ -563,6 +629,12 @@ def test_exact_drift_budget_guard_is_exact():
                     )
     with pytest.raises(BudgetExceededError):
         exact_kstep_drift(pure_birth(), (0,), 10**9, budget=0)
+
+
+def test_exact_drift_long_horizon_needs_no_recursion():
+    # one reaction passes the r ** k budget for any k
+    got = exact_kstep_drift(pure_birth(), (0,), 5000)
+    assert got == lyapunov_difference((0,), (5000,))
 
 
 def test_exact_drift_absorbing_branch_freezes_v():
