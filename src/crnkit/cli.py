@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -364,8 +365,6 @@ def _parse_region(text: str, dim: int):
         ranges.append(range(lo_v, hi_v + 1))
     if len(ranges) != dim:
         raise _UsageError(f"--region needs {dim} ranges, got {len(ranges)}")
-    import itertools
-
     return [tuple(p) for p in itertools.product(*ranges)]
 
 
@@ -463,11 +462,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", metavar="STATE", help="start state, e.g. 3,1,0")
     p.add_argument("--k", type=int, required=True, help="number of jumps")
     p.add_argument(
-        "--exact",
-        action="store_true",
-        help="exact enumeration (the default mode)",
-    )
-    p.add_argument(
         "--mc",
         type=int,
         default=None,
@@ -519,16 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except CRNError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (_UsageError, CRNError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ chain are nonnegative integer tuples of the same dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 #: Largest state coordinate accepted by the kinetics routines.  Falling
@@ -85,17 +85,17 @@ class Reaction:
 
     source: Complex
     product: Complex
+    #: Net stoichiometric change, product minus source; derived, so it takes
+    #: no part in equality, hashing or repr.
+    change: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.dim != self.product.dim:
             raise ValueError("source and product complexes have different dimensions")
         if self.source == self.product:
             raise ValueError("reaction source and product must differ (no self-loops)")
-
-    @property
-    def change(self) -> tuple:
-        """Net stoichiometric change, product minus source."""
-        return tuple(p - s for s, p in zip(self.source.coeffs, self.product.coeffs))
+        change = tuple(p - s for s, p in zip(self.source.coeffs, self.product.coeffs))
+        object.__setattr__(self, "change", change)
 
     def format(self, species: Sequence[str]) -> str:
         return f"{self.source.format(species)} -> {self.product.format(species)}"

@@ -357,12 +357,16 @@ def truncated_stationary(
 
     Transitions leaving the region are discarded (their rate is dropped, not
     redirected).  The censored chain must have exactly one closed
-    communicating class inside the region; its stationary law is computed by
-    uniformized power iteration and reported with zeros on the transient
-    states.  Multiple closed classes raise ``AmbiguousRegionError``.
+    communicating class inside the region, else ``AmbiguousRegionError``.
+    Its law comes from sparse direct solves: one with the normalization in
+    place of a balance equation locates the most probable state; with pi
+    fixed to 1 there, the other balance equations form a nonsingular
+    M-matrix system whose solution is nonnegative.  Transient states get
+    zero mass, and ``detail`` ends with the residual |pi Q|_1.
     """
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csr_matrix, diags, vstack
     from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
 
     dim = system.network.dim
     states = sorted({as_state(s, dim) for s in region})
@@ -370,61 +374,57 @@ def truncated_stationary(
         raise ValueError("region is empty")
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
-    q = np.zeros((n, n), dtype=np.float64)
+    rows, cols, vals = [], [], []
     for i, s in enumerate(states):
+        # jumps are pooled by (nonzero) net change: no (i, j) pair repeats
         for h, lam in transition_rates(system, s).items():
-            nxt = tuple(a + b for a, b in zip(s, h))
-            j = index.get(nxt)
+            j = index.get(tuple(a + b for a, b in zip(s, h)))
             if j is not None:
-                q[i, j] += lam
-    np.fill_diagonal(q, -q.sum(axis=1))
+                rows.append(i)
+                cols.append(j)
+                vals.append(lam)
+    rates = csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    adj = csr_matrix((q > 0).astype(np.int8))
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    closed = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        mask = np.zeros(n, dtype=bool)
-        mask[members] = True
-        leaves = q[np.ix_(mask, ~mask)]
-        if leaves.size == 0 or not (leaves > 0).any():
-            closed.append(tuple(states[i] for i in members))
+    n_comp, labels = connected_components(rates, directed=True, connection="strong")
+    src, dst = labels[rows], labels[cols]
+    leaks = np.zeros(n_comp, dtype=bool)
+    leaks[src[src != dst]] = True
+    closed = [np.flatnonzero(labels == c).tolist() for c in np.flatnonzero(~leaks)]
     if len(closed) != 1:
         raise AmbiguousRegionError(
             f"censored region splits into {len(closed)} closed communicating "
             "classes; truncate to one of them",
-            tuple(sorted(closed)),
+            tuple(sorted(tuple(states[i] for i in members) for members in closed)),
         )
-    members = [index[s] for s in closed[0]]
-    sub = q[np.ix_(members, members)]
-    exit_rates = -np.diag(sub)
-    lam_max = float(exit_rates.max())
-    pi_sub = np.zeros(len(members))
-    if lam_max == 0.0:
-        pi_sub[0] = 1.0  # a single absorbing state
-    else:
-        lam_u = 1.05 * lam_max  # slack keeps the uniformized chain aperiodic
-        p = np.eye(len(members)) + sub / lam_u
-        pi_sub[:] = 1.0 / len(members)
-        for _ in range(2_000_000):
-            nxt = pi_sub @ p
-            delta = float(np.abs(nxt - pi_sub).sum())
-            pi_sub = nxt
-            if delta <= 1e-13:
-                break
-        else:
-            raise RuntimeError("stationary solve did not converge")
-        pi_sub /= pi_sub.sum()
+    members = closed[0]
+    m = len(members)
+    sub = rates[members][:, members]
+    # transposed generator of the class: balance reads q_t @ pi = 0
+    q_t = (sub - diags(np.asarray(sub.sum(axis=1)).ravel())).T.tocsc()
+    pi = np.ones(m)
+    if m > 1:
+        # balance with sum(pi) = 1 in place of one equation locates the mode;
+        # this ordering keeps the fill from the dense row low
+        unit = np.zeros(m)
+        unit[-1] = 1.0
+        normalized = vstack([q_t[:-1], np.ones((1, m))], format="csc")
+        rough = spsolve(normalized, unit, permc_spec="MMD_AT_PLUS_A")
+        # fix pi to 1 there: the rest is a nonsingular M-matrix system, well
+        # conditioned because that state carries the most mass (a light
+        # reference state can leave it singular in floating point)
+        rest = np.arange(m) != np.argmax(rough)
+        pi[rest] = spsolve(q_t[rest][:, rest], -q_t[rest][:, ~rest].toarray().ravel())
+    pi /= pi.sum()
+    residual = float(np.abs(q_t @ pi).sum())
     probs = np.zeros(n)
-    for local, i in enumerate(members):
-        probs[i] = pi_sub[local]
+    probs[members] = pi
     return StationaryEstimate(
         support=tuple(states),
         probabilities=probs,
         method="truncated_solve",
         detail=(
             f"censored solve on {n} states "
-            f"({n - len(members)} transient)"
+            f"({n - m} transient), residual {residual:.1e}"
         ),
     )
 

@@ -567,7 +567,10 @@ def hypothesis_violation(
     """
     if net.dim != seq.dim:
         raise InvalidSequenceError("network dimension does not match sequence")
-    tail = _Tail(net, seq)
+    return _violation(_Tail(net, seq))
+
+
+def _violation(tail: _Tail) -> Optional[int]:
     top = tail.top()
     if not top:
         return None
@@ -589,6 +592,38 @@ class ScanFamily:
     exhaustive: bool
 
 
+class _PatternScan:
+    """One pass over the canonical pattern family.  Iterating yields (seq,
+    tail) once per distinct pattern, each tail only until the next; after
+    the pass, ``enumerated`` and ``exhaustive`` describe it."""
+
+    def __init__(self, net: ReactionNetwork, pattern_budget: int):
+        if net.dim > _SCAN_MAX_DIM:
+            raise ValueError(
+                f"pattern scan supports at most {_SCAN_MAX_DIM} species, got {net.dim}"
+            )
+        self.net = net
+        self.budget = pattern_budget
+        self.enumerated = 0
+        self.exhaustive = True
+
+    def __iter__(self):
+        seen = set()
+        for labels in itertools.product(_SCAN_LABELS, repeat=self.net.dim):
+            if not any(isinstance(l, Grow) for l in labels):
+                continue
+            if self.enumerated >= self.budget:
+                self.exhaustive = False
+                return
+            self.enumerated += 1
+            seq = ParametricSequence(labels)
+            tail = _Tail(self.net, seq)
+            key = (tail.degrees, tuple(tail.live()))
+            if key not in seen:
+                seen.add(key)
+                yield seq, tail
+
+
 def scan_patterns(
     net: ReactionNetwork, pattern_budget: int = 1_000_000
 ) -> ScanFamily:
@@ -600,31 +635,10 @@ def scan_patterns(
     machinery can observe.  Networks with more than 12 species are
     rejected.
     """
-    d = net.dim
-    if d > _SCAN_MAX_DIM:
-        raise ValueError(
-            f"pattern scan supports at most {_SCAN_MAX_DIM} species, got {d}"
-        )
-    enumerated = 0
-    seen = set()
-    sequences = []
-    exhaustive = True
-    for labels in itertools.product(_SCAN_LABELS, repeat=d):
-        if not any(isinstance(l, Grow) for l in labels):
-            continue
-        if enumerated >= pattern_budget:
-            exhaustive = False
-            break
-        enumerated += 1
-        seq = ParametricSequence(labels)
-        tail = _Tail(net, seq)
-        key = (tail.degrees, tuple(tail.live()))
-        if key in seen:
-            continue
-        seen.add(key)
-        sequences.append(seq)
+    scan = _PatternScan(net, pattern_budget)
+    sequences = tuple(seq for seq, _ in scan)
     return ScanFamily(
-        sequences=tuple(sequences), enumerated=enumerated, exhaustive=exhaustive
+        sequences=sequences, enumerated=scan.enumerated, exhaustive=scan.exhaustive
     )
 
 
@@ -639,17 +653,17 @@ def hypothesis_check(
     heuristic for general sequences.  Enumerations beyond
     ``pattern_budget`` return a partial, non-exhaustive report.
     """
-    family = scan_patterns(net, pattern_budget)
+    scan = _PatternScan(net, pattern_budget)
     checked, seq, idx = 0, None, None
-    for checked, seq in enumerate(family.sequences, start=1):
-        idx = hypothesis_violation(net, seq)
-        if idx is not None:
-            break
+    for pattern, tail in scan:
+        if idx is None:
+            checked += 1
+            seq, idx = pattern, _violation(tail)
     return HypothesisScanReport(
         violation_found=idx is not None,
-        patterns_enumerated=family.enumerated,
+        patterns_enumerated=scan.enumerated,
         patterns_checked=checked,
-        exhaustive=family.exhaustive,
+        exhaustive=scan.exhaustive,
         violating_sequence=None if idx is None else seq,
         violating_complex=idx,
     )

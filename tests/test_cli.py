@@ -194,9 +194,7 @@ def test_tiers_rejects_unknown_path_reaction(capsys):
 
 
 def test_drift_exact_single_state(capsys):
-    payload = run_json(
-        capsys, ["drift", CYCLE, "--x", "3,1,0", "--k", "1", "--exact"], "drift"
-    )
+    payload = run_json(capsys, ["drift", CYCLE, "--x", "3,1,0", "--k", "1"], "drift")
     assert payload["drift"]["method"] == "exact"
     assert payload["drift"]["value"] == pytest.approx(0.19314718055994531)
 

@@ -29,6 +29,7 @@ from crnkit.simulate import (
     truncated_stationary,
 )
 from crnkit.tiers import exact_kstep_drift
+from oracles import poisson_truncated
 
 BD = birth_death(2.0, 1.0)
 ISO = reversible_isomers(1.0, 1.0)
@@ -175,6 +176,46 @@ def test_censored_birth_death_matches_truncated_poisson():
     weights = np.array([2.0**k / math.factorial(k) for k in range(41)])
     poisson = weights / weights.sum()
     assert np.max(np.abs(sol.probabilities - poisson)) < 1e-8
+    prefix, residual = sol.detail.split(", residual ")
+    assert prefix == "censored solve on 41 states (0 transient)"
+    assert float(residual) < 1e-12
+
+
+def test_censored_detailed_balance_pair_is_a_poisson_product():
+    # 0 <-> A at 2/1, 0 <-> B at 3/1 and A <-> B at 3/2 are in detailed
+    # balance with Poisson(2) x Poisson(3), which the box censoring keeps
+    system = parse(
+        "species: A, B\n0 <-> A ; k=2, 1\n0 <-> B ; k=3, 1\nA <-> B ; k=3, 2"
+    )
+    sol = truncated_stationary(system, [(a, b) for a in range(16) for b in range(16)])
+    pa, pb = poisson_truncated(2.0, 15), poisson_truncated(3.0, 15)
+    expected = np.array([pa[a] * pb[b] for a, b in sol.support])
+    assert np.max(np.abs(sol.probabilities - expected)) < 1e-13
+
+
+def test_censored_wide_birth_death_is_nonnegative_and_accurate():
+    sol = truncated_stationary(birth_death(50.0, 1.0), [(i,) for i in range(301)])
+    assert np.all(sol.probabilities >= 0.0)
+    expected = np.array(poisson_truncated(50.0, 300))
+    assert np.max(np.abs(sol.probabilities - expected)) < 1e-13
+
+
+def test_censored_solve_is_exact_where_the_first_state_is_negligible():
+    # Poisson(1000) on 0..1300: pi(0) is about e^-1000, so balance solved
+    # with pi fixed at state 0 is singular in floating point
+    sol = truncated_stationary(birth_death(1000.0, 1.0), [(i,) for i in range(1301)])
+    logw = np.array([k * math.log(1000.0) - math.lgamma(k + 1) for k in range(1301)])
+    weights = np.exp(logw - logw.max())
+    assert np.all(sol.probabilities >= 0.0)
+    assert np.max(np.abs(sol.probabilities - weights / weights.sum())) < 1e-13
+
+
+def test_censored_solve_keeps_relative_accuracy_across_rate_scales():
+    # pi(1)/pi(2) = 2/b and pi(0)/pi(1) = 1/b: rates twenty orders apart
+    b = 1e20
+    sol = truncated_stationary(birth_death(b, 1.0), [(0,), (1,), (2,)])
+    expected = np.array([2 / b**2, 2 / b, 1.0])
+    assert np.allclose(sol.probabilities, expected / expected.sum(), rtol=1e-12, atol=0)
 
 
 def test_censored_isomer_pair_is_binomial_one_half():
