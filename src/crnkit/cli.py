@@ -3,8 +3,9 @@
 Subcommands: analyze, tiers, drift, simulate, stationary.  Every command is
 deterministic given the input file, flags, and seed (default 0; wall-clock
 time is never consulted).  JSON reports carry a schema version, the tool
-version, and the input file's SHA-256; matching schemas ship in the
-package's ``schemas`` directory.
+version, and the input file's SHA-256; matching JSON schemas are in the
+``schemas`` directory at the repository root, which is not installed with
+the package.
 
 Exit codes: 0 for success (for ``analyze``: verdict PositiveRecurrent),
 2 for an Inconclusive verdict, 1 for any error.

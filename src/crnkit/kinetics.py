@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .errors import AbsorbingStateError
 from .network import Complex, MassActionSystem, Reaction, State, as_state
 
 __all__ = [
@@ -159,8 +160,6 @@ def embedded_step_distribution(
     All probabilities are strictly positive and sum to 1 up to rounding.
     Raises ``AbsorbingStateError`` when the total rate is zero.
     """
-    from .errors import AbsorbingStateError
-
     xs = as_state(x, system.network.dim)
     rates = transition_rates(system, xs)
     lam_bar = sum(rates.values())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 #: Largest state coordinate accepted by the kinetics routines.  Falling
 #: factorials of larger counts no longer round-trip through float64 exactly,
@@ -269,13 +269,3 @@ class MassActionSystem:
     def __repr__(self) -> str:
         return f"MassActionSystem({self.network!r})"
 
-
-def parse_complex_coeffs(
-    pairs: Mapping[str, int], species: Sequence[str]
-) -> Complex:
-    """Build a Complex from a species-name -> coefficient mapping."""
-    idx = {s: i for i, s in enumerate(species)}
-    coeffs = [0] * len(species)
-    for name, c in pairs.items():
-        coeffs[idx[name]] = int(c)
-    return Complex(coeffs)

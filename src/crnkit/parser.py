@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ParseError
 from .network import Complex, MassActionSystem, Reaction, ReactionNetwork
@@ -282,10 +282,6 @@ def parse(text: str) -> MassActionSystem:
     return MassActionSystem(net, kappa)
 
 
-def _format_rate(k: float) -> str:
-    return repr(k)
-
-
 def serialize(system: MassActionSystem) -> str:
     """Canonical text for ``system``: a species declaration followed by one
     one-way reaction per line, sorted by (source, product) coefficients."""
@@ -295,20 +291,6 @@ def serialize(system: MassActionSystem) -> str:
         net.reactions, key=lambda r: (r.source.coeffs, r.product.coeffs)
     )
     for r in order:
-        lines.append(
-            f"{_compact(r.source, net.species)} -> {_compact(r.product, net.species)}"
-            f" ; k={_format_rate(system.rate_constant(r))}"
-        )
+        lines.append(f"{r.format(net.species)} ; k={system.rate_constant(r)!r}")
     return "\n".join(lines) + "\n"
 
-
-def _compact(c: Complex, species: Sequence[str]) -> str:
-    if c.order == 0:
-        return "0"
-    parts = []
-    for i, k in enumerate(c.coeffs):
-        if k == 1:
-            parts.append(species[i])
-        elif k > 1:
-            parts.append(f"{k}{species[i]}")
-    return " + ".join(parts)

@@ -567,16 +567,20 @@ def hypothesis_violation(
     """
     if net.dim != seq.dim:
         raise InvalidSequenceError("network dimension does not match sequence")
-    return _violation(_Tail(net, seq))
+    tail = _Tail(net, seq)
+    return _violation(tail.degrees, tail.live())
 
 
-def _violation(tail: _Tail) -> Optional[int]:
-    top = tail.top()
-    if not top:
+def _violation(degrees: Sequence, live: Sequence[int]) -> Optional[int]:
+    """First complex of the top intensity tier when that tier sits below the
+    top growth tier; ``live`` lists the non-vanishing complexes ascending."""
+    if not live:
         return None
-    # the top intensity tier shares one growth rank: all inside or all out
-    idx = min(top)
-    return idx if tail.rank[idx] else None
+    # the top intensity tier shares one degree: all inside or all out
+    best = max(degrees[j] for j in live)
+    if best == max(degrees):
+        return None
+    return next(j for j in live if degrees[j] == best)
 
 
 @dataclass(frozen=True)
@@ -592,36 +596,34 @@ class ScanFamily:
     exhaustive: bool
 
 
-class _PatternScan:
-    """One pass over the canonical pattern family.  Iterating yields (seq,
-    tail) once per distinct pattern, each tail only until the next; after
-    the pass, ``enumerated`` and ``exhaustive`` describe it."""
-
-    def __init__(self, net: ReactionNetwork, pattern_budget: int):
-        if net.dim > _SCAN_MAX_DIM:
-            raise ValueError(
-                f"pattern scan supports at most {_SCAN_MAX_DIM} species, got {net.dim}"
-            )
-        self.net = net
-        self.budget = pattern_budget
-        self.enumerated = 0
-        self.exhaustive = True
-
-    def __iter__(self):
-        seen = set()
-        for labels in itertools.product(_SCAN_LABELS, repeat=self.net.dim):
-            if not any(isinstance(l, Grow) for l in labels):
-                continue
-            if self.enumerated >= self.budget:
-                self.exhaustive = False
-                return
-            self.enumerated += 1
-            seq = ParametricSequence(labels)
-            tail = _Tail(self.net, seq)
-            key = (tail.degrees, tuple(tail.live()))
-            if key not in seen:
-                seen.add(key)
-                yield seq, tail
+def _scan(net: ReactionNetwork, budget: int) -> tuple:
+    """One pass over the canonical pattern family, in ``itertools.product``
+    order.  A labeling's key is (degrees, live): each complex's sum of
+    y_i * p_i over the growing coordinates (exact ints, as the scan's
+    exponents are integers), and the complexes with y_i <= value at every
+    constant coordinate.  Returns (patterns, enumerated, exhaustive), with
+    ``patterns`` mapping each distinct key to its first labeling."""
+    if net.dim > _SCAN_MAX_DIM:
+        raise ValueError(
+            f"pattern scan supports at most {_SCAN_MAX_DIM} species, got {net.dim}"
+        )
+    coeffs = [c.coeffs for c in net.complexes]
+    patterns: Dict[tuple, tuple] = {}
+    enumerated = 0
+    for labels in itertools.product(_SCAN_LABELS, repeat=net.dim):
+        grow = [(i, int(l.power)) for i, l in enumerate(labels) if isinstance(l, Grow)]
+        if not grow:
+            continue
+        if enumerated >= budget:
+            return patterns, enumerated, False
+        enumerated += 1
+        const = [(i, l.value) for i, l in enumerate(labels) if isinstance(l, Const)]
+        degrees = tuple(sum(y[i] * p for i, p in grow) for y in coeffs)
+        live = tuple(
+            j for j, y in enumerate(coeffs) if all(y[i] <= v for i, v in const)
+        )
+        patterns.setdefault((degrees, live), labels)
+    return patterns, enumerated, True
 
 
 def scan_patterns(
@@ -635,10 +637,11 @@ def scan_patterns(
     machinery can observe.  Networks with more than 12 species are
     rejected.
     """
-    scan = _PatternScan(net, pattern_budget)
-    sequences = tuple(seq for seq, _ in scan)
+    patterns, enumerated, exhaustive = _scan(net, pattern_budget)
     return ScanFamily(
-        sequences=sequences, enumerated=scan.enumerated, exhaustive=scan.exhaustive
+        sequences=tuple(ParametricSequence(labels) for labels in patterns.values()),
+        enumerated=enumerated,
+        exhaustive=exhaustive,
     )
 
 
@@ -647,24 +650,27 @@ def hypothesis_check(
 ) -> HypothesisScanReport:
     """Scan the canonical pattern family for a tier-inclusion violation.
 
-    Classifies every sequence of ``scan_patterns``.  Finding a violation
-    refutes the inclusion outright; exhausting the family without one
-    confirms it for all monomial sequences with these exponents, which is a
-    heuristic for general sequences.  Enumerations beyond
-    ``pattern_budget`` return a partial, non-exhaustive report.
+    Classifies the distinct patterns of ``scan_patterns`` in order up to the
+    first violation.  Finding a violation refutes the inclusion outright;
+    exhausting the family without one confirms it for all monomial
+    sequences with these exponents, which is a heuristic for general
+    sequences.  Enumerations beyond ``pattern_budget`` return a partial,
+    non-exhaustive report.
     """
-    scan = _PatternScan(net, pattern_budget)
+    patterns, enumerated, exhaustive = _scan(net, pattern_budget)
     checked, seq, idx = 0, None, None
-    for pattern, tail in scan:
-        if idx is None:
-            checked += 1
-            seq, idx = pattern, _violation(tail)
+    for (degrees, live), labels in patterns.items():
+        checked += 1
+        idx = _violation(degrees, live)
+        if idx is not None:
+            seq = ParametricSequence(labels)
+            break
     return HypothesisScanReport(
         violation_found=idx is not None,
-        patterns_enumerated=scan.enumerated,
+        patterns_enumerated=enumerated,
         patterns_checked=checked,
-        exhaustive=scan.exhaustive,
-        violating_sequence=None if idx is None else seq,
+        exhaustive=exhaustive,
+        violating_sequence=seq,
         violating_complex=idx,
     )
 

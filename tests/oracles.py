@@ -3,7 +3,9 @@
 Everything here is written directly from first principles (explicit falling
 products, brute-force graph closures, full path enumerations, closed-form
 stationary laws) without calling the library code under test, so agreement
-between the two routes is meaningful.
+between the two routes is meaningful.  ``scan_by_sequences`` is the one
+exception: it keeps the pattern scan's former route, one sequence and one
+tail per labeling, as a check on the direct scan.
 """
 
 from __future__ import annotations
@@ -118,11 +120,13 @@ def transitive_closure_weakly_reversible(net) -> bool:
 
 
 def poisson_truncated(lam: float, n_max: int):
-    """Poisson(lam) conditioned on {0, ..., n_max}, via the explicit ratio
-    recursion p(k+1)/p(k) = lam/(k+1)."""
-    weights = [1.0]
-    for k in range(n_max):
-        weights.append(weights[-1] * lam / (k + 1))
+    """Poisson(lam) conditioned on {0, ..., n_max}.  The weights
+    lam^k / k! are taken in logs and scaled by the largest before
+    exponentiating, so they neither overflow nor underflow as a whole for
+    lam in the thousands."""
+    logs = [k * math.log(lam) - math.lgamma(k + 1) for k in range(n_max + 1)]
+    top = max(logs)
+    weights = [math.exp(v - top) for v in logs]
     total = sum(weights)
     return [w / total for w in weights]
 
@@ -307,3 +311,54 @@ def path_membership_by_offsets(net, laws, path):
             first_drop = m
     in_drop = bool(path) and sources_in_growth_top and first_drop is not None
     return in_top, in_drop, first_drop
+
+
+def scan_by_sequences(net, budget: int) -> dict:
+    """The canonical pattern scan, one sequence and one tail per labeling.
+
+    Each labeling over (0, 2, n, n^2, n^3) with a growing coordinate becomes
+    a ``ParametricSequence``; labelings are counted up to ``budget`` and
+    deduplicated by the complex degrees and live set of the sequence's tail
+    (``tiers._Tail``).  The distinct patterns are classified with
+    ``hypothesis_violation`` in order up to the first violation.  Returns
+    the fields of ``ScanFamily`` and ``HypothesisScanReport`` by name.
+    """
+    from crnkit.tiers import (
+        Const,
+        Grow,
+        ParametricSequence,
+        _Tail,
+        hypothesis_violation,
+    )
+
+    labels = (Const(0), Const(2), Grow(1.0, 1), Grow(1.0, 2), Grow(1.0, 3))
+    sequences, seen = [], set()
+    enumerated, exhaustive = 0, True
+    for labeling in iproduct(labels, repeat=net.dim):
+        if not any(isinstance(l, Grow) for l in labeling):
+            continue
+        if enumerated >= budget:
+            exhaustive = False
+            break
+        enumerated += 1
+        seq = ParametricSequence(labeling)
+        tail = _Tail(net, seq)
+        key = (tail.degrees, tuple(tail.live()))
+        if key not in seen:
+            seen.add(key)
+            sequences.append(seq)
+    checked, violator, violating_complex = 0, None, None
+    for seq in sequences:
+        checked += 1
+        violating_complex = hypothesis_violation(net, seq)
+        if violating_complex is not None:
+            violator = seq
+            break
+    return {
+        "sequences": tuple(sequences),
+        "enumerated": enumerated,
+        "exhaustive": exhaustive,
+        "patterns_checked": checked,
+        "violating_sequence": violator,
+        "violating_complex": violating_complex,
+    }

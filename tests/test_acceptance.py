@@ -20,6 +20,7 @@ from crnkit import (
     ReactionNetwork,
     embedded_step_distribution,
     generator_applied,
+    parse,
     path_probability,
     total_rate,
 )
@@ -60,6 +61,7 @@ from oracles import (
     numeric_source_growth_partition,
     numeric_tier_partition,
     poisson_truncated,
+    scan_by_sequences,
 )
 
 
@@ -223,6 +225,49 @@ def test_criterion_04_pattern_scan_over_random_corpus(capsys, corpus):
         assert trap_report.violation_found
         assert trap.complexes[trap_report.violating_complex].order == 0
         assert time.perf_counter() - t0 < 60.0
+
+
+def binary_ring(d: int) -> ReactionNetwork:
+    """X1 -> X1 + X2 -> X2 -> X2 + X3 -> ... -> Xd + X1 -> X1."""
+    cycle = []
+    for i in range(d):
+        cycle.append(Complex(tuple(int(j == i) for j in range(d))))
+        cycle.append(Complex(tuple(int(j in (i, (i + 1) % d)) for j in range(d))))
+    reactions = [Reaction(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return ReactionNetwork.from_reactions([f"X{i + 1}" for i in range(d)], reactions)
+
+
+def test_pattern_scan_matches_per_labeling_oracle(corpus):
+    # the oracle takes seconds per 5-species network; the ring covers that size
+    nets = [net for net in corpus if net.dim <= 4][:16] + [
+        five_complex_cycle().network,
+        creation_annihilation_loop().network,
+        three_class_network().network,
+        birth_death().network,
+        pair_annihilation().network,
+        parse("species: A, B\nA + B -> 0 ; k=1\n0 -> A + B ; k=1").network,
+        binary_ring(5),
+        # A appears only in 3A, which A = 2 leaves vanishing as A = 0 does
+        parse("species: A, B\n3A <-> B ; k=1, 1\n0 <-> B ; k=1, 1").network,
+    ]
+    hits = 0
+    for net in nets:
+        total = 5**net.dim - 2**net.dim
+        for budget in (0, 1, 7, total - 1, total, total + 1, -1):
+            want = scan_by_sequences(net, budget)
+            family = scan_patterns(net, budget)
+            assert family.sequences == want["sequences"]
+            assert family.enumerated == want["enumerated"]
+            assert family.exhaustive == want["exhaustive"]
+            report = hypothesis_check(net, budget)
+            assert report.violation_found == (want["violating_complex"] is not None)
+            assert report.patterns_enumerated == want["enumerated"]
+            assert report.patterns_checked == want["patterns_checked"]
+            assert report.exhaustive == want["exhaustive"]
+            assert report.violating_sequence == want["violating_sequence"]
+            assert report.violating_complex == want["violating_complex"]
+            hits += report.violation_found
+    assert hits > 0
 
 
 def test_criterion_05_growth_partition_shift_invariance(capsys):

@@ -378,19 +378,35 @@ def test_stationary_needs_exactly_one_mode(capsys):
 # process-level behavior
 
 
-def test_module_entry_point_runs_as_subprocess():
+def _child_env() -> dict:
     # the child imports the same crnkit as this process, however pytest found it
     src = str(Path(crnkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_runs_as_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "crnkit", "analyze", CYCLE],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"]["verdict"] == "PositiveRecurrent"
+
+
+@pytest.mark.parametrize("demo", ["02_parsing_networks.py", "04_tier_analysis.py"])
+def test_demo_runs_as_subprocess(demo):
+    # these demos call serialize and hypothesis_check
+    result = subprocess.run(
+        [sys.executable, str(REPO / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_bad_flags_exit_one_not_two(capsys):
