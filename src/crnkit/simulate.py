@@ -1,10 +1,20 @@
 """Trajectory simulation and stationary diagnostics for mass-action chains.
 
-All randomness comes from numpy's counter-based Philox generator.  A run
-with seed s uses the stream of ``SeedSequence(s)``; replica r of a
-multi-replica estimate uses ``SeedSequence(s, spawn_key=(r,))``.  Equal
-seeds therefore give identical trajectories, and replicas are independent
-and reproducible; replica sweeps run them one after another.
+All randomness comes from numpy's counter-based Philox generator (Salmon
+et al., SC 2011).  A run with seed s uses the stream of
+``SeedSequence(s)``; replica r of a multi-replica estimate uses
+``SeedSequence(s, spawn_key=(r,))``.  Equal seeds therefore give identical
+trajectories, and replicas are independent and reproducible; replica sweeps
+run them one after another.
+
+A replica sweep derives those streams without building a ``SeedSequence``
+per replica.  The seed is mixed once (``SeedSequence(s).pool``, which also
+validates it); the spawn word r is then mixed in and the two 64-bit output
+words hashed as numpy integer arithmetic over chunks of replica indices,
+step for step as ``SeedSequence(s, spawn_key=(r,)).generate_state(2,
+np.uint64)`` does.  That is the key ``Philox`` takes from the spawned
+sequence, so setting it, with a zero counter, on one reused ``Philox``
+gives replica r exactly its ``spawn_key`` stream.
 
 Every sampler advances by the same direct-method step (Gillespie 1977).
 Each jump consumes exactly two variates, one exponential for the holding
@@ -16,14 +26,15 @@ states of the full simulation with the same seed.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .errors import AmbiguousRegionError
-from .kinetics import _rates, lyapunov, lyapunov_difference, transition_rates
+from .kinetics import _f, _rates, lyapunov, lyapunov_difference, transition_rates
 from .network import STATE_COORD_MAX, MassActionSystem, State, as_state
 
 __all__ = [
@@ -40,14 +51,79 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_KEY_CHUNK = 4096  # replica keys derived per vectorised pass
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_M32, _SHIFT, _HIGH = np.uint64(0xFFFFFFFF), np.uint64(16), np.uint64(32)
 
 
-def _generator(seed: int, replica: Optional[int] = None) -> np.random.Generator:
-    if replica is None:
-        ss = np.random.SeedSequence(seed)
-    else:
-        ss = np.random.SeedSequence(seed, spawn_key=(replica,))
-    return np.random.Generator(np.random.Philox(ss))
+def _generator(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _replica_keys(seed, replicas: range) -> Iterator[np.ndarray]:
+    """Philox key of each replica index in ``replicas``, in order: equal to
+    ``SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)``.
+
+    The spawned sequence's entropy is the seed's words, zero-padded to the
+    pool size, followed by the spawn word r.  Its pool is the seed's pool
+    with r mixed into each of the four words, at the hash constant the
+    seed's words left behind.  Spawn words of r >= 2**32, and seeds that
+    are not integers, take the per-replica ``SeedSequence``.
+    """
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)  # validates
+    integral = isinstance(seed, numbers.Integral)
+    if integral:
+        # hashmix steps before the spawn word: 4 fill the pool, 12 mix it
+        # pairwise, and each seed word past the pool takes 4 more
+        words = max(1, -(-int(seed).bit_length() // 32))
+        hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) % 2**32
+    for lo in range(0, len(replicas), _KEY_CHUNK):
+        chunk = replicas[lo : lo + _KEY_CHUNK]
+        if not (integral and chunk[-1] < 2**32):
+            for r in chunk:
+                yield np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(
+                    2, np.uint64
+                )
+            continue
+        r = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.uint64)
+        out = []
+        h_a, h_b = hash_a, _INIT_B
+        for word in pool:
+            # hashmix(r), then mix it into this pool word
+            h = r ^ np.uint64(h_a)
+            h_a = h_a * _MULT_A % 2**32
+            h = h * np.uint64(h_a) & _M32
+            h ^= h >> _SHIFT
+            m = (_MIX_L * word - _MIX_R * h) & _M32
+            m ^= m >> _SHIFT
+            # generate_state's hash of this output word
+            m ^= np.uint64(h_b)
+            h_b = h_b * _MULT_B % 2**32
+            m = m * np.uint64(h_b) & _M32
+            m ^= m >> _SHIFT
+            out.append(m)
+        # little-endian pairs of 32-bit words make the two 64-bit words
+        yield from np.stack([out[0] | out[1] << _HIGH, out[2] | out[3] << _HIGH], 1)
+
+
+def _replica_generators(seed, replicas: int) -> Iterator[np.random.Generator]:
+    """Replica r's generator for r = 0 .. replicas - 1, in order.
+
+    Every item is the same ``Generator`` on one reused ``Philox``, rekeyed
+    with a zero counter and an empty buffer before it is yielded, so use it
+    up before taking the next one.
+    """
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state  # a fresh Philox: zero counter, empty buffer
+    for key in _replica_keys(seed, range(replicas)):
+        state["state"]["key"] = key
+        bits.state = state
+        yield rng
 
 
 class _DrawBlock:
@@ -221,14 +297,28 @@ class ReturnTimeStats:
         return float(np.max(self.times)) if len(self.times) else None
 
 
+class _Sublevel:
+    """The predicate V(x) <= cutoff; ``return_times`` reads its cutoff."""
+
+    def __init__(self, cutoff: float):
+        self.cutoff = cutoff
+        self.description = f"V <= {cutoff}"
+
+    def __call__(self, x) -> bool:
+        return lyapunov(x) <= self.cutoff
+
+
+class _TermMemo(dict):
+    """V's coordinate terms ``_f(t)`` by t, each computed on first use."""
+
+    def __missing__(self, t: int) -> float:
+        value = self[t] = _f(t)
+        return value
+
+
 def lyapunov_sublevel(cutoff: float) -> Callable[[State], bool]:
     """Predicate for the sublevel set {x : V(x) <= cutoff}."""
-
-    def predicate(x) -> bool:
-        return lyapunov(x) <= cutoff
-
-    predicate.description = f"V <= {cutoff}"
-    return predicate
+    return _Sublevel(cutoff)
 
 
 def return_times(
@@ -247,7 +337,8 @@ def return_times(
     ``x0`` must itself satisfy the target predicate.  Each replica runs
     until it has left the target set and come back (recording the return
     time), reached an absorbing state outside the target, or exhausted the
-    time horizon.
+    time horizon.  A ``lyapunov_sublevel`` target is tested by summing V's
+    memoised coordinate terms, the floats ``lyapunov`` adds, in its order.
     """
     table = system._rate_table
     x_start = as_state(x0, system.network.dim)
@@ -263,8 +354,19 @@ def return_times(
         else getattr(target, "description", "user predicate")
     )
 
-    def run(replica: int) -> Optional[float]:
-        draws = _DrawBlock(_generator(seed, replica))
+    if type(target) is _Sublevel:
+        term, cutoff = _TermMemo().__getitem__, target.cutoff
+
+        def inside(x: list) -> bool:
+            return sum(map(term, x)) <= cutoff
+
+    else:
+
+        def inside(x: list) -> bool:
+            return target(tuple(x))
+
+    def run(rng: np.random.Generator) -> Optional[float]:
+        draws = _DrawBlock(rng)
         x = list(x_start)
         t = 0.0
         left = False
@@ -275,13 +377,13 @@ def return_times(
             t += jump[0]
             if t > horizon:
                 return None
-            inside = target(tuple(x))
-            if left and inside:
-                return t
-            if not inside:
+            if inside(x):
+                if left:
+                    return t
+            else:
                 left = True
 
-    results = [run(r) for r in range(replicas)]
+    results = [run(rng) for rng in _replica_generators(seed, replicas)]
     returned = [t for t in results if t is not None]
     return ReturnTimeStats(
         target_description=desc,
@@ -453,8 +555,8 @@ def drift_estimate_mc(
 
     block = min(k, _BLOCK)  # a k-step replica consumes at most k draw pairs
 
-    def run(replica: int) -> float:
-        draws = _DrawBlock(_generator(seed, replica), block)
+    def run(rng: np.random.Generator) -> float:
+        draws = _DrawBlock(rng, block)
         state = list(x_start)
         for _ in range(k):
             if _step(table, state, draws) is None:
@@ -463,7 +565,9 @@ def drift_estimate_mc(
             x_start, tuple(a - b for a, b in zip(state, x_start))
         )
 
-    values = np.asarray([run(r) for r in range(replicas)], dtype=np.float64)
+    values = np.asarray(
+        [run(rng) for rng in _replica_generators(seed, replicas)], dtype=np.float64
+    )
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(replicas))
     return mean, stderr

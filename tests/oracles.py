@@ -5,7 +5,8 @@ products, brute-force graph closures, full path enumerations, closed-form
 stationary laws) without calling the library code under test, so agreement
 between the two routes is meaningful.  ``scan_by_sequences`` is the one
 exception: it keeps the pattern scan's former route, one sequence and one
-tail per labeling, as a check on the direct scan.
+tail per labeling, as a check on the direct scan; ``replica_generator``
+builds a replica's stream the way the samplers once did, per replica.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product as iproduct
+
+import numpy as np
 
 
 def falling_product(x: int, k: int) -> int:
@@ -38,6 +41,14 @@ def hand_rates(system, x):
         k * hand_intensity(r.source.coeffs, x)
         for r, k in zip(system.network.reactions, system.rate_constants)
     ]
+
+
+def replica_generator(seed: int, r: int) -> np.random.Generator:
+    """Replica r's generator built from scratch: Philox on the spawned
+    ``SeedSequence(seed, spawn_key=(r,))``."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,)))
+    )
 
 
 def v_scalar(t: int) -> float:

@@ -13,13 +13,16 @@ from scipy import stats
 from crnkit import parse
 from crnkit.catalog import (
     birth_death,
+    creation_annihilation_loop,
     five_complex_cycle,
     pure_birth,
     reversible_isomers,
 )
 from crnkit.errors import AmbiguousRegionError
-from crnkit.kinetics import embedded_step_distribution, total_rate
+from crnkit.kinetics import embedded_step_distribution, lyapunov, total_rate
 from crnkit.simulate import (
+    _replica_generators,
+    _replica_keys,
     drift_estimate_mc,
     embedded_chain_simulate,
     lyapunov_sublevel,
@@ -29,7 +32,7 @@ from crnkit.simulate import (
     truncated_stationary,
 )
 from crnkit.tiers import exact_kstep_drift
-from oracles import poisson_truncated
+from oracles import poisson_truncated, replica_generator
 
 BD = birth_death(2.0, 1.0)
 ISO = reversible_isomers(1.0, 1.0)
@@ -305,6 +308,112 @@ def test_replica_streams_do_not_depend_on_sweep_size():
     head = return_times(BD, (1,), target, horizon=1e3, replicas=5, seed=14)
     assert full.non_returning == head.non_returning == 0
     assert np.array_equal(full.times[:5], head.times)
+
+
+def test_sublevel_fast_path_equals_the_plain_predicate():
+    # return_times tests lyapunov_sublevel through a memo of V's terms; any
+    # other callable is called per state.  Both must agree byte for byte.
+    cases = [
+        (five_complex_cycle(), (1, 1, 1), 5.0),
+        (creation_annihilation_loop(), (1, 1, 1), 5.0),
+        (BD, (1,), 0.9),  # V(0) = 1 > 0.9: the zero state lies outside
+    ]
+    for system, x0, cutoff in cases:
+        for seed in (0, 1, 2):
+            fast = return_times(
+                system, x0, lyapunov_sublevel(cutoff), horizon=50.0, replicas=10, seed=seed
+            )
+            plain = return_times(
+                system,
+                x0,
+                lambda x: lyapunov(x) <= cutoff,
+                horizon=50.0,
+                replicas=10,
+                seed=seed,
+            )
+            assert len(fast.times) > 0
+            assert fast.times.tobytes() == plain.times.tobytes()
+            assert fast.non_returning == plain.non_returning
+
+
+# ---------------------------------------------------------------------------
+# replica streams
+
+
+KEY_SEEDS = (0, 1, 2**31 - 1, 2**32, 2**64 + 3, 2**200 + 99)
+KEY_REPLICAS = (*range(10), *range(4090, 4101))  # straddles a key chunk boundary
+
+
+def test_replica_keys_equal_spawned_seed_sequences():
+    for seed in KEY_SEEDS:
+        keys = list(_replica_keys(seed, range(4101)))
+        assert len(keys) == 4101
+        for r in KEY_REPLICAS:
+            want = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
+            assert keys[r].tolist() == want.tolist()
+
+
+def test_replica_keys_past_one_spawn_word_and_for_sequence_seeds():
+    # spawn indices of two 32-bit words, and seeds given as word sequences
+    for seed, replicas in ((7, range(2**32 - 3, 2**32 + 3)), ([1, 2**40], range(3))):
+        for r, key in zip(replicas, _replica_keys(seed, replicas)):
+            want = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
+            assert key.tolist() == want.tolist()
+
+
+def test_replica_draws_equal_per_replica_generators():
+    for seed in KEY_SEEDS:
+        for r, rng in enumerate(_replica_generators(seed, 4101)):
+            if r not in KEY_REPLICAS:
+                continue
+            oracle = replica_generator(seed, r)
+            assert np.all(rng.standard_exponential(5000) == oracle.standard_exponential(5000))
+            assert np.all(rng.random(5000) == oracle.random(5000))
+
+
+def test_replica_sweeps_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        drift_estimate_mc(BD, (5,), 1, replicas=10, seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        return_times(BD, (1,), lyapunov_sublevel(5.0), horizon=10.0, replicas=2, seed=-1)
+
+
+def test_replica_sweeps_match_golden_values():
+    # values of the per-replica SeedSequence implementation, pinned bit for bit
+    systems = {
+        "cycle": (five_complex_cycle(), (3, 1, 2)),
+        "loop": (creation_annihilation_loop(), (2, 1, 1)),
+        "birth_death": (BD, (5,)),
+    }
+    golden = {
+        ("cycle", 1): (0.25055908853245257, 0.0660763535929516),
+        ("cycle", 5): (0.5215000746282861, 0.06841536280530908),
+        ("loop", 1): (1.0048095461927067, 0.04052762719454305),
+        ("loop", 5): (1.6201919571356707, 0.08232015881020405),
+        ("birth_death", 1): (-0.5617675022302342, 0.08439794171363886),
+        ("birth_death", 5): (-1.8949296495184975, 0.11792759474475077),
+    }
+    for (name, k), want in golden.items():
+        system, x = systems[name]
+        assert drift_estimate_mc(system, x, k, replicas=300, seed=31) == want
+
+    cycle = return_times(
+        five_complex_cycle(), (1, 1, 1), lyapunov_sublevel(5.0),
+        horizon=50.0, replicas=12, seed=32,
+    )
+    assert cycle.non_returning == 2
+    assert cycle.times.tobytes() == bytes.fromhex(
+        "5c290a4401cd2140016c4fccd2673a401c722f20e07c3840fb0b1f2745b63240"
+        "0898d346ccb81c40dec6e7c410891b4096de4a25327a2b401064a6820a9d4540"
+        "882349e3ac2214403c7000ca5ffc3a40"
+    )
+    bd = return_times(BD, (1,), lyapunov_sublevel(2.5), horizon=50.0, replicas=12, seed=32)
+    assert bd.non_returning == 0
+    assert bd.times.tobytes() == bytes.fromhex(
+        "a65b64907449cc3fb82098188207ff3f9e4936587d01144028aa73e36f82ec3f"
+        "92cc60e1dd283040bc785c354b3a0140c488e683c92127401f00818364160240"
+        "74829f5e98522240edd08be2225a23406cc74e9326c807401a5ec94847d10a40"
+    )
 
 
 # ---------------------------------------------------------------------------
