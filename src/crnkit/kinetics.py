@@ -184,7 +184,7 @@ def path_probability(
     dim = system.network.dim
     xs = list(as_state(x, dim))
     table = system._rate_table
-    index = {r: j for j, r in enumerate(system.network.reactions)}
+    index = system.network._reaction_index
     prob = 1.0
     for r in path:
         j = index[r]  # KeyError for foreign reactions

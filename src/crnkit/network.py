@@ -51,6 +51,10 @@ class Complex:
         if any(c < 0 for c in cs):
             raise ValueError(f"complex coefficients must be nonnegative, got {cs}")
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_hash", hash((cs,)))
+
+    def __hash__(self):  # precomputed, equal to the dataclass hash
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -96,6 +100,10 @@ class Reaction:
             raise ValueError("reaction source and product must differ (no self-loops)")
         change = tuple(p - s for s, p in zip(self.source.coeffs, self.product.coeffs))
         object.__setattr__(self, "change", change)
+        object.__setattr__(self, "_hash", hash((self.source, self.product)))
+
+    def __hash__(self):  # precomputed, equal to the dataclass hash
+        return self._hash
 
     def format(self, species: Sequence[str]) -> str:
         return f"{self.source.format(species)} -> {self.product.format(species)}"
@@ -143,7 +151,8 @@ class ReactionNetwork:
                 )
             used.add(r.source)
             used.add(r.product)
-        if len(set(self.reactions)) != len(self.reactions):
+        self._reaction_index = {r: j for j, r in enumerate(self.reactions)}
+        if len(self._reaction_index) != len(self.reactions):
             raise ValueError("reaction list contains duplicates")
         isolated = cset - used
         if isolated:
@@ -154,6 +163,21 @@ class ReactionNetwork:
 
         self._complex_index = {c: i for i, c in enumerate(self.complexes)}
         self._species_index = {s: i for i, s in enumerate(self.species)}
+        # The reaction graph in integers, for the tier walks: per reaction
+        # its (source, product) complex indices; per complex its sparse
+        # (species, coefficient) row and its (product, reaction) out-edges
+        # in declaration order.
+        self._ends = tuple(
+            (self._complex_index[r.source], self._complex_index[r.product])
+            for r in self.reactions
+        )
+        self._rows = tuple(
+            tuple((i, c) for i, c in enumerate(y.coeffs) if c) for y in self.complexes
+        )
+        out_edges: list = [[] for _ in self.complexes]
+        for j, (s, p) in enumerate(self._ends):
+            out_edges[s].append((p, j))
+        self._out_edges = tuple(map(tuple, out_edges))
 
     @classmethod
     def from_reactions(

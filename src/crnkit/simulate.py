@@ -550,6 +550,7 @@ def drift_estimate_mc(
         raise ValueError("need at least two replicas for a standard error")
     table = system._rate_table
     x_start = as_state(x, system.network.dim)
+    np.random.SeedSequence(seed)  # rejects a bad seed as the replica keys do
     if k == 0:
         return 0.0, 0.0
 

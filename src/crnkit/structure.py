@@ -100,8 +100,8 @@ class ReachabilityReport:
 
 def _adjacency(net: ReactionNetwork) -> csr_matrix:
     n = len(net.complexes)
-    rows = [net.complex_index(r.source) for r in net.reactions]
-    cols = [net.complex_index(r.product) for r in net.reactions]
+    rows = [s for s, _ in net._ends]
+    cols = [p for _, p in net._ends]
     data = np.ones(len(rows), dtype=np.int8)
     return csr_matrix((data, (rows, cols)), shape=(n, n))
 

@@ -153,15 +153,6 @@ def _raw_value(law: "CoordLaw", n: int) -> int:
     )
 
 
-@lru_cache(maxsize=1 << 16)
-def _degree_value(laws: tuple, coeffs: tuple) -> Fraction:
-    out = Fraction(0)
-    for y, law in zip(coeffs, laws):
-        if y and isinstance(law, Grow):
-            out += y * law.power
-    return out
-
-
 def _minimal_start(laws: tuple, offset: tuple, start: int, bound: int) -> int:
     """Smallest n >= start at which every growing coordinate exceeds
     ``bound``, by doubling then bisection (each law is monotone in n).
@@ -277,7 +268,11 @@ class ParametricSequence:
         coordinates."""
         if c.dim != self.dim:
             raise InvalidSequenceError("complex dimension does not match sequence")
-        return _degree_value(self.laws, c.coeffs)
+        out = Fraction(0)
+        for y, law in zip(c.coeffs, self.laws):
+            if y and isinstance(law, Grow):
+                out += y * law.power
+        return out
 
 
 def evaluate_sequence(seq: ParametricSequence, n: int) -> tuple:
@@ -318,33 +313,65 @@ class TierPartition:
 
 
 class _Tail:
-    """The tail of one sequence along a network, followed through shifts:
-    each complex's degree, growth rank (0 is the top growth tier) and
-    requirements on the constant coordinates, and the current offsets."""
+    """The tail of one sequence along a network, followed through shifts.
+
+    The static part depends on the network and the laws alone: each
+    complex's growth rank (0 is the top growth tier), from integer degrees
+    over a common denominator, and its needs on the constant coordinates.
+    The moving part is the offsets and, per complex, the count of needs the
+    current constant values leave unmet; a complex is live when that count
+    is zero.  A shift touches only the complexes that need a moved
+    coordinate, and the top intensity tier is recomputed only after some
+    complex's liveness flips."""
 
     def __init__(self, net: ReactionNetwork, seq: ParametricSequence):
-        self.degrees = tuple(seq.degree(c) for c in net.complexes)
-        # integer degrees over a common denominator: cheap to hash and sort
-        common = math.lcm(*(d.denominator for d in self.degrees))
-        scaled = [d.numerator * (common // d.denominator) for d in self.degrees]
-        rank_of = {v: r for r, v in enumerate(sorted(set(scaled), reverse=True))}
-        self.rank = [rank_of[v] for v in scaled]
-        self.laws = seq.laws
-        self.offset = list(seq.offset)
-        self.coeffs = [c.coeffs for c in net.complexes]
-        self.needs = [
-            [(i, ci) for i, ci in enumerate(y) if ci and isinstance(seq.laws[i], Const)]
-            for y in self.coeffs
+        if net.complexes and net.dim != seq.dim:  # as seq.degree(complex) fails
+            raise InvalidSequenceError("complex dimension does not match sequence")
+        self.laws = laws = seq.laws
+        powers = [l.power if isinstance(l, Grow) else None for l in laws]
+        self.common = math.lcm(*(p.denominator for p in powers if p is not None))
+        # a growing coordinate's power times the common denominator; 0 marks
+        # a constant coordinate
+        weight = [
+            0 if p is None else p.numerator * (self.common // p.denominator)
+            for p in powers
         ]
+        # per constant coordinate, ascending: the (complex, entry) pairs
+        # that need it
+        self.users: Dict[int, list] = {i: [] for i, w in enumerate(weight) if not w}
+        # deg(y) * common: exact ints, cheap to hash and sort
+        self.scaled = []
+        self.rows = net._rows
+        for j, row in enumerate(self.rows):
+            v = 0
+            for i, c in row:
+                if weight[i]:
+                    v += c * weight[i]
+                else:
+                    self.users[i].append((j, c))
+            self.scaled.append(v)
+        rank_of = {v: r for r, v in enumerate(sorted(set(self.scaled), reverse=True))}
+        self.rank = [rank_of[v] for v in self.scaled]
+        self.restart(seq.offset)
+
+    def restart(self, offset) -> None:
+        """Start the walk afresh at ``offset``."""
+        self.offset = list(offset)
+        self.unmet = [0] * len(self.rank)
+        for i, users in self.users.items():
+            v = self.laws[i].value + self.offset[i]
+            for j, c in users:
+                if v < c:
+                    self.unmet[j] += 1
+        self._top: Optional[frozenset] = None
+
+    def degrees(self) -> tuple:
+        """Each complex's exact growth exponent."""
+        return tuple(Fraction(v, self.common) for v in self.scaled)
 
     def live(self) -> list:
         """Indices of the complexes whose intensity does not vanish, ascending."""
-        laws, offset = self.laws, self.offset
-        return [
-            j
-            for j, need in enumerate(self.needs)
-            if all(laws[i].value + offset[i] >= ci for i, ci in need)
-        ]
+        return [j for j, u in enumerate(self.unmet) if not u]
 
     def tiers(self, indices) -> tuple:
         """``indices`` grouped by growth rank, top tier first."""
@@ -355,18 +382,18 @@ class _Tail:
 
     def top(self) -> frozenset:
         """The top intensity tier at the current offsets."""
-        live = self.live()
-        best = min((self.rank[j] for j in live), default=None)
-        return frozenset(j for j in live if self.rank[j] == best)
+        if self._top is None:
+            live = self.live()
+            best = min((self.rank[j] for j in live), default=None)
+            self._top = frozenset(j for j in live if self.rank[j] == best)
+        return self._top
 
     def lead(self, j: int) -> float:
         """Leading coefficient of live complex j's intensity ~ coef * n **
         degree: growth coefficients to the power y_i times falling factorials
         of the constant coordinates."""
         out = 1.0
-        for i, ci in enumerate(self.coeffs[j]):
-            if ci == 0:
-                continue
+        for i, ci in self.rows[j]:
             law = self.laws[i]
             if isinstance(law, Grow):
                 out *= law.coef**ci
@@ -375,9 +402,27 @@ class _Tail:
         return out
 
     def shift(self, change) -> None:
-        """Move by ``change``, failing as ``ParametricSequence.shifted`` does."""
-        self.offset = [w + h for w, h in zip(self.offset, change)]
-        _check_constants(self.laws, self.offset)
+        """Move by ``change``, failing as ``ParametricSequence.shifted`` does
+        on the first constant coordinate driven negative."""
+        laws, offset, unmet = self.laws, self.offset, self.unmet
+        for i, users in self.users.items():
+            h = change[i]
+            if not h:
+                continue
+            old = laws[i].value + offset[i]
+            offset[i] += h
+            new = old + h
+            if new < 0:
+                _check_constants((laws[i],), (offset[i],))  # raises
+            for j, c in users:
+                if new < c <= old:  # a need falls unmet
+                    if not unmet[j]:
+                        self._top = None
+                    unmet[j] += 1
+                elif old < c <= new:  # a need is met again
+                    unmet[j] -= 1
+                    if not unmet[j]:
+                        self._top = None
 
 
 def d_partition(net: ReactionNetwork, seq: ParametricSequence) -> TierPartition:
@@ -387,8 +432,8 @@ def d_partition(net: ReactionNetwork, seq: ParametricSequence) -> TierPartition:
     ``seq``.
     """
     tail = _Tail(net, seq)
-    tiers = tail.tiers(range(len(tail.degrees)))
-    return TierPartition("D", tiers, frozenset(), tail.degrees)
+    tiers = tail.tiers(range(len(tail.rank)))
+    return TierPartition("D", tiers, frozenset(), tail.degrees())
 
 
 def s_partition(net: ReactionNetwork, seq: ParametricSequence) -> TierPartition:
@@ -415,8 +460,8 @@ def s_partition(net: ReactionNetwork, seq: ParametricSequence) -> TierPartition:
                 "(see ParametricSequence.normalized_for)"
             )
     alive = set(live)
-    infinite = {j for j in range(len(tail.degrees)) if j not in alive}
-    degrees = tuple(d if j in alive else None for j, d in enumerate(tail.degrees))
+    infinite = {j for j in range(len(tail.rank)) if j not in alive}
+    degrees = tuple(d if j in alive else None for j, d in enumerate(tail.degrees()))
     return TierPartition("S", tail.tiers(live), frozenset(infinite), degrees)
 
 
@@ -440,9 +485,8 @@ class PathTierReport:
 
 def _check_path(net: ReactionNetwork, path) -> tuple:
     path = tuple(path)
-    known = set(net.reactions)
     for r in path:
-        if r not in known:
+        if r not in net._reaction_index:
             raise ValueError(
                 f"reaction {r.source.coeffs} -> {r.product.coeffs} "
                 "is not part of the network"
@@ -461,16 +505,20 @@ def path_tier_membership(
     coordinate negative.
     """
     path = _check_path(net, path)
-    tail = _Tail(net, seq)
+    return _membership(net, _Tail(net, seq), path)
+
+
+def _membership(net: ReactionNetwork, tail: _Tail, path: tuple) -> PathTierReport:
+    """``path_tier_membership`` walked on ``tail`` from its current offsets."""
     in_top_intensity = True
     sources_in_top_growth = True
     first_drop = None
     for m, r in enumerate(path, start=1):
-        src = net.complex_index(r.source)
+        src, prd = net._ends[net._reaction_index[r]]
         in_top_intensity = in_top_intensity and src in tail.top()
         if tail.rank[src]:
             sources_in_top_growth = False
-        if first_drop is None and tail.rank[net.complex_index(r.product)]:
+        if first_drop is None and tail.rank[prd]:
             first_drop = m
         if m < len(path):  # the shift after the last step is never consulted
             tail.shift(r.change)
@@ -505,14 +553,14 @@ def path_probability_limit(
     for m, r in enumerate(path, start=1):
         # factors lie in [0, 1]: once prob is 0 only the shifts remain
         top = tail.top() if prob else frozenset()
-        src = net.complex_index(r.source)
+        j = net._reaction_index[r]
+        src = net._ends[j][0]
         if src in top:
-            num = system.rate_constant(r) * tail.lead(src)
+            num = system.rate_constants[j] * tail.lead(src)
             den = 0.0
-            for rr, kk in zip(net.reactions, system.rate_constants):
-                j = net.complex_index(rr.source)
-                if j in top:
-                    den += kk * tail.lead(j)
+            for (s, _), kk in zip(net._ends, system.rate_constants):
+                if s in top:
+                    den += kk * tail.lead(s)
             prob *= num / den
         else:
             prob = 0.0
@@ -568,7 +616,7 @@ def hypothesis_violation(
     if net.dim != seq.dim:
         raise InvalidSequenceError("network dimension does not match sequence")
     tail = _Tail(net, seq)
-    return _violation(tail.degrees, tail.live())
+    return _violation(tail.scaled, tail.live())
 
 
 def _violation(degrees: Sequence, live: Sequence[int]) -> Optional[int]:
@@ -690,37 +738,31 @@ def witness_path(
     from a top-intensity-tier complex, walk the reaction graph to the
     nearest complex below the top growth tier, then extend greedily with
     reactions of asymptotically maximal intensity (unit rate constants, ties
-    by declaration order).  The result is verified with
-    ``path_tier_membership`` before being returned.
+    by declaration order).  The result is verified as
+    ``path_tier_membership`` verifies a path, on a fresh walk from the
+    sequence's own offsets, before being returned.
 
     Raises ``NoDropComplexError`` when all complexes share one growth tier,
     and ``WitnessPathError`` when construction or verification fails.
     """
     tail = _Tail(net, seq)
-    d_tiers = tail.tiers(range(len(tail.degrees)))
-    if len(d_tiers) <= 1:
+    if max(tail.rank, default=0) == 0:
         raise NoDropComplexError(
             "every complex has the same growth exponent along the sequence; "
             "no path can drop out of the top growth tier"
         )
-    d_top = d_tiers[0]
     s_top = tail.top()
     if not s_top:
         raise WitnessPathError(
             "every complex has identically zero intensity along the sequence"
         )
-    if not s_top <= d_top:
+    if tail.rank[min(s_top)]:  # the tier shares one rank: all in or all out
         raise WitnessPathError(
             "top intensity tier is not contained in the top growth tier"
         )
 
     # shortest directed walk from the top intensity tier out of the top
     # growth tier; first-found in breadth-first order for determinism
-    out_edges: Dict[int, list] = {}
-    for r in net.reactions:
-        out_edges.setdefault(net.complex_index(r.source), []).append(
-            (net.complex_index(r.product), r)
-        )
     start = min(s_top)
     parent: Dict[int, tuple] = {start: None}
     frontier = [start]
@@ -728,11 +770,11 @@ def witness_path(
     while frontier and goal is None:
         nxt = []
         for u in frontier:
-            for v, r in out_edges.get(u, ()):
+            for v, j in net._out_edges[u]:
                 if v in parent:
                     continue
-                parent[v] = (u, r)
-                if v not in d_top:
+                parent[v] = (u, j)
+                if tail.rank[v]:
                     goal = v
                     break
                 nxt.append(v)
@@ -748,8 +790,8 @@ def witness_path(
     prefix: List[Reaction] = []
     node = goal
     while parent[node] is not None:
-        u, r = parent[node]
-        prefix.append(r)
+        u, j = parent[node]
+        prefix.append(net.reactions[j])
         node = u
     prefix.reverse()
 
@@ -767,8 +809,7 @@ def witness_path(
         top = tail.top()
         best = None
         best_lead = -1.0
-        for r in net.reactions:
-            src = net.complex_index(r.source)
+        for r, (src, _) in zip(net.reactions, net._ends):
             if src not in top:
                 continue
             lead = tail.lead(src)
@@ -783,7 +824,9 @@ def witness_path(
         path.append(best)
         tail.shift(best.change)
 
-    report = path_tier_membership(net, seq, path)
+    # verify on a fresh walk from the sequence's own offsets
+    tail.restart(seq.offset)
+    report = _membership(net, tail, tuple(path))
     if not (report.in_top_intensity and report.in_drop):
         raise WitnessPathError(
             "constructed path failed tier verification "

@@ -5,8 +5,10 @@ products, brute-force graph closures, full path enumerations, closed-form
 stationary laws) without calling the library code under test, so agreement
 between the two routes is meaningful.  ``scan_by_sequences`` is the one
 exception: it keeps the pattern scan's former route, one sequence and one
-tail per labeling, as a check on the direct scan; ``replica_generator``
-builds a replica's stream the way the samplers once did, per replica.
+tail per labeling, as a check on the direct scan; ``ScratchTail`` is the
+tier walks' former tail, recomputed from scratch at every query, as a check
+on the incremental one; ``replica_generator`` builds a replica's stream the
+way the samplers once did, per replica.
 """
 
 from __future__ import annotations
@@ -324,23 +326,64 @@ def path_membership_by_offsets(net, laws, path):
     return in_top, in_drop, first_drop
 
 
+class ScratchTail:
+    """A sequence's tail along a network with every query answered from
+    scratch: the complexes' degrees, growth ranks (0 is the top growth
+    tier) and needs on the constant coordinates, and the current offsets.
+    ``live()`` and ``top()`` rescan every complex; ``shift`` raises
+    ``InvalidSequenceError`` as ``ParametricSequence.shifted`` does."""
+
+    def __init__(self, net, seq):
+        from crnkit.tiers import Const
+
+        self.degrees = tuple(seq.degree(c) for c in net.complexes)
+        common = math.lcm(*(d.denominator for d in self.degrees))
+        scaled = [d.numerator * (common // d.denominator) for d in self.degrees]
+        rank_of = {v: r for r, v in enumerate(sorted(set(scaled), reverse=True))}
+        self.rank = [rank_of[v] for v in scaled]
+        self.laws = seq.laws
+        self.offset = list(seq.offset)
+        self.needs = [
+            [(i, ci) for i, ci in enumerate(c.coeffs) if ci and isinstance(seq.laws[i], Const)]
+            for c in net.complexes
+        ]
+
+    def live(self) -> list:
+        laws, offset = self.laws, self.offset
+        return [
+            j
+            for j, need in enumerate(self.needs)
+            if all(laws[i].value + offset[i] >= ci for i, ci in need)
+        ]
+
+    def top(self) -> frozenset:
+        live = self.live()
+        best = min((self.rank[j] for j in live), default=None)
+        return frozenset(j for j in live if self.rank[j] == best)
+
+    def shift(self, change) -> None:
+        from crnkit.errors import InvalidSequenceError
+        from crnkit.tiers import Const
+
+        self.offset = [w + h for w, h in zip(self.offset, change)]
+        for law, w in zip(self.laws, self.offset):
+            if isinstance(law, Const) and law.value + w < 0:
+                raise InvalidSequenceError(
+                    f"constant coordinate {law.value} with offset {w} is negative"
+                )
+
+
 def scan_by_sequences(net, budget: int) -> dict:
     """The canonical pattern scan, one sequence and one tail per labeling.
 
     Each labeling over (0, 2, n, n^2, n^3) with a growing coordinate becomes
     a ``ParametricSequence``; labelings are counted up to ``budget`` and
     deduplicated by the complex degrees and live set of the sequence's tail
-    (``tiers._Tail``).  The distinct patterns are classified with
+    (``ScratchTail``).  The distinct patterns are classified with
     ``hypothesis_violation`` in order up to the first violation.  Returns
     the fields of ``ScanFamily`` and ``HypothesisScanReport`` by name.
     """
-    from crnkit.tiers import (
-        Const,
-        Grow,
-        ParametricSequence,
-        _Tail,
-        hypothesis_violation,
-    )
+    from crnkit.tiers import Const, Grow, ParametricSequence, hypothesis_violation
 
     labels = (Const(0), Const(2), Grow(1.0, 1), Grow(1.0, 2), Grow(1.0, 3))
     sequences, seen = [], set()
@@ -353,7 +396,7 @@ def scan_by_sequences(net, budget: int) -> dict:
             break
         enumerated += 1
         seq = ParametricSequence(labeling)
-        tail = _Tail(net, seq)
+        tail = ScratchTail(net, seq)
         key = (tail.degrees, tuple(tail.live()))
         if key not in seen:
             seen.add(key)

@@ -223,6 +223,12 @@ def test_drift_mc_negative_seed_exits_1(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_drift_mc_zero_steps_negative_seed_exits_1(capsys):
+    code = main(["drift", BIRTHDEATH, "--x", "5", "--k", "0", "--mc", "10", "--seed", "-1"])
+    assert code == 1
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_drift_along_emits_decreasing_csv(capsys):
     code = main(
         ["drift", CYCLE, "--k", "5", "--along", "A=n,B=1,C=0:10,100,1000"]

@@ -1,9 +1,35 @@
 """Construction invariants of the core network types."""
 
+import pickle
+import random
+from pathlib import Path
+
 import pytest
 
-from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork
+from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork, catalog, parse
 from crnkit.catalog import birth_death, five_complex_cycle
+from test_acceptance import random_theorem_network
+
+DEMO_NETWORKS = sorted((Path(__file__).parent.parent / "demos" / "networks").glob("*.crn"))
+
+
+def _viewed_networks():
+    """The catalog, the demo files and 20 acceptance-corpus networks."""
+    nets = [
+        getattr(catalog, name)().network
+        for name in (
+            "five_complex_cycle",
+            "creation_annihilation_loop",
+            "three_class_network",
+            "birth_death",
+            "pure_birth",
+            "reversible_isomers",
+            "pair_annihilation",
+        )
+    ]
+    nets += [parse(path.read_text()).network for path in DEMO_NETWORKS]
+    rng = random.Random(20260823)
+    return nets + [random_theorem_network(rng) for _ in range(20)]
 
 
 def test_complex_rejects_negative_coefficients():
@@ -116,3 +142,44 @@ def test_network_equality_ignores_reaction_order():
     b = ReactionNetwork.from_reactions(a.species, rev)
     assert a == b
     assert b.complexes != a.complexes  # presentation differs, identity does not
+
+
+def test_network_view_agrees_with_complex_index():
+    nets = _viewed_networks()
+    assert len(nets) == 7 + len(DEMO_NETWORKS) + 20 and DEMO_NETWORKS
+    for net in nets:
+        ends = [(net.complex_index(r.source), net.complex_index(r.product)) for r in net.reactions]
+        assert net._ends == tuple(ends)
+        assert net._reaction_index == {r: j for j, r in enumerate(net.reactions)}
+        for u, c in enumerate(net.complexes):
+            assert net._out_edges[u] == tuple(
+                (p, j) for j, (s, p) in enumerate(ends) if s == u
+            )
+            assert net._rows[u] == tuple((i, y) for i, y in enumerate(c.coeffs) if y)
+
+
+def test_complex_and_reaction_hashes_keep_the_dataclass_contract():
+    for net in _viewed_networks():
+        for c in net.complexes:
+            twin = Complex(list(c.coeffs))
+            assert twin == c and twin is not c
+            assert hash(twin) == hash(c) == hash((tuple(c.coeffs),))
+        for r in net.reactions:
+            twin = Reaction(Complex(r.source.coeffs), Complex(r.product.coeffs))
+            assert twin == r
+            assert hash(twin) == hash(r) == hash((r.source, r.product))
+
+
+def test_parsed_network_survives_pickling():
+    for path in DEMO_NETWORKS:
+        system = parse(path.read_text())
+        copy = pickle.loads(pickle.dumps(system))
+        net = copy.network
+        assert copy == system and net == system.network
+        assert net.complexes == system.network.complexes
+        assert net.reactions == system.network.reactions
+        assert [hash(r) for r in net.reactions] == [hash(r) for r in system.network.reactions]
+        assert net._ends == system.network._ends
+        assert net._out_edges == system.network._out_edges
+        assert all(net.complex_index(c) == i for i, c in enumerate(system.network.complexes))
+        assert all(net._reaction_index[r] == j for j, r in enumerate(system.network.reactions))

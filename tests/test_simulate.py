@@ -378,6 +378,13 @@ def test_replica_sweeps_reject_a_negative_seed():
         return_times(BD, (1,), lyapunov_sublevel(5.0), horizon=10.0, replicas=2, seed=-1)
 
 
+def test_drift_mc_rejects_a_negative_seed_at_zero_steps():
+    # k = 0 needs no draws, but the seed is checked all the same
+    with pytest.raises(ValueError, match="non-negative"):
+        drift_estimate_mc(BD, (5,), 0, replicas=10, seed=-1)
+    assert drift_estimate_mc(BD, (5,), 0, replicas=10, seed=3) == (0.0, 0.0)
+
+
 def test_replica_sweeps_match_golden_values():
     # values of the per-replica SeedSequence implementation, pinned bit for bit
     systems = {

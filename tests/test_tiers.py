@@ -8,6 +8,7 @@ re-derive drift values by full path enumeration (``oracles.enum_kstep_drift``).
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -48,17 +49,20 @@ from crnkit.tiers import (
     parse_sequence_spec,
     path_probability_limit,
     path_tier_membership,
+    _Tail,
     s_partition,
     shift,
     witness_path,
 )
 from oracles import (
+    ScratchTail,
     coefficient_path_limit,
     enum_kstep_drift,
     numeric_tier_partition,
     path_membership_by_offsets,
     top_tiers_at,
 )
+from test_acceptance import random_theorem_network
 
 CYCLE = five_complex_cycle()
 CYCLE_SEQ = ParametricSequence((Grow(), Const(1), Const(0)))
@@ -432,6 +436,78 @@ def test_tier_walks_match_offset_bookkeeping_oracle():
         )
         compared += 1
     assert compared > 250 and invalid > 20
+
+
+def test_incremental_tail_matches_the_scratch_oracle():
+    loop = creation_annihilation_loop((2.0, 1.0, 0.5, 1.0, 3.0, 1.0, 2.0, 0.25))
+    corpus_rng = random.Random(20260823)
+    nets = [CYCLE.network, loop.network]
+    nets += [random_theorem_network(corpus_rng) for _ in range(10)]
+    powers = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)]
+    rng = random.Random(91207)
+    shifts = revived = killed = refused = 0
+    for _ in range(600):
+        net = rng.choice(nets)
+        while True:
+            laws = [
+                ("const", rng.randrange(0, 4))
+                if rng.random() < 0.5
+                else ("grow", rng.choice([0.5, 1.0, 2.0]), rng.choice(powers))
+                for _ in range(net.dim)
+            ]
+            if any(law[0] == "grow" for law in laws):
+                break
+        seq = ParametricSequence(
+            tuple(Const(l[1]) if l[0] == "const" else Grow(l[1], l[2]) for l in laws)
+        )
+        tail, oracle = _Tail(net, seq), ScratchTail(net, seq)
+        offset = [0] * net.dim
+        assert tail.live() == oracle.live()
+        assert tail.top() == oracle.top() == top_tiers_at(net, laws, offset)[1]
+        for _ in range(rng.randrange(1, 12)):
+            change = rng.choice(net.reactions).change
+            try:
+                oracle.shift(change)
+            except InvalidSequenceError as e:
+                with pytest.raises(InvalidSequenceError, match=re.escape(str(e))):
+                    tail.shift(change)
+                refused += 1
+                break
+            before = set(tail.live())
+            tail.shift(change)
+            offset = [w + h for w, h in zip(offset, change)]
+            after = set(tail.live())
+            revived += bool(after - before)
+            killed += bool(before - after)
+            shifts += 1
+            assert tail.live() == oracle.live()
+            assert tail.top() == oracle.top() == top_tiers_at(net, laws, offset)[1]
+    assert shifts > 2000 and revived > 100 and killed > 100 and refused > 50
+
+
+def test_tail_liveness_flips_both_ways_and_names_the_lower_negative_coordinate():
+    # on the cycle with B and C pinned at 0: A -> A+B twice raises B to 2,
+    # then 2B -> A drops it back to 0
+    net = CYCLE.network
+    a_b, two_b = net.complex_index(Complex((1, 1, 0))), net.complex_index(Complex((0, 2, 0)))
+    tail = _Tail(net, ParametricSequence((Grow(), Const(0), Const(0))))
+    tops = [tail.top()]
+    for r in (net.reactions[0], net.reactions[0], net.reactions[4]):
+        tail.shift(r.change)
+        tops.append(tail.top())
+    assert tops == [frozenset({0}), frozenset({0, a_b}), frozenset({0, a_b}), frozenset({0})]
+    assert two_b not in tail.live()
+
+    # 2A + B -> C drives A (1 - 2) and B (0 - 1) negative at once
+    src, prd = Complex((2, 1, 0)), Complex((0, 0, 1))
+    net = ReactionNetwork.from_reactions(("A", "B", "C"), [Reaction(src, prd), Reaction(prd, src)])
+    seq = ParametricSequence((Const(1), Const(0), Grow()))
+    message = "constant coordinate 1 with offset -2 is negative"
+    for tail in (_Tail(net, seq), ScratchTail(net, seq)):
+        with pytest.raises(InvalidSequenceError, match=f"^{message}$"):
+            tail.shift(net.reactions[0].change)
+    with pytest.raises(InvalidSequenceError, match=f"^{message}$"):
+        path_tier_membership(net, seq, [net.reactions[0]] * 2)
 
 
 # ------------------------------------------------------------ pattern scan
