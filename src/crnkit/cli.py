@@ -18,9 +18,9 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import __version__
 from .errors import CRNError
@@ -35,7 +35,6 @@ from .structure import (
 )
 from .tiers import (
     Const,
-    Grow,
     ParametricSequence,
     d_partition,
     exact_kstep_drift,
@@ -279,6 +278,8 @@ def _cmd_drift(args) -> int:
     species = net.species
     if args.mc is not None and args.along is not None:
         raise _UsageError("--along computes exact drifts; drop --mc")
+    if not math.isfinite(args.budget):
+        raise _UsageError(f"--budget must be finite, got {args.budget}")
     if args.along is not None:
         spec, _, tail = args.along.partition(":")
         if not tail:
@@ -514,7 +515,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (_UsageError, CRNError, OSError, ValueError) as e:
+    except (_UsageError, CRNError, OSError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

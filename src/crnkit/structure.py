@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .kinetics import total_rate, transition_rates
+from .kinetics import transition_rates
 from .network import Complex, MassActionSystem, ReactionNetwork, State, as_state
 
 __all__ = [

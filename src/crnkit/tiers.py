@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Union
 
 from .errors import (
@@ -86,10 +86,6 @@ class Const:
             raise InvalidSequenceError(
                 f"constant coordinate value must be nonnegative, got {self.value}"
             )
-        object.__setattr__(self, "_hash", hash((Const, self.value)))
-
-    def __hash__(self):  # precomputed; labels are hashed in hot loops
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -100,80 +96,62 @@ class Grow:
     power: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if not self.coef > 0:
+        if not 0 < self.coef < math.inf:
             raise InvalidSequenceError(
-                f"growth coefficient must be positive, got {self.coef}"
+                f"growth coefficient must be positive and finite, got {self.coef}"
             )
+        if not hasattr(self.coef, "as_integer_ratio"):  # e.g. numpy integers
+            object.__setattr__(self, "coef", operator.index(self.coef))
         p = self.power
         if not isinstance(p, Fraction):
             p = Fraction(p)
             object.__setattr__(self, "power", p)
         if p <= 0:
             raise InvalidSequenceError(f"growth exponent must be positive, got {p}")
-        object.__setattr__(self, "_hash", hash((Grow, self.coef, p)))
-
-    def __hash__(self):  # precomputed; labels are hashed in hot loops
-        return self._hash
 
 
 CoordLaw = Union[Const, Grow]
 
 
-def _ceil_of_root(fr: Fraction, r: int) -> int:
-    """Smallest integer k >= 0 with k ** r >= fr (the ceiling of fr ** (1/r)),
-    computed exactly."""
-    if fr <= 0:
+def _ceil_root(t: int, r: int) -> int:
+    """Smallest integer k >= 0 with k ** r >= t, by integer Newton steps
+    down from a power of two above the root."""
+    if t <= 0:
         return 0
     if r == 1:
-        return -(-fr.numerator // fr.denominator)
-    k = int(float(fr) ** (1.0 / r))
-    while k > 0 and k**r >= fr:
-        k -= 1
-    while k**r < fr:
-        k += 1
-    return k
+        return t
+    x = 1 << -(-t.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + t // x ** (r - 1)) // r
+        if y >= x:
+            break
+        x = y
+    return x if x**r >= t else x + 1
 
 
-@lru_cache(maxsize=None)
-def _coef_fraction(coef) -> Fraction:
-    return Fraction(coef)
-
-
-@lru_cache(maxsize=1 << 16)
-def _raw_value(law: "CoordLaw", n: int) -> int:
+def _raw_value(law: CoordLaw, n: int) -> int:
+    """ceil(coef * n ** (a/b)) exactly: the least k >= 0 with
+    (k * den) ** b >= num ** b * n ** a, where coef = num / den."""
     if isinstance(law, Const):
         return law.value
-    p = law.power
-    if p.denominator == 1:
-        v = _coef_fraction(law.coef) * n**p.numerator
-        return -(-v.numerator // v.denominator)
-    return _ceil_of_root(
-        _coef_fraction(law.coef) ** p.denominator * Fraction(n) ** p.numerator,
-        p.denominator,
-    )
+    num, den = law.coef.as_integer_ratio()
+    a, b = law.power.numerator, law.power.denominator
+    return _ceil_root(-(-(num**b) * n**a // den**b), b)
 
 
 def _minimal_start(laws: tuple, offset: tuple, start: int, bound: int) -> int:
     """Smallest n >= start at which every growing coordinate exceeds
-    ``bound``, by doubling then bisection (each law is monotone in n).
+    ``bound``: ceil(coef * n ** (a/b)) + w > bound exactly when
+    num ** b * n ** a > ((bound - w) * den) ** b, which is closed-form in n.
     ``bound=-1`` asks for every growing coordinate to be nonnegative."""
-    grown = tuple((l, w) for l, w in zip(laws, offset) if isinstance(l, Grow))
-
-    def ok(n: int) -> bool:
-        return all(_raw_value(l, n) + w > bound for l, w in grown)
-
-    lo = hi = start  # start >= 1, so doubling moves hi
-    if ok(lo):
-        return lo
-    while not ok(hi):
-        hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    out = start
+    for l, w in zip(laws, offset):
+        if isinstance(l, Grow):
+            num, den = l.coef.as_integer_ratio()
+            a, b = l.power.numerator, l.power.denominator
+            floor = (max(bound - w, 0) * den) ** b // num**b
+            out = max(out, _ceil_root(floor + 1, a))
+    return out
 
 
 def _check_constants(laws: tuple, offset) -> None:
@@ -852,11 +830,14 @@ def exact_kstep_drift(
     accumulated coordinate-wise relative to ``x``, so large states do not
     lose precision to cancellation.
 
-    Raises ``AbsorbingStateError`` when ``x`` itself is absorbing and
-    ``BudgetExceededError`` when ``r ** k`` exceeds ``budget``.
+    Raises ``AbsorbingStateError`` when ``x`` itself is absorbing,
+    ``BudgetExceededError`` when ``r ** k`` exceeds ``budget`` and
+    ``ValueError`` when ``budget`` is NaN.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if budget != budget:  # NaN: no path count would ever exceed it
+        raise ValueError("budget must not be NaN")
     net = system.network
     x0 = as_state(x, net.dim)
     table = system._rate_table

@@ -8,7 +8,10 @@ exception: it keeps the pattern scan's former route, one sequence and one
 tail per labeling, as a check on the direct scan; ``ScratchTail`` is the
 tier walks' former tail, recomputed from scratch at every query, as a check
 on the incremental one; ``replica_generator`` builds a replica's stream the
-way the samplers once did, per replica.
+way the samplers once did, per replica; ``law_value_fraction`` and
+``minimal_start_bisection`` are the sequence laws' former evaluation, in
+``Fraction`` arithmetic with a float-seeded root, and the start search by
+doubling and bisection over it.
 """
 
 from __future__ import annotations
@@ -416,3 +419,47 @@ def scan_by_sequences(net, budget: int) -> dict:
         "violating_sequence": violator,
         "violating_complex": violating_complex,
     }
+
+
+def law_value_fraction(law, n: int) -> int:
+    """ceil(coef * n ** power) in ``Fraction`` arithmetic: the root is seeded
+    from a float estimate and stepped by one, so keep values well inside
+    float precision (below 2 ** 50)."""
+    if not hasattr(law, "coef"):
+        return law.value
+    p = Fraction(law.power)
+    fr = Fraction(law.coef) ** p.denominator * Fraction(n) ** p.numerator
+    r = p.denominator
+    if fr <= 0:
+        return 0
+    if r == 1:
+        return -(-fr.numerator // fr.denominator)
+    k = int(float(fr) ** (1.0 / r))
+    while k > 0 and k**r >= fr:
+        k -= 1
+    while k**r < fr:
+        k += 1
+    return k
+
+
+def minimal_start_bisection(laws, offset, start: int, bound: int) -> int:
+    """Smallest n >= start (start >= 1) at which every growing coordinate
+    plus its offset exceeds ``bound``, by doubling then bisection over
+    ``law_value_fraction``."""
+    grown = [(l, w) for l, w in zip(laws, offset) if hasattr(l, "coef")]
+
+    def ok(n: int) -> bool:
+        return all(law_value_fraction(l, n) + w > bound for l, w in grown)
+
+    lo = hi = start
+    if ok(lo):
+        return lo
+    while not ok(hi):
+        hi *= 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -182,6 +183,21 @@ def test_tiers_rejects_sequence_without_growth(capsys):
     assert "grow" in captured.err.lower()
 
 
+def test_tiers_rejects_non_finite_growth_coefficient(capsys):
+    code = main(["tiers", CYCLE, "--seq", "A=1e999*n, B=1, C=0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "finite" in captured.err
+
+
+def test_tiers_overflowing_leading_coefficient_exits_one(capsys):
+    # the witness path's probability limit squares 1e300 in float arithmetic
+    code = main(["tiers", LOOP, "--seq", "A=1, B=1, C=1e300*n"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+
+
 def test_tiers_rejects_unknown_path_reaction(capsys):
     code = main(["tiers", CYCLE, "--seq", "A=n,B=1,C=0", "--path", "C->A"])
     captured = capsys.readouterr()
@@ -264,6 +280,29 @@ def test_drift_huge_k_is_refused_by_the_budget(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "budget" in captured.err.lower()
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_drift_rejects_non_finite_budget(capsys, budget):
+    start = time.perf_counter()
+    code = main(
+        ["drift", CYCLE, "--x", "1,1,0", "--k", "1000000000", "--budget", budget]
+    )
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "--budget must be finite" in captured.err
+
+
+def test_drift_along_huge_fractional_power_is_refused_promptly(capsys):
+    start = time.perf_counter()
+    code = main(
+        ["drift", CYCLE, "--k", "1", "--along", "A=n^7/2, B=1, C=0:1000000000"]
+    )
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "exceeds supported maximum" in captured.err
 
 
 # ---------------------------------------------------------------------------

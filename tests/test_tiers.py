@@ -7,13 +7,19 @@ re-derive drift values by full path enumeration (``oracles.enum_kstep_drift``).
 """
 
 import math
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import crnkit
 from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork
 from crnkit.catalog import (
     birth_death,
@@ -50,6 +56,8 @@ from crnkit.tiers import (
     path_probability_limit,
     path_tier_membership,
     _Tail,
+    _minimal_start,
+    _raw_value,
     s_partition,
     shift,
     witness_path,
@@ -58,6 +66,8 @@ from oracles import (
     ScratchTail,
     coefficient_path_limit,
     enum_kstep_drift,
+    law_value_fraction,
+    minimal_start_bisection,
     numeric_tier_partition,
     path_membership_by_offsets,
     top_tiers_at,
@@ -77,6 +87,39 @@ def test_const_and_grow_validation():
         Grow(0.0)
     with pytest.raises(InvalidSequenceError):
         Grow(1.0, Fraction(-1, 2))
+
+
+def test_grow_rejects_non_finite_coefficient():
+    for coef in (math.inf, float("1e999"), math.nan):
+        with pytest.raises(InvalidSequenceError):
+            Grow(coef)
+    with pytest.raises(InvalidSequenceError):
+        parse_sequence_spec("A=1e999*n, B=1, C=0", ("A", "B", "C"))
+
+
+def test_laws_hash_equal_after_pickling_in_another_process():
+    child = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "from crnkit.tiers import Const, Grow, ParametricSequence\n"
+        "seq = ParametricSequence((Grow(0.5, Fraction(3, 2)), Const(1)), (-4, 2))\n"
+        "sys.stdout.buffer.write(pickle.dumps((Const(0), Grow(), seq)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(crnkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, check=True, env=env
+    ).stdout
+    fresh = (
+        Const(0),
+        Grow(),
+        ParametricSequence((Grow(0.5, Fraction(3, 2)), Const(1)), (-4, 2)),
+    )
+    loaded = pickle.loads(out)
+    assert loaded == fresh
+    for a, b in zip(loaded, fresh):
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 def test_sequence_requires_growing_coordinate():
@@ -99,6 +142,7 @@ def test_sequence_evaluate_exact_ceilings():
     assert ParametricSequence((Grow(1.0, Fraction(1, 2)),)).evaluate(9) == (3,)
     assert ParametricSequence((Grow(1.5, 1),)).evaluate(3) == (5,)  # ceil(4.5)
     assert ParametricSequence((Grow(1.0, Fraction(3, 2)),)).evaluate(4) == (8,)
+    assert ParametricSequence((Grow(np.int64(2), 2),)).evaluate(10) == (200,)
 
 
 def test_sequence_constant_offset_negative_rejected():
@@ -143,6 +187,78 @@ def test_sequence_start_search_is_fast_for_deep_offsets():
     # one index earlier the coordinate would be ceil(sqrt(n)) - 3000 = -1
     bare = ParametricSequence((Grow(1.0, Fraction(1, 2)),))
     assert bare.evaluate(seq.start - 1) == (2999,)
+
+
+def test_deep_offset_start_is_minimal_and_prompt():
+    laws = (Grow(0.001, Fraction(1, 3)), Grow(1.0, Fraction(5, 2)))
+    began = time.perf_counter()
+    seq = ParametricSequence(laws, (-2541, -1557), 42)
+    assert time.perf_counter() - began < 1.0
+    assert all(v >= 0 for v in seq.evaluate(seq.start))
+    bare = ParametricSequence(laws)
+    earlier = bare.evaluate(seq.start - 1)
+    assert min(v + w for v, w in zip(earlier, seq.offset)) < 0
+
+
+def test_law_values_match_fraction_oracle():
+    # the oracle's float-seeded root is exact only well inside float range
+    rng = random.Random(73104)
+    coefs = [0.001, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 1 / 3, 7.25, 1e-6, 123.456, 1, 2]
+    powers = [
+        Fraction(p) for p in ("1", "2", "3", "1/2", "3/2", "1/3", "5/2", "7/3", "2/5")
+    ]
+    checked = 0
+    while checked < 5000:
+        coef = rng.choice(coefs) if rng.random() < 0.7 else rng.uniform(1e-3, 50)
+        law = Grow(coef, rng.choice(powers))
+        n = rng.randrange(1, 10 ** rng.randrange(1, 7))
+        value = _raw_value(law, n)
+        if value >= 2**50:
+            continue
+        assert value == law_value_fraction(law, n), (law, n)
+        checked += 1
+
+
+def test_law_values_are_exact_ceilings_at_any_size():
+    # value k is the least integer with (k * den) ** b >= num ** b * n ** a
+    rng = random.Random(50917)
+    for _ in range(2000):
+        power = Fraction(rng.randrange(1, 12), rng.randrange(1, 6))
+        law = Grow(rng.uniform(1e-3, 1e3), power)
+        n = rng.randrange(1, 10**rng.randrange(1, 40))
+        num, den = law.coef.as_integer_ratio()
+        a, b = law.power.numerator, law.power.denominator
+        k = _raw_value(law, n)
+        assert (k * den) ** b >= num**b * n**a > ((k - 1) * den) ** b
+
+
+def test_minimal_start_matches_bisection_oracle():
+    rng = random.Random(88213)
+    coefs = [0.001, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-6, 123.456, 1, 5]
+    powers = [
+        Fraction(p) for p in ("1", "2", "3", "1/2", "3/2", "1/3", "5/2", "2/5")
+    ]
+    checked = 0
+    while checked < 1000:
+        laws = tuple(
+            Const(rng.randrange(0, 5))
+            if rng.random() < 0.3
+            else Grow(rng.choice(coefs), rng.choice(powers))
+            for _ in range(rng.randrange(1, 4))
+        )
+        offset = tuple(
+            rng.randrange(-300, 50) if isinstance(l, Grow) else 0 for l in laws
+        )
+        start = rng.randrange(1, 50)
+        bound = rng.choice([-1, 0, 2, 5, rng.randrange(0, 300)])
+        got = _minimal_start(laws, offset, start, bound)
+        # the bisection evaluates every law up to about 2 * got
+        if any(_raw_value(l, 2 * got) >= 2**50 for l in laws):
+            continue
+        assert got == minimal_start_bisection(laws, offset, start, bound), (
+            laws, offset, start, bound
+        )
+        checked += 1
 
 
 def test_degree_uses_exact_fractions():
@@ -709,6 +825,13 @@ def test_exact_drift_budget_guard_is_exact():
                     )
     with pytest.raises(BudgetExceededError):
         exact_kstep_drift(pure_birth(), (0,), 10**9, budget=0)
+
+
+def test_exact_drift_rejects_nan_budget():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="NaN"):
+        exact_kstep_drift(CYCLE, (1, 1, 0), 10**9, budget=math.nan)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_drift_long_horizon_needs_no_recursion():
