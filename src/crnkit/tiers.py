@@ -33,13 +33,14 @@ matters for the conclusion being drawn.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     AbsorbingStateError,
@@ -143,13 +144,15 @@ def _minimal_start(laws: tuple, offset: tuple, start: int, bound: int) -> int:
     """Smallest n >= start at which every growing coordinate exceeds
     ``bound``: ceil(coef * n ** (a/b)) + w > bound exactly when
     num ** b * n ** a > ((bound - w) * den) ** b, which is closed-form in n.
-    ``bound=-1`` asks for every growing coordinate to be nonnegative."""
+    ``bound=-1`` asks for every growing coordinate to be nonnegative.  A
+    coordinate with ``bound - w <= 0`` exceeds the bound from n = 1 on, so
+    it cannot raise ``start``."""
     out = start
     for l, w in zip(laws, offset):
-        if isinstance(l, Grow):
+        if isinstance(l, Grow) and bound > w:
             num, den = l.coef.as_integer_ratio()
             a, b = l.power.numerator, l.power.denominator
-            floor = (max(bound - w, 0) * den) ** b // num**b
+            floor = ((bound - w) * den) ** b // num**b
             out = max(out, _ceil_root(floor + 1, a))
     return out
 
@@ -184,7 +187,7 @@ class ParametricSequence:
             raise InvalidSequenceError("sequence needs at least one coordinate")
         if offset is None:
             offset = (0,) * len(laws)
-        offset = tuple(int(w) for w in offset)
+        offset = tuple(map(int, offset))
         if len(offset) != len(laws):
             raise InvalidSequenceError(
                 f"{len(offset)} offsets for {len(laws)} coordinates"
@@ -369,14 +372,28 @@ class _Tail:
     def lead(self, j: int) -> float:
         """Leading coefficient of live complex j's intensity ~ coef * n **
         degree: growth coefficients to the power y_i times falling factorials
-        of the constant coordinates."""
+        of the constant coordinates.  Raises ``OverflowError`` naming the
+        factor that takes it past the float range."""
         out = 1.0
         for i, ci in self.rows[j]:
             law = self.laws[i]
-            if isinstance(law, Grow):
-                out *= law.coef**ci
-            else:
-                out *= float(math.perm(law.value + self.offset[i], ci))
+            try:
+                if isinstance(law, Grow):
+                    out *= law.coef**ci
+                else:
+                    out *= float(math.perm(law.value + self.offset[i], ci))
+            except OverflowError:
+                out = math.inf
+            if out == math.inf:
+                factor = (
+                    f"growth coefficient {law.coef}"
+                    if isinstance(law, Grow)
+                    else f"constant coordinate {law.value + self.offset[i]}"
+                )
+                raise OverflowError(
+                    "the leading coefficient of the witness limit overflows a "
+                    f"float: {factor} to the power {ci}"
+                )
         return out
 
     def shift(self, change) -> None:
@@ -561,6 +578,9 @@ _SCAN_LABELS = (
 
 _SCAN_MAX_DIM = 12
 
+#: Rows of the labeling enumeration taken per numpy pass.
+_SCAN_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class HypothesisScanReport:
@@ -622,34 +642,111 @@ class ScanFamily:
     exhaustive: bool
 
 
-def _scan(net: ReactionNetwork, budget: int) -> tuple:
-    """One pass over the canonical pattern family, in ``itertools.product``
-    order.  A labeling's key is (degrees, live): each complex's sum of
-    y_i * p_i over the growing coordinates (exact ints, as the scan's
-    exponents are integers), and the complexes with y_i <= value at every
-    constant coordinate.  Returns (patterns, enumerated, exhaustive), with
-    ``patterns`` mapping each distinct key to its first labeling."""
+def _scan_extent(net: ReactionNetwork, budget) -> tuple:
+    """(enumerated, exhaustive) for the scan: the labelings with a growing
+    coordinate, counted up to ``budget``."""
     if net.dim > _SCAN_MAX_DIM:
         raise ValueError(
             f"pattern scan supports at most {_SCAN_MAX_DIM} species, got {net.dim}"
         )
+    n_const = sum(isinstance(l, Const) for l in _SCAN_LABELS)
+    total = len(_SCAN_LABELS) ** net.dim - n_const**net.dim
+    if not total > budget:  # also a NaN budget, which no count reaches
+        return total, True
+    stop = max(math.ceil(budget), 0)  # the first count not below the budget
+    return min(total, stop), total <= stop
+
+
+def _digits(rows: np.ndarray, d: int) -> np.ndarray:
+    """Each row's label indices: its base-5 digits, first species most
+    significant."""
+    base = len(_SCAN_LABELS)
+    return rows[:, None] // base ** np.arange(d - 1, -1, -1, dtype=np.int64) % base
+
+
+def _scan_chunks(net: ReactionNetwork, enumerated: int):
+    """The first ``enumerated`` labelings with a growing coordinate, in
+    ``itertools.product`` order, ``_SCAN_CHUNK`` rows of the enumeration at
+    a time; row n is the labeling ``_digits`` reads off n.  Yields
+    (rows, keys, degrees, live) over a chunk's kept rows: ``degrees[k, j]``
+    is complex j's sum of y_i * p_i over the growing coordinates (exact: the
+    dtype holds the largest possible degree, and is ``object`` past int64),
+    ``live[k, j]`` says y_i <= value at every constant coordinate, and
+    ``keys[k]`` is a fixed-width byte string, equal exactly when the
+    (degrees, live) rows are."""
+    d, base = net.dim, len(_SCAN_LABELS)
     coeffs = [c.coeffs for c in net.complexes]
-    patterns: Dict[tuple, tuple] = {}
-    enumerated = 0
-    for labels in itertools.product(_SCAN_LABELS, repeat=net.dim):
-        grow = [(i, int(l.power)) for i, l in enumerate(labels) if isinstance(l, Grow)]
-        if not grow:
+    powers = [int(l.power) if isinstance(l, Grow) else 0 for l in _SCAN_LABELS]
+    top = max(powers) * max((sum(y) for y in coeffs), default=0)
+    dtype = next(
+        (t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max),
+        object,
+    )
+    limbs = 0 if dtype is not object else top.bit_length() // 63 + 1
+    yt = np.array(coeffs, dtype=dtype).reshape(len(coeffs), d).T
+    power_of = np.array(powers, dtype=np.int8)
+    # per species and label, which complexes the label keeps live
+    live_of = np.array(
+        [[[isinstance(l, Grow) or y[i] <= l.value for y in coeffs]
+          for l in _SCAN_LABELS] for i in range(d)],
+        dtype=bool,
+    ).reshape(d, base, len(coeffs))
+    done = 0
+    for lo in range(0, base**d, _SCAN_CHUNK):
+        if done >= enumerated:
+            return
+        rows = np.arange(lo, min(lo + _SCAN_CHUNK, base**d), dtype=np.int64)
+        digits = _digits(rows, d)
+        pw = power_of[digits]
+        kept = np.flatnonzero(pw.any(axis=1))[: enumerated - done]
+        if not len(kept):
             continue
-        if enumerated >= budget:
-            return patterns, enumerated, False
-        enumerated += 1
-        const = [(i, l.value) for i, l in enumerate(labels) if isinstance(l, Const)]
-        degrees = tuple(sum(y[i] * p for i, p in grow) for y in coeffs)
-        live = tuple(
-            j for j, y in enumerate(coeffs) if all(y[i] <= v for i, v in const)
+        done += len(kept)
+        rows, digits = rows[kept], digits[kept]
+        degrees = pw[kept] @ yt
+        live = np.ones((len(rows), len(coeffs)), dtype=bool)
+        for i in range(d):
+            live &= live_of[i][digits[:, i]]
+        exact = degrees
+        if limbs:  # Python ints, cut into 63-bit limbs to fit a key
+            exact = np.stack(
+                [
+                    ((degrees >> (63 * k)) & ((1 << 63) - 1)).astype(np.int64)
+                    for k in range(limbs)
+                ],
+                axis=2,
+            )
+        # the zero byte keeps a key nonempty for a network without complexes
+        raw = np.concatenate(
+            [
+                exact.reshape(len(rows), -1).view(np.uint8),
+                np.packbits(live, axis=1),
+                np.zeros((len(rows), 1), dtype=np.uint8),
+            ],
+            axis=1,
         )
-        patterns.setdefault((degrees, live), labels)
-    return patterns, enumerated, True
+        keys = raw.view(f"V{raw.shape[1]}").ravel()
+        yield rows, keys, degrees, live
+
+
+def _firsts(rows: np.ndarray, keys: np.ndarray) -> tuple:
+    """Each distinct key once, with the first of ``rows`` that holds it."""
+    keys, first = np.unique(keys, return_index=True)
+    return rows[first], keys
+
+
+def _labelings(net: ReactionNetwork, rows) -> list:
+    """The labelings at the given rows of the enumeration."""
+    digits = _digits(np.asarray(rows, dtype=np.int64), net.dim)
+    return [tuple(map(_SCAN_LABELS.__getitem__, row)) for row in digits.tolist()]
+
+
+def _violations(degrees: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Per row, whether the top intensity tier sits below the top growth
+    tier (``_violation`` over a chunk); degrees are nonnegative, so -1
+    marks a row without live complexes."""
+    best = np.where(live, degrees, -1).max(axis=1, initial=-1)
+    return (best >= 0) & (best < degrees.max(axis=1, initial=-1))
 
 
 def scan_patterns(
@@ -660,12 +757,22 @@ def scan_patterns(
     Each species gets one of the labels in ``_SCAN_LABELS``; labelings with
     no growing coordinate are dropped, and the rest are deduplicated by the
     complex degrees and vanishing set they induce, which is all the tier
-    machinery can observe.  Networks with more than 12 species are
-    rejected.
+    machinery can observe.  The first labeling of each distinct pattern, in
+    ``itertools.product`` order, represents it.  Networks with more than 12
+    species are rejected.
     """
-    patterns, enumerated, exhaustive = _scan(net, pattern_budget)
+    enumerated, exhaustive = _scan_extent(net, pattern_budget)
+    # each chunk's first row per key, then the first of those per key
+    rows, keys = [], []
+    for r, k, _, _ in _scan_chunks(net, enumerated):
+        r, k = _firsts(r, k)
+        rows.append(r)
+        keys.append(k)
+    firsts = []
+    if rows:
+        firsts = np.sort(_firsts(np.concatenate(rows), np.concatenate(keys))[0])
     return ScanFamily(
-        sequences=tuple(ParametricSequence(labels) for labels in patterns.values()),
+        sequences=tuple(ParametricSequence(l) for l in _labelings(net, firsts)),
         enumerated=enumerated,
         exhaustive=exhaustive,
     )
@@ -683,14 +790,21 @@ def hypothesis_check(
     sequences.  Enumerations beyond ``pattern_budget`` return a partial,
     non-exhaustive report.
     """
-    patterns, enumerated, exhaustive = _scan(net, pattern_budget)
-    checked, seq, idx = 0, None, None
-    for (degrees, live), labels in patterns.items():
-        checked += 1
-        idx = _violation(degrees, live)
-        if idx is not None:
-            seq = ParametricSequence(labels)
+    enumerated, exhaustive = _scan_extent(net, pattern_budget)
+    keys = []
+    seq, idx = None, None
+    for r, k, degrees, live in _scan_chunks(net, enumerated):
+        hit = _violations(degrees, live)
+        if hit.any():
+            # a violating row is the first of its pattern: count up to it
+            j = int(hit.argmax())
+            keys.append(k[: j + 1])
+            seq = ParametricSequence(_labelings(net, r[j : j + 1])[0])
+            idx = _violation(degrees[j].tolist(), np.flatnonzero(live[j]).tolist())
             break
+        keys.append(np.unique(k))
+    keys = np.concatenate(keys) if keys else []  # frees the chunks' arrays
+    checked = len(np.unique(keys))
     return HypothesisScanReport(
         violation_found=idx is not None,
         patterns_enumerated=enumerated,

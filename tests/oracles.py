@@ -3,12 +3,14 @@
 Everything here is written directly from first principles (explicit falling
 products, brute-force graph closures, full path enumerations, closed-form
 stationary laws) without calling the library code under test, so agreement
-between the two routes is meaningful.  ``scan_by_sequences`` is the one
-exception: it keeps the pattern scan's former route, one sequence and one
-tail per labeling, as a check on the direct scan; ``ScratchTail`` is the
-tier walks' former tail, recomputed from scratch at every query, as a check
-on the incremental one; ``replica_generator`` builds a replica's stream the
-way the samplers once did, per replica; ``law_value_fraction`` and
+between the two routes is meaningful.  The exceptions keep former routes
+of the library as checks on the current ones.  ``scan_by_sequences`` is the
+pattern scan with one sequence and one tail per labeling, and
+``scan_by_labels`` its loop over labelings, as checks on the chunked numpy
+pass; ``ScratchTail`` is the tier walks' former tail, recomputed from
+scratch at every query, as a check on the incremental one;
+``replica_generator`` builds a replica's stream the way the samplers once
+did, per replica; ``law_value_fraction`` and
 ``minimal_start_bisection`` are the sequence laws' former evaluation, in
 ``Fraction`` arithmetic with a float-seeded root, and the start search by
 doubling and bisection over it.
@@ -413,6 +415,64 @@ def scan_by_sequences(net, budget: int) -> dict:
             break
     return {
         "sequences": tuple(sequences),
+        "enumerated": enumerated,
+        "exhaustive": exhaustive,
+        "patterns_checked": checked,
+        "violating_sequence": violator,
+        "violating_complex": violating_complex,
+    }
+
+
+def scan_by_labels(net, budget: int) -> tuple:
+    """One pass over the canonical pattern family, in ``itertools.product``
+    order.  A labeling's key is (degrees, live): each complex's sum of
+    y_i * p_i over the growing coordinates (exact ints, as the scan's
+    exponents are integers), and the complexes with y_i <= value at every
+    constant coordinate.  Returns (patterns, enumerated, exhaustive), with
+    ``patterns`` mapping each distinct key to its first labeling."""
+    from crnkit.tiers import _SCAN_LABELS, _SCAN_MAX_DIM, Const, Grow
+
+    if net.dim > _SCAN_MAX_DIM:
+        raise ValueError(
+            f"pattern scan supports at most {_SCAN_MAX_DIM} species, got {net.dim}"
+        )
+    coeffs = [c.coeffs for c in net.complexes]
+    patterns: dict = {}
+    enumerated = 0
+    for labels in iproduct(_SCAN_LABELS, repeat=net.dim):
+        grow = [(i, int(l.power)) for i, l in enumerate(labels) if isinstance(l, Grow)]
+        if not grow:
+            continue
+        if enumerated >= budget:
+            return patterns, enumerated, False
+        enumerated += 1
+        const = [(i, l.value) for i, l in enumerate(labels) if isinstance(l, Const)]
+        degrees = tuple(sum(y[i] * p for i, p in grow) for y in coeffs)
+        live = tuple(
+            j for j, y in enumerate(coeffs) if all(y[i] <= v for i, v in const)
+        )
+        patterns.setdefault((degrees, live), labels)
+    return patterns, enumerated, True
+
+
+def scan_fields_by_labels(net, budget: int) -> dict:
+    """``scan_by_labels`` as the fields of ``ScanFamily`` and
+    ``HypothesisScanReport`` by name: the distinct patterns are classified
+    in order up to the first whose top intensity tier (its live complexes
+    of largest degree) sits below the top growth tier."""
+    from crnkit.tiers import ParametricSequence
+
+    patterns, enumerated, exhaustive = scan_by_labels(net, budget)
+    checked, violator, violating_complex = 0, None, None
+    for (degrees, live), labels in patterns.items():
+        checked += 1
+        if live and max(degrees[j] for j in live) < max(degrees):
+            best = max(degrees[j] for j in live)
+            violating_complex = next(j for j in live if degrees[j] == best)
+            violator = ParametricSequence(labels)
+            break
+    return {
+        "sequences": tuple(ParametricSequence(l) for l in patterns.values()),
         "enumerated": enumerated,
         "exhaustive": exhaustive,
         "patterns_checked": checked,

@@ -3,6 +3,7 @@ pass/fail line.  Tolerances and budgets are part of the stated guarantees:
 exact quantities at 1e-12, statistical gates at 4 standard errors or
 significance 1e-3, and wall-clock budgets where a guarantee names one."""
 
+import itertools
 import math
 import random
 import time
@@ -41,6 +42,7 @@ from crnkit.simulate import (
     truncated_stationary,
 )
 from crnkit.structure import is_weakly_reversible, linkage_classes, theorem_verdict
+import crnkit.tiers as tiers_module
 from crnkit.tiers import (
     Const,
     Grow,
@@ -62,6 +64,7 @@ from oracles import (
     numeric_tier_partition,
     poisson_truncated,
     scan_by_sequences,
+    scan_fields_by_labels,
 )
 
 
@@ -268,6 +271,77 @@ def test_pattern_scan_matches_per_labeling_oracle(corpus):
             assert report.violating_complex == want["violating_complex"]
             hits += report.violation_found
     assert hits > 0
+
+
+def assert_scan_matches_label_loop(net, budget):
+    """``scan_patterns`` and ``hypothesis_check`` equal, field by field and
+    by ``repr``, to the per-labeling loop over labels."""
+    want = scan_fields_by_labels(net, budget)
+    family = scan_patterns(net, budget)
+    report = hypothesis_check(net, budget)
+    got = {
+        "sequences": family.sequences,
+        "enumerated": family.enumerated,
+        "exhaustive": family.exhaustive,
+        "patterns_checked": report.patterns_checked,
+        "violating_sequence": report.violating_sequence,
+        "violating_complex": report.violating_complex,
+    }
+    for field, value in want.items():
+        assert repr(got[field]) == repr(value), (field, budget)
+    assert report.patterns_enumerated == want["enumerated"]
+    assert report.exhaustive == want["exhaustive"]
+    assert report.violation_found == (want["violating_complex"] is not None)
+    return report
+
+
+def test_chunked_scan_matches_label_loop_on_rings():
+    for d in (6, 7):
+        report = assert_scan_matches_label_loop(binary_ring(d), 1_000_000)
+        assert report.exhaustive and not report.violation_found
+
+
+def test_chunked_scan_matches_label_loop_across_chunks(corpus, monkeypatch):
+    # chunks of a few rows: budgets cut on a chunk boundary and inside one
+    chunk = 7
+    monkeypatch.setattr(tiers_module, "_SCAN_CHUNK", chunk)
+    nets = [net for net in corpus if net.dim >= 2][:8] + [
+        pair_annihilation().network,
+        parse("species: A, B\n3A <-> B ; k=1, 1\n0 <-> B ; k=1, 1").network,
+    ]
+    hits = 0
+    for net in nets:
+        grows = [
+            any(isinstance(l, Grow) for l in labels)
+            for labels in itertools.product(tiers_module._SCAN_LABELS, repeat=net.dim)
+        ]
+        total = sum(grows)
+        budgets = {0, 1, total - 1, total, total + 1, -1}
+        for k in (1, 2, 5, len(grows) // chunk // 2):
+            boundary = sum(grows[: k * chunk])
+            budgets |= {boundary - 1, boundary, boundary + 1}
+        for budget in sorted(budgets):
+            report = assert_scan_matches_label_loop(net, budget)
+            hits += report.violation_found
+    assert hits > 0
+
+
+def test_chunked_scan_keeps_degrees_exact_past_int64():
+    # 3 * row sum takes the degrees through int8 ... int64 and past it; the
+    # degrees p * big tell the labelings apart only in their high bits
+    for big in (50, 10**6, 10**12, 2**62, 2**70, 10**40):
+        a, b, zero = Complex((big, 0)), Complex((0, big)), Complex((0, 0))
+        net = ReactionNetwork.from_reactions(
+            ["A", "B"], [Reaction(a, b), Reaction(b, zero), Reaction(zero, a)]
+        )
+        for budget in (1_000_000, 5):
+            assert_scan_matches_label_loop(net, budget)
+
+
+def test_pattern_scan_of_the_8_ring_is_exhaustive_and_clean():
+    report = hypothesis_check(binary_ring(8))
+    assert report.exhaustive and not report.violation_found
+    assert report.patterns_enumerated == report.patterns_checked == 390_369
 
 
 def test_criterion_05_growth_partition_shift_invariance(capsys):

@@ -196,6 +196,8 @@ def test_tiers_overflowing_leading_coefficient_exits_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+    assert "leading coefficient of the witness limit overflows a float" in captured.err
+    assert "growth coefficient 1e+300 to the power 2" in captured.err
 
 
 def test_tiers_rejects_unknown_path_reaction(capsys):

@@ -259,6 +259,15 @@ def test_minimal_start_matches_bisection_oracle():
             laws, offset, start, bound
         )
         checked += 1
+    # offsets at or above the bound: such a coordinate never raises the start
+    for laws, offset, start, bound in [
+        ((Grow(0.001, Fraction(1, 3)),), (7,), 3, 7),
+        ((Grow(1e-6, Fraction(5, 2)), Const(1)), (300, 0), 1, 5),
+        ((Grow(2.0, 2), Grow(0.5, 1)), (40, -3), 9, 40),
+        ((Grow(1.5, Fraction(3, 2)), Grow(1, 1)), (0, 0), 2, -1),
+    ]:
+        got = _minimal_start(laws, offset, start, bound)
+        assert got == minimal_start_bisection(laws, offset, start, bound)
 
 
 def test_degree_uses_exact_fractions():
