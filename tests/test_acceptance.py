@@ -308,6 +308,8 @@ def test_chunked_scan_matches_label_loop_across_chunks(corpus, monkeypatch):
     nets = [net for net in corpus if net.dim >= 2][:8] + [
         pair_annihilation().network,
         parse("species: A, B\n3A <-> B ; k=1, 1\n0 <-> B ; k=1, 1").network,
+        # first violation at row 10, after three patterns seen twice
+        parse("species: A, B, C\nA + B <-> 0 ; k=1, 1\nC <-> 0 ; k=1, 1").network,
     ]
     hits = 0
     for net in nets:
