@@ -21,6 +21,12 @@ Each jump consumes exactly two variates, one exponential for the holding
 time and one uniform for the reaction choice, drawn in blocks of 4096; the
 embedded-chain sampler shares this discipline, so it visits exactly the
 states of the full simulation with the same seed.
+
+A sampler call works out each state's jump law once: the running sums of
+the rates and their total, kept in a memo by state tuple that is emptied
+whenever it holds ``_MEMO_MAX`` states.  Bisection over the sums picks the
+reaction a linear scan of the rates would, so trajectories are unchanged
+byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -52,6 +60,7 @@ __all__ = [
 
 _BLOCK = 4096
 _KEY_CHUNK = 4096  # replica keys derived per vectorised pass
+_MEMO_MAX = 2**12  # states a sampler call remembers before it forgets them all
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -143,27 +152,61 @@ class _DrawBlock:
         self.pos = 0
 
 
-def _step(table: tuple, x: list, draws: _DrawBlock) -> Optional[Tuple[float, tuple]]:
-    """One direct-method jump from ``x``, applied to ``x`` in place.
+class _StateMemo(dict):
+    """Values of ``fn`` by state tuple, each computed on first use.
 
-    ``table`` is the system's rate table.  Returns None when ``x`` is
-    absorbing (no draws consumed), otherwise (holding time, sparse change).
+    A sampler call keeps one per function for its own length.  It is
+    emptied once it holds ``_MEMO_MAX`` states, so a trajectory that never
+    revisits a state keeps memory bounded.
     """
+
+    def __init__(self, fn: Callable[[State], object]):
+        self.fn = fn
+
+    def __missing__(self, key: State):
+        if len(self) >= _MEMO_MAX:
+            self.clear()
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _jump_law(table: tuple, x: State) -> Optional[tuple]:
+    """The running sums of the rates at ``x``, the last being their total;
+    None when ``x`` is absorbing.  A tuple of floats, which the garbage
+    collector stops tracking."""
     rates, total = _rates(table, x)
     if total == 0.0:
         return None
+    sums = []
+    acc = 0.0
+    for lam in rates:
+        acc += lam
+        sums.append(acc)
+    return tuple(sums)
+
+
+def _jump_laws(table: tuple) -> _StateMemo:
+    return _StateMemo(partial(_jump_law, table))
+
+
+def _step(table: tuple, laws: _StateMemo, x: list, draws: _DrawBlock) -> Optional[tuple]:
+    """One direct-method jump from ``x``, applied to ``x`` in place.
+
+    ``table`` is the system's rate table and ``laws`` the call's memo of
+    ``_jump_law`` over it.  Returns None when ``x`` is absorbing (no draws
+    consumed), otherwise (holding time, sparse change).  The reaction is
+    the first whose running sum exceeds the uniform times the total, else
+    the last.
+    """
+    sums = laws[tuple(x)]
+    if sums is None:
+        return None
+    total = sums[-1]
     if draws.pos == draws.block:
         draws.refill()
     pos = draws.pos
     draws.pos = pos + 1
-    target = draws.unis[pos] * total
-    acc = 0.0
-    change = table[-1][2]
-    for lam, row in zip(rates, table):
-        acc += lam
-        if target < acc:
-            change = row[2]
-            break
+    change = table[bisect_right(sums, draws.unis[pos] * total, 0, len(sums) - 1)][2]
     for i, c in change:
         xi = x[i] + c
         if xi > STATE_COORD_MAX:
@@ -210,18 +253,21 @@ def ssa_simulate(
 
     Runs until the time horizon ``max_time`` would be crossed, ``max_jumps``
     jumps have fired, or an absorbing state is reached; at least one bound
-    must be given.  Trajectories are identical byte for byte across runs
+    must be given, and a finite one.  Trajectories are identical byte for byte across runs
     with equal seeds.
     """
     if max_time is None and max_jumps is None:
         raise ValueError("give max_time and/or max_jumps")
     if max_time is not None and not max_time >= 0:
         raise ValueError(f"max_time must be nonnegative, got {max_time}")
+    if max_jumps is None and not math.isfinite(max_time):
+        raise ValueError(f"max_time must be finite without max_jumps, got {max_time}")
     if max_jumps is not None and max_jumps < 0:
         raise ValueError(f"max_jumps must be nonnegative, got {max_jumps}")
     table = system._rate_table
     dim = system.network.dim
     x = list(as_state(x0, dim))
+    laws = _jump_laws(table)
     draws = _DrawBlock(_generator(seed))
     times = array("d", [0.0])
     states = array("q", x)
@@ -232,7 +278,7 @@ def ssa_simulate(
         if max_jumps is not None and jumps >= max_jumps:
             terminated = TERMINATED_MAX_JUMPS
             break
-        jump = _step(table, x, draws)
+        jump = _step(table, laws, x, draws)
         if jump is None:
             terminated = TERMINATED_ABSORBED
             break
@@ -308,14 +354,6 @@ class _Sublevel:
         return lyapunov(x) <= self.cutoff
 
 
-class _TermMemo(dict):
-    """V's coordinate terms ``_f(t)`` by t, each computed on first use."""
-
-    def __missing__(self, t: int) -> float:
-        value = self[t] = _f(t)
-        return value
-
-
 def lyapunov_sublevel(cutoff: float) -> Callable[[State], bool]:
     """Predicate for the sublevel set {x : V(x) <= cutoff}."""
     return _Sublevel(cutoff)
@@ -337,8 +375,9 @@ def return_times(
     ``x0`` must itself satisfy the target predicate.  Each replica runs
     until it has left the target set and come back (recording the return
     time), reached an absorbing state outside the target, or exhausted the
-    time horizon.  A ``lyapunov_sublevel`` target is tested by summing V's
-    memoised coordinate terms, the floats ``lyapunov`` adds, in its order.
+    time horizon.  A ``lyapunov_sublevel`` target is tested once per
+    distinct state, by the sum ``lyapunov`` forms; any other target is
+    called once per jump and once for ``x0``.
     """
     table = system._rate_table
     x_start = as_state(x0, system.network.dim)
@@ -346,24 +385,19 @@ def return_times(
         raise ValueError(f"start state {x_start} is not in the target set")
     if replicas < 1:
         raise ValueError("need at least one replica")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     desc = (
         target_description
         if target_description is not None
         else getattr(target, "description", "user predicate")
     )
 
+    inside = target
     if type(target) is _Sublevel:
-        term, cutoff = _TermMemo().__getitem__, target.cutoff
-
-        def inside(x: list) -> bool:
-            return sum(map(term, x)) <= cutoff
-
-    else:
-
-        def inside(x: list) -> bool:
-            return target(tuple(x))
+        cutoff = target.cutoff
+        inside = _StateMemo(lambda s: sum(map(_f, s)) <= cutoff).__getitem__
+    laws = _jump_laws(table)
 
     def run(rng: np.random.Generator) -> Optional[float]:
         draws = _DrawBlock(rng)
@@ -371,13 +405,13 @@ def return_times(
         t = 0.0
         left = False
         while True:
-            jump = _step(table, x, draws)
+            jump = _step(table, laws, x, draws)
             if jump is None:
                 return None  # stuck outside the target (or inside, pre-exit)
             t += jump[0]
             if t > horizon:
                 return None
-            if inside(x):
+            if inside(tuple(x)):
                 if left:
                     return t
             else:
@@ -425,16 +459,17 @@ def occupancy_estimate(
     trajectory absorbed at time t leaves all remaining weight on the
     absorbing state (a point mass when ``x0`` itself is absorbing).
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     table = system._rate_table
     x = list(as_state(x0, system.network.dim))
+    laws = _jump_laws(table)
     draws = _DrawBlock(_generator(seed))
     weights: Dict[State, float] = {}
     t = 0.0
     while True:
         here = tuple(x)
-        jump = _step(table, x, draws)
+        jump = _step(table, laws, x, draws)
         if jump is None or t + jump[0] >= t_max:
             weights[here] = weights.get(here, 0.0) + (t_max - t)
             break
@@ -555,16 +590,20 @@ def drift_estimate_mc(
         return 0.0, 0.0
 
     block = min(k, _BLOCK)  # a k-step replica consumes at most k draw pairs
+    laws = _jump_laws(table)
+    difference = _StateMemo(
+        lambda end: lyapunov_difference(
+            x_start, tuple(a - b for a, b in zip(end, x_start))
+        )
+    )
 
     def run(rng: np.random.Generator) -> float:
         draws = _DrawBlock(rng, block)
         state = list(x_start)
         for _ in range(k):
-            if _step(table, state, draws) is None:
+            if _step(table, laws, state, draws) is None:
                 break
-        return lyapunov_difference(
-            x_start, tuple(a - b for a, b in zip(state, x_start))
-        )
+        return difference[tuple(state)]
 
     values = np.asarray(
         [run(rng) for rng in _replica_generators(seed, replicas)], dtype=np.float64

@@ -13,7 +13,11 @@ scratch at every query, as a check on the incremental one;
 did, per replica; ``law_value_fraction`` and
 ``minimal_start_bisection`` are the sequence laws' former evaluation, in
 ``Fraction`` arithmetic with a float-seeded root, and the start search by
-doubling and bisection over it.
+doubling and bisection over it.  ``step_by_rates`` is the direct-method
+jump as the samplers took it before they remembered each state's jump law,
+recomputing the rates and scanning them at every jump; ``ssa_by_rates``,
+``occupancy_by_rates`` and ``return_times_by_rates`` drive it as the
+samplers do.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
+
+from crnkit.kinetics import _rates
+from crnkit.network import STATE_COORD_MAX
+from crnkit.simulate import _DrawBlock
 
 
 def falling_product(x: int, k: int) -> int:
@@ -523,3 +531,108 @@ def minimal_start_bisection(laws, offset, start: int, bound: int) -> int:
         else:
             lo = mid
     return hi
+
+
+def step_by_rates(table: tuple, x: list, draws):
+    """One direct-method jump from ``x``, applied to ``x`` in place, with
+    the rates recomputed and scanned linearly: None when ``x`` is absorbing
+    (no draws consumed), otherwise (holding time, sparse change)."""
+    rates, total = _rates(table, x)
+    if total == 0.0:
+        return None
+    if draws.pos == draws.block:
+        draws.refill()
+    pos = draws.pos
+    draws.pos = pos + 1
+    target = draws.unis[pos] * total
+    acc = 0.0
+    change = table[-1][2]
+    for lam, row in zip(rates, table):
+        acc += lam
+        if target < acc:
+            change = row[2]
+            break
+    for i, c in change:
+        xi = x[i] + c
+        if xi > STATE_COORD_MAX:
+            raise ValueError(
+                f"state coordinate exceeded supported maximum {STATE_COORD_MAX} "
+                "during simulation"
+            )
+        x[i] = xi
+    return draws.exps[pos] / total, change
+
+
+def _draws(seed: int):
+    return _DrawBlock(np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
+
+
+def ssa_by_rates(system, x0, seed: int, max_time=None, max_jumps=None):
+    """(times, states, terminated_by) of ``ssa_simulate`` by ``step_by_rates``."""
+    table = system._rate_table
+    x = list(x0)
+    draws = _draws(seed)
+    times, states = [0.0], [list(x)]
+    t = 0.0
+    while True:
+        if max_jumps is not None and len(times) - 1 >= max_jumps:
+            terminated = "max_jumps"
+            break
+        jump = step_by_rates(table, x, draws)
+        if jump is None:
+            terminated = "absorbed"
+            break
+        if max_time is not None and t + jump[0] > max_time:
+            terminated = "max_time"
+            break
+        t += jump[0]
+        times.append(t)
+        states.append(list(x))
+    return np.asarray(times), np.asarray(states, dtype=np.int64), terminated
+
+
+def occupancy_by_rates(system, x0, t_max: float, seed: int):
+    """(support, probabilities) of ``occupancy_estimate`` by ``step_by_rates``."""
+    table = system._rate_table
+    x = list(x0)
+    draws = _draws(seed)
+    weights = {}
+    t = 0.0
+    while True:
+        here = tuple(x)
+        jump = step_by_rates(table, x, draws)
+        if jump is None or t + jump[0] >= t_max:
+            weights[here] = weights.get(here, 0.0) + (t_max - t)
+            break
+        weights[here] = weights.get(here, 0.0) + jump[0]
+        t += jump[0]
+    support = tuple(sorted(weights))
+    probs = np.asarray([weights[s] for s in support])
+    return support, probs / probs.sum()
+
+
+def return_times_by_rates(system, x0, target, horizon: float, replicas: int, seed: int):
+    """(times, non_returning, landings) of ``return_times`` by
+    ``step_by_rates``; ``landings`` counts the jumps that landed within the
+    horizon, each of which tests the target once."""
+    table = system._rate_table
+    times, non_returning, landings = [], 0, 0
+    for r in range(replicas):
+        draws = _DrawBlock(replica_generator(seed, r))
+        x = list(x0)
+        t = 0.0
+        left = False
+        while True:
+            jump = step_by_rates(table, x, draws)
+            if jump is None or t + jump[0] > horizon:
+                non_returning += 1
+                break
+            t += jump[0]
+            landings += 1
+            if target(tuple(x)):
+                if left:
+                    times.append(t)
+                    break
+            else:
+                left = True
+    return np.asarray(times, dtype=np.float64), non_returning, landings

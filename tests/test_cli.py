@@ -362,6 +362,14 @@ def test_simulate_multispecies_header_lists_species(capsys):
     assert out.splitlines()[0] == "t,A,B,C"
 
 
+def test_simulate_infinite_horizon_needs_a_jump_bound(capsys):
+    # without --jumps an infinite --t-max would never stop
+    assert main(["simulate", ISOMERS, "--x0", "3,2", "--t-max", "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert main(["simulate", ISOMERS, "--x0", "3,2", "--t-max", "inf", "--jumps", "4"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 6
+
+
 # ---------------------------------------------------------------------------
 # stationary
 
@@ -416,6 +424,20 @@ def test_stationary_absorbing_start_warns_and_gives_point_mass(capsys, tmp_path)
     assert payload["stationary"]["distribution"] == [
         {"state": [0, 4], "probability": 1.0}
     ]
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_stationary_time_average_rejects_a_non_finite_horizon(capsys, tmp_path, t_max):
+    # an infinite horizon never ends a recurrent walk, and on an absorbing
+    # start it left inf / inf = NaN as the probability
+    decay = tmp_path / "decay.crn"
+    decay.write_text("species: S\nS -> 0 ; k=1.0\n")
+    for path, x0 in ((BIRTHDEATH, "1"), (str(decay), "0")):
+        code = main(["stationary", path, "--x0", x0, "--t-max", t_max])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "t_max must be positive and finite" in captured.err
 
 
 def test_stationary_needs_exactly_one_mode(capsys):

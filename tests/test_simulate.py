@@ -3,6 +3,9 @@ checks (chi-square, Kolmogorov-Smirnov, total variation) at significance
 levels far below anything a correct sampler would trip."""
 
 import math
+from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,16 +14,23 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from crnkit import parse
+from crnkit import simulate
 from crnkit.catalog import (
     birth_death,
     creation_annihilation_loop,
     five_complex_cycle,
+    pair_annihilation,
     pure_birth,
     reversible_isomers,
+    three_class_network,
 )
 from crnkit.errors import AmbiguousRegionError
 from crnkit.kinetics import embedded_step_distribution, lyapunov, total_rate
+from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import (
+    _DrawBlock,
+    _generator,
+    _jump_laws,
     _replica_generators,
     _replica_keys,
     drift_estimate_mc,
@@ -32,7 +42,14 @@ from crnkit.simulate import (
     truncated_stationary,
 )
 from crnkit.tiers import exact_kstep_drift
-from oracles import poisson_truncated, replica_generator
+from oracles import (
+    occupancy_by_rates,
+    poisson_truncated,
+    replica_generator,
+    return_times_by_rates,
+    ssa_by_rates,
+    step_by_rates,
+)
 
 BD = birth_death(2.0, 1.0)
 ISO = reversible_isomers(1.0, 1.0)
@@ -89,6 +106,22 @@ def test_embedded_chain_equals_full_simulation_states():
     emb = embedded_chain_simulate(BD, (0,), steps=200, seed=4)
     full = ssa_simulate(BD, (0,), max_jumps=200, seed=4)
     assert np.array_equal(emb, full.states)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_samplers_reject_non_finite_horizons(bad):
+    with pytest.raises(ValueError, match="max_time"):
+        ssa_simulate(BD, (1,), max_time=bad)
+    with pytest.raises(ValueError, match="t_max"):
+        occupancy_estimate(BD, (1,), bad)
+    with pytest.raises(ValueError, match="horizon"):
+        return_times(BD, (1,), lyapunov_sublevel(5.0), horizon=bad, replicas=2)
+
+
+def test_infinite_max_time_is_no_bound_beside_max_jumps():
+    sample = ssa_simulate(BD, (1,), max_time=math.inf, max_jumps=7, seed=2)
+    assert len(sample) == 8
+    assert sample.terminated_by == "max_jumps"
 
 
 def test_absorbed_trajectory_terminates_early():
@@ -334,6 +367,106 @@ def test_sublevel_fast_path_equals_the_plain_predicate():
             assert len(fast.times) > 0
             assert fast.times.tobytes() == plain.times.tobytes()
             assert fast.non_returning == plain.non_returning
+
+
+# ---------------------------------------------------------------------------
+# the per-call jump-law memo against the per-jump rates
+
+
+def memo_cases():
+    """(name, system, start) over the catalog, the demo files, a pure-birth
+    network and networks with rate constants other than one."""
+    cases = [
+        ("cycle", five_complex_cycle(), (3, 1, 2)),
+        ("cycle_kappa", five_complex_cycle((0.5, 2.0, 3.25, 1.5, 0.75)), (2, 2, 1)),
+        ("loop", creation_annihilation_loop(), (2, 1, 1)),
+        ("three_class", three_class_network(), (2, 1, 1, 2)),
+        ("birth_death", BD, (4,)),
+        ("pure_birth", pure_birth(1.5), (0,)),
+        ("isomers", reversible_isomers(0.3, 7.0), (5, 2)),
+        ("annihilation", pair_annihilation(2.0, 0.5), (3, 1)),
+        ("kappa", parse("species: A, B\n0 -> A ; k=0.7\n2A -> B ; k=0.013\nB -> A ; k=3.9\n"), (1, 0)),
+        ("decay", parse("species: S\n2S -> 0 ; k=1.5\n"), (7,)),  # absorbed at S = 1
+    ]
+    demos = Path(__file__).resolve().parents[1] / "demos" / "networks"
+    for path in sorted(demos.glob("*.crn")):
+        system = parse(path.read_text())
+        cases.append((path.stem, system, tuple(1 + i % 3 for i in range(system.network.dim))))
+    return cases
+
+
+@pytest.mark.parametrize("cap", [None, 2, 8])
+def test_memo_samplers_equal_the_per_jump_oracle(monkeypatch, cap):
+    # caps of 2 and 8 states empty the memo every few jumps
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_MEMO_MAX", cap)
+    for name, system, x0 in memo_cases():
+        for seed in range(5):
+            for bounds in ({"max_jumps": 300}, {"max_time": 3.0}):
+                got = ssa_simulate(system, x0, seed=seed, **bounds)
+                times, states, terminated = ssa_by_rates(system, x0, seed, **bounds)
+                assert got.times.tobytes() == times.tobytes(), (name, seed, bounds)
+                assert got.states.tobytes() == states.tobytes(), (name, seed, bounds)
+                assert got.terminated_by == terminated, (name, seed, bounds)
+            est = occupancy_estimate(system, x0, 20.0, seed=seed)
+            support, probs = occupancy_by_rates(system, x0, 20.0, seed)
+            assert est.support == support, (name, seed)
+            assert est.probabilities.tobytes() == probs.tobytes(), (name, seed)
+
+
+def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
+    # rates 1, 0, 2, 0 at (1, 0): a uniform of 1/3 lands exactly on the first
+    # running sum, and a uniform of 1 falls through to the last reaction
+    system = parse("species: A, B\nA -> 0 ; k=1.0\nB -> A ; k=1.0\nA -> 2A ; k=2.0\nB -> 0 ; k=1.0\n")
+    table = system._rate_table
+    unis = [0.0, 1 / 3, 0.5, 0.999, 1.0]
+    for u in unis:
+        picks = []
+        for step in (partial(simulate._step, table, _jump_laws(table)), partial(step_by_rates, table)):
+            draws = SimpleNamespace(pos=0, block=1, unis=[u], exps=[1.0])
+            picks.append(step([1, 0], draws))
+        assert picks[0] == picks[1], u
+    assert simulate._step(table, _jump_laws(table), [1, 0], SimpleNamespace(
+        pos=0, block=1, unis=[1.0], exps=[1.0]))[1] == table[-1][2]
+
+
+def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
+    # a walk that grows on average, started just below the limit: both
+    # steps raise at the same jump, leaving the same state and draws
+    growth = parse("species: S\nS -> 2S ; k=2.0\nS -> 0 ; k=1.0\n")
+    table = growth._rate_table
+    crossings = []
+    for seed in range(5):
+        seen = []
+        for step in (partial(simulate._step, table, _jump_laws(table)), partial(step_by_rates, table)):
+            x, draws = [STATE_COORD_MAX - 2], _DrawBlock(_generator(seed))
+            with pytest.raises(ValueError, match="exceeded supported maximum"):
+                for jumps in range(1000):
+                    step(x, draws)
+            seen.append((jumps, x, draws.pos))
+        assert seen[0] == seen[1]
+        crossings.append(seen[0][0])
+        with pytest.raises(ValueError, match="exceeded supported maximum"):
+            ssa_simulate(growth, (STATE_COORD_MAX - 2,), max_jumps=10**6, seed=seed)
+    assert len(set(crossings)) > 1  # the limit falls at different jumps
+
+
+def test_plain_return_target_is_called_once_per_jump_and_for_the_start():
+    # only lyapunov_sublevel targets are memoised: a user predicate may be
+    # impure, so it sees every state the walk lands on within the horizon
+    calls = []
+
+    def low(x):
+        calls.append(x)
+        return x[0] <= 1
+
+    stats = return_times(BD, (1,), low, horizon=30.0, replicas=8, seed=5)
+    times, non_returning, landings = return_times_by_rates(
+        BD, (1,), lambda x: x[0] <= 1, 30.0, 8, 5
+    )
+    assert len(calls) == landings + 1
+    assert stats.times.tobytes() == times.tobytes()
+    assert stats.non_returning == non_returning
 
 
 # ---------------------------------------------------------------------------
