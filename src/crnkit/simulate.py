@@ -23,8 +23,8 @@ embedded-chain sampler shares this discipline, so it visits exactly the
 states of the full simulation with the same seed.
 
 A sampler call works out each state's jump law once: the running sums of
-the rates and their total, kept in a memo by state tuple that is emptied
-whenever it holds ``_MEMO_MAX`` states.  Bisection over the sums picks the
+the rates, the last being their total, kept in a memo by state tuple that
+is emptied whenever it holds ``_MEMO_MAX`` states.  Bisection over the sums picks the
 reaction a linear scan of the rates would, so trajectories are unchanged
 byte for byte.
 """
@@ -185,11 +185,9 @@ def _jump_law(table: tuple, x: State) -> Optional[tuple]:
     return tuple(sums)
 
 
-def _jump_laws(table: tuple) -> _StateMemo:
-    return _StateMemo(partial(_jump_law, table))
-
-
-def _step(table: tuple, laws: _StateMemo, x: list, draws: _DrawBlock) -> Optional[tuple]:
+def _step(
+    table: tuple, laws: _StateMemo, x: list, draws: _DrawBlock
+) -> Optional[Tuple[float, tuple]]:
     """One direct-method jump from ``x``, applied to ``x`` in place.
 
     ``table`` is the system's rate table and ``laws`` the call's memo of
@@ -252,9 +250,9 @@ def ssa_simulate(
     """Simulate the chain by the stochastic simulation (direct) algorithm.
 
     Runs until the time horizon ``max_time`` would be crossed, ``max_jumps``
-    jumps have fired, or an absorbing state is reached; at least one bound
-    must be given, and a finite one.  Trajectories are identical byte for byte across runs
-    with equal seeds.
+    jumps have fired, or an absorbing state is reached; at least one finite
+    bound must be given.  Trajectories are identical byte for byte across
+    runs with equal seeds.
     """
     if max_time is None and max_jumps is None:
         raise ValueError("give max_time and/or max_jumps")
@@ -267,7 +265,7 @@ def ssa_simulate(
     table = system._rate_table
     dim = system.network.dim
     x = list(as_state(x0, dim))
-    laws = _jump_laws(table)
+    laws = _StateMemo(partial(_jump_law, table))
     draws = _DrawBlock(_generator(seed))
     times = array("d", [0.0])
     states = array("q", x)
@@ -397,7 +395,7 @@ def return_times(
     if type(target) is _Sublevel:
         cutoff = target.cutoff
         inside = _StateMemo(lambda s: sum(map(_f, s)) <= cutoff).__getitem__
-    laws = _jump_laws(table)
+    laws = _StateMemo(partial(_jump_law, table))
 
     def run(rng: np.random.Generator) -> Optional[float]:
         draws = _DrawBlock(rng)
@@ -463,7 +461,7 @@ def occupancy_estimate(
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     table = system._rate_table
     x = list(as_state(x0, system.network.dim))
-    laws = _jump_laws(table)
+    laws = _StateMemo(partial(_jump_law, table))
     draws = _DrawBlock(_generator(seed))
     weights: Dict[State, float] = {}
     t = 0.0
@@ -590,7 +588,7 @@ def drift_estimate_mc(
         return 0.0, 0.0
 
     block = min(k, _BLOCK)  # a k-step replica consumes at most k draw pairs
-    laws = _jump_laws(table)
+    laws = _StateMemo(partial(_jump_law, table))
     difference = _StateMemo(
         lambda end: lyapunov_difference(
             x_start, tuple(a - b for a, b in zip(end, x_start))

@@ -30,9 +30,10 @@ from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import (
     _DrawBlock,
     _generator,
-    _jump_laws,
+    _jump_law,
     _replica_generators,
     _replica_keys,
+    _StateMemo,
     drift_estimate_mc,
     embedded_chain_simulate,
     lyapunov_sublevel,
@@ -373,6 +374,9 @@ def test_sublevel_fast_path_equals_the_plain_predicate():
 # the per-call jump-law memo against the per-jump rates
 
 
+KAPPA_TEXT = "species: A, B\n0 -> A ; k=0.7\n2A -> B ; k=0.013\nB -> A ; k=3.9\n"
+
+
 def memo_cases():
     """(name, system, start) over the catalog, the demo files, a pure-birth
     network and networks with rate constants other than one."""
@@ -385,14 +389,21 @@ def memo_cases():
         ("pure_birth", pure_birth(1.5), (0,)),
         ("isomers", reversible_isomers(0.3, 7.0), (5, 2)),
         ("annihilation", pair_annihilation(2.0, 0.5), (3, 1)),
-        ("kappa", parse("species: A, B\n0 -> A ; k=0.7\n2A -> B ; k=0.013\nB -> A ; k=3.9\n"), (1, 0)),
+        ("kappa", parse(KAPPA_TEXT), (1, 0)),
         ("decay", parse("species: S\n2S -> 0 ; k=1.5\n"), (7,)),  # absorbed at S = 1
     ]
     demos = Path(__file__).resolve().parents[1] / "demos" / "networks"
     for path in sorted(demos.glob("*.crn")):
         system = parse(path.read_text())
-        cases.append((path.stem, system, tuple(1 + i % 3 for i in range(system.network.dim))))
+        x0 = tuple(1 + i % 3 for i in range(system.network.dim))
+        cases.append((path.stem, system, x0))
     return cases
+
+
+def memo_and_oracle_steps(table):
+    """The memo's step and the per-jump oracle, both as step(x, draws)."""
+    laws = _StateMemo(partial(_jump_law, table))
+    return partial(simulate._step, table, laws), partial(step_by_rates, table)
 
 
 @pytest.mark.parametrize("cap", [None, 2, 8])
@@ -417,17 +428,17 @@ def test_memo_samplers_equal_the_per_jump_oracle(monkeypatch, cap):
 def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
     # rates 1, 0, 2, 0 at (1, 0): a uniform of 1/3 lands exactly on the first
     # running sum, and a uniform of 1 falls through to the last reaction
-    system = parse("species: A, B\nA -> 0 ; k=1.0\nB -> A ; k=1.0\nA -> 2A ; k=2.0\nB -> 0 ; k=1.0\n")
+    system = parse(
+        "species: A, B\nA -> 0 ; k=1.0\nB -> A ; k=1.0\nA -> 2A ; k=2.0\nB -> 0 ; k=1.0\n"
+    )
     table = system._rate_table
-    unis = [0.0, 1 / 3, 0.5, 0.999, 1.0]
-    for u in unis:
-        picks = []
-        for step in (partial(simulate._step, table, _jump_laws(table)), partial(step_by_rates, table)):
-            draws = SimpleNamespace(pos=0, block=1, unis=[u], exps=[1.0])
-            picks.append(step([1, 0], draws))
+    for u in (0.0, 1 / 3, 0.5, 0.999, 1.0):
+        picks = [
+            step([1, 0], SimpleNamespace(pos=0, block=1, unis=[u], exps=[1.0]))
+            for step in memo_and_oracle_steps(table)
+        ]
         assert picks[0] == picks[1], u
-    assert simulate._step(table, _jump_laws(table), [1, 0], SimpleNamespace(
-        pos=0, block=1, unis=[1.0], exps=[1.0]))[1] == table[-1][2]
+    assert picks[0][1] == table[-1][2]
 
 
 def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
@@ -438,7 +449,7 @@ def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
     crossings = []
     for seed in range(5):
         seen = []
-        for step in (partial(simulate._step, table, _jump_laws(table)), partial(step_by_rates, table)):
+        for step in memo_and_oracle_steps(table):
             x, draws = [STATE_COORD_MAX - 2], _DrawBlock(_generator(seed))
             with pytest.raises(ValueError, match="exceeded supported maximum"):
                 for jumps in range(1000):
