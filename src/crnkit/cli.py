@@ -14,7 +14,7 @@ Exit codes: 0 for success (for ``analyze``: verdict PositiveRecurrent),
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -53,6 +53,7 @@ from .simulate import (
 )
 
 SCHEMA_VERSION = "1"
+_CSV_BLOCK = 4096  # trajectory rows formatted and written per write call
 
 
 class _UsageError(Exception):
@@ -92,6 +93,18 @@ def _envelope(path: str) -> dict:
 def _emit(report: dict, out: TextIO) -> None:
     json.dump(report, out, indent=2, sort_keys=True)
     out.write("\n")
+
+
+def _write_csv(out: TextIO, header, blocks) -> None:
+    """Write a CSV header, then each block of rows in one ``write``.
+
+    Fields are strings, joined by "," with "\n" after each row.  These are
+    the bytes ``csv.writer`` gives for fields that need no quoting, as
+    species names (identifiers), integers and float reprs do not.
+    """
+    out.write(",".join(header) + "\n")
+    for rows in blocks:
+        out.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 def _parse_state(text: str, dim: int, flag: str) -> State:
@@ -289,13 +302,15 @@ def _cmd_drift(args) -> int:
             ns = [int(p) for p in tail.split(",") if p.strip()]
         except ValueError:
             raise _UsageError(f"--along index list {tail!r} must be integers")
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "drift"])
-        for n in ns:
-            value = exact_kstep_drift(
+        drifts = (
+            exact_kstep_drift(
                 system, seq.evaluate(max(n, seq.start)), args.k, budget=args.budget
             )
-            writer.writerow([n, repr(value)])
+            for n in ns
+        )
+        # one block per row, each written as soon as its drift is known
+        blocks = ([(str(n), repr(v))] for n, v in zip(ns, drifts))
+        _write_csv(sys.stdout, ("n", "drift"), blocks)
         return 0
     if args.x is None:
         raise _UsageError("--x is required unless --along is given")
@@ -338,12 +353,16 @@ def _cmd_simulate(args) -> int:
     sample = ssa_simulate(
         system, x0, max_time=args.t_max, max_jumps=args.jumps, seed=args.seed
     )
+    blocks = (
+        zip(
+            map(repr, sample.times[lo : lo + _CSV_BLOCK].tolist()),
+            *(map(str, col) for col in sample.states[lo : lo + _CSV_BLOCK].T.tolist()),
+        )
+        for lo in range(0, len(sample), _CSV_BLOCK)
+    )
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["t", *net.species])
-        for t, row in zip(sample.times, sample.states):
-            writer.writerow([repr(float(t)), *(int(v) for v in row)])
+        _write_csv(out, ("t", *net.species), blocks)
     finally:
         if args.out:
             out.close()
@@ -406,7 +425,10 @@ def _cmd_stationary(args) -> int:
 # argument wiring
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="crnkit",
         description="Structural, tier, drift, and simulation reports for "
@@ -511,7 +533,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

@@ -56,6 +56,17 @@ def _rates(table, x) -> Tuple[List[float], float]:
     return rates, total
 
 
+def _pooled(pool: tuple, rates: List[float]) -> Dict[int, float]:
+    """The positive ``rates`` summed by net change, keyed by the change's
+    position in the system's ``_changes`` (``pool`` is its ``_pool``), in
+    order of each change's first positive rate."""
+    out: Dict[int, float] = {}
+    for k, lam in zip(pool, rates):
+        if lam > 0.0:
+            out[k] = out.get(k, 0.0) + lam
+    return out
+
+
 def intensity(y: Complex, x: Iterable[int]) -> float:
     """Mass-action intensity of complex ``y`` at state ``x``.
 
@@ -86,12 +97,8 @@ def transition_rates(system: MassActionSystem, x: Iterable[int]) -> Dict[State, 
     rate are omitted, so an absorbing state yields an empty dict.
     """
     rates, _ = _rates(system._rate_table, as_state(x, system.network.dim))
-    out: Dict[State, float] = {}
-    for r, lam in zip(system.network.reactions, rates):
-        if lam > 0.0:
-            h = r.change
-            out[h] = out.get(h, 0.0) + lam
-    return out
+    changes = system._changes
+    return {changes[k]: lam for k, lam in _pooled(system._pool, rates).items()}
 
 
 def _f(t: int) -> float:

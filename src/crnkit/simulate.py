@@ -41,8 +41,8 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import AmbiguousRegionError
-from .kinetics import _f, _rates, lyapunov, lyapunov_difference, transition_rates
+from .errors import AmbiguousRegionError, BudgetExceededError
+from .kinetics import _f, _pooled, _rates, lyapunov, lyapunov_difference
 from .network import STATE_COORD_MAX, MassActionSystem, State, as_state
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
 _BLOCK = 4096
 _KEY_CHUNK = 4096  # replica keys derived per vectorised pass
 _MEMO_MAX = 2**12  # states a sampler call remembers before it forgets them all
+_JUMP_BUDGET = 10**7  # jumps a sampler call without a jump bound may take
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -137,19 +138,44 @@ def _replica_generators(seed, replicas: int) -> Iterator[np.random.Generator]:
 
 class _DrawBlock:
     """Blocked draws: one exponential and one uniform per jump, refilled
-    ``block`` at a time as ``_step`` consumes them."""
+    ``block`` at a time as ``_step`` consumes them.  Once ``spent``, the
+    jumps drawn before a refill, reaches ``budget``, the refill raises: the
+    jump loop checks nothing, and a caller takes under budget + block jumps."""
 
-    def __init__(self, rng: np.random.Generator, block: int = _BLOCK):
+    def __init__(
+        self, rng: np.random.Generator, block: int = _BLOCK, budget: float = math.inf
+    ):
         self.rng = rng
         self.block = block
+        self.budget = budget
+        self.spent = self.pos = 0
         self.refill()
 
     def refill(self) -> None:
+        self.spent += self.pos
+        if self.spent >= self.budget:
+            raise BudgetExceededError(
+                f"stopped after {self.spent} jumps: the horizon needs more "
+                f"than the budget of {self.budget} jumps"
+            )
         # Python floats index and multiply faster than numpy scalars and
         # hold the same values.
         self.exps = self.rng.standard_exponential(self.block).tolist()
         self.unis = self.rng.random(self.block).tolist()
         self.pos = 0
+
+
+def _replica_draws(
+    seed, replicas: int, block: int = _BLOCK, budget: float = math.inf
+) -> Iterator[_DrawBlock]:
+    """One ``_DrawBlock`` for a whole sweep, yielded once per replica after
+    a fresh block from replica r's stream; ``spent`` counts the sweep."""
+    generators = _replica_generators(seed, replicas)
+    draws = _DrawBlock(next(generators), block, budget)
+    yield draws
+    for _ in generators:  # the one generator, rekeyed for the next replica
+        draws.refill()
+        yield draws
 
 
 class _StateMemo(dict):
@@ -251,8 +277,9 @@ def ssa_simulate(
 
     Runs until the time horizon ``max_time`` would be crossed, ``max_jumps``
     jumps have fired, or an absorbing state is reached; at least one finite
-    bound must be given.  Trajectories are identical byte for byte across
-    runs with equal seeds.
+    bound must be given; without ``max_jumps``, a run past 10**7 jumps
+    (``_JUMP_BUDGET``) raises ``BudgetExceededError``.  Trajectories are
+    identical byte for byte across runs with equal seeds.
     """
     if max_time is None and max_jumps is None:
         raise ValueError("give max_time and/or max_jumps")
@@ -266,7 +293,8 @@ def ssa_simulate(
     dim = system.network.dim
     x = list(as_state(x0, dim))
     laws = _StateMemo(partial(_jump_law, table))
-    draws = _DrawBlock(_generator(seed))
+    budget = _JUMP_BUDGET if max_jumps is None else math.inf
+    draws = _DrawBlock(_generator(seed), budget=budget)
     times = array("d", [0.0])
     states = array("q", x)
     t = 0.0
@@ -375,7 +403,9 @@ def return_times(
     time), reached an absorbing state outside the target, or exhausted the
     time horizon.  A ``lyapunov_sublevel`` target is tested once per
     distinct state, by the sum ``lyapunov`` forms; any other target is
-    called once per jump and once for ``x0``.
+    called once per jump and once for ``x0``.  Past 10**7 jumps
+    (``_JUMP_BUDGET``) over all replicas the call raises
+    ``BudgetExceededError``.
     """
     table = system._rate_table
     x_start = as_state(x0, system.network.dim)
@@ -397,8 +427,7 @@ def return_times(
         inside = _StateMemo(lambda s: sum(map(_f, s)) <= cutoff).__getitem__
     laws = _StateMemo(partial(_jump_law, table))
 
-    def run(rng: np.random.Generator) -> Optional[float]:
-        draws = _DrawBlock(rng)
+    def run(draws: _DrawBlock) -> Optional[float]:
         x = list(x_start)
         t = 0.0
         left = False
@@ -415,7 +444,8 @@ def return_times(
             else:
                 left = True
 
-    results = [run(rng) for rng in _replica_generators(seed, replicas)]
+    sweep = _replica_draws(seed, replicas, budget=_JUMP_BUDGET)
+    results = [run(draws) for draws in sweep]
     returned = [t for t in results if t is not None]
     return ReturnTimeStats(
         target_description=desc,
@@ -455,14 +485,15 @@ def occupancy_estimate(
     """Empirical occupancy over [0, t_max]: holding time per state divided by
     the total.  The interval from the last jump to the horizon counts, and a
     trajectory absorbed at time t leaves all remaining weight on the
-    absorbing state (a point mass when ``x0`` itself is absorbing).
+    absorbing state (a point mass when ``x0`` itself is absorbing).  Past
+    10**7 jumps (``_JUMP_BUDGET``) the call raises ``BudgetExceededError``.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     table = system._rate_table
     x = list(as_state(x0, system.network.dim))
     laws = _StateMemo(partial(_jump_law, table))
-    draws = _DrawBlock(_generator(seed))
+    draws = _DrawBlock(_generator(seed), budget=_JUMP_BUDGET)
     weights: Dict[State, float] = {}
     t = 0.0
     while True:
@@ -509,11 +540,12 @@ def truncated_stationary(
         raise ValueError("region is empty")
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
+    table, pool, changes = system._rate_table, system._pool, system._changes
     rows, cols, vals = [], [], []
     for i, s in enumerate(states):
         # jumps are pooled by (nonzero) net change: no (i, j) pair repeats
-        for h, lam in transition_rates(system, s).items():
-            j = index.get(tuple(a + b for a, b in zip(s, h)))
+        for k, lam in _pooled(pool, _rates(table, s)[0]).items():
+            j = index.get(tuple(a + b for a, b in zip(s, changes[k])))
             if j is not None:
                 rows.append(i)
                 cols.append(j)
@@ -595,8 +627,7 @@ def drift_estimate_mc(
         )
     )
 
-    def run(rng: np.random.Generator) -> float:
-        draws = _DrawBlock(rng, block)
+    def run(draws: _DrawBlock) -> float:
         state = list(x_start)
         for _ in range(k):
             if _step(table, laws, state, draws) is None:
@@ -604,7 +635,8 @@ def drift_estimate_mc(
         return difference[tuple(state)]
 
     values = np.asarray(
-        [run(rng) for rng in _replica_generators(seed, replicas)], dtype=np.float64
+        [run(draws) for draws in _replica_draws(seed, replicas, block)],
+        dtype=np.float64,
     )
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(replicas))

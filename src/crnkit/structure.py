@@ -13,14 +13,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from operator import add
+from typing import Iterable, Optional
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-
-from .kinetics import transition_rates
-from .network import Complex, MassActionSystem, ReactionNetwork, State, as_state
+from .kinetics import _pooled, _rates
+from .network import (
+    STATE_COORD_MAX,
+    Complex,
+    MassActionSystem,
+    ReactionNetwork,
+    State,
+    as_state,
+)
 
 __all__ = [
     "LinkageClassPartition",
@@ -98,39 +102,38 @@ class ReachabilityReport:
     min_total_rate: Optional[float]
 
 
-def _adjacency(net: ReactionNetwork) -> csr_matrix:
-    n = len(net.complexes)
-    rows = [s for s, _ in net._ends]
-    cols = [p for _, p in net._ends]
-    data = np.ones(len(rows), dtype=np.int8)
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+def _closure(root: int, edges: list) -> set:
+    """Nodes reachable from ``root``; ``edges[u]`` lists the neighbours of u."""
+    found = {root}
+    stack = [root]
+    while stack:
+        for v in edges[stack.pop()]:
+            if v not in found:
+                found.add(v)
+                stack.append(v)
+    return found
 
 
 def linkage_classes(net: ReactionNetwork) -> LinkageClassPartition:
     """Partition the complexes into linkage classes.
 
     Each class also gets a flag saying whether it is strongly connected in
-    the directed reaction graph.
+    the directed reaction graph: whether its smallest member reaches every
+    member, and every member reaches it.
     """
-    n = len(net.complexes)
-    if n == 0:
-        return LinkageClassPartition((), ())
-    adj = _adjacency(net)
-    n_weak, weak_labels = connected_components(adj, directed=True, connection="weak")
-    n_strong, strong_labels = connected_components(
-        adj, directed=True, connection="strong"
-    )
-    members: Dict[int, set] = {}
-    for idx, lab in enumerate(weak_labels):
-        members.setdefault(int(lab), set()).add(idx)
-    ordered = sorted(members.values(), key=min)
-    flags = []
-    for cls in ordered:
-        labs = {int(strong_labels[i]) for i in cls}
-        flags.append(len(labs) == 1)
-    return LinkageClassPartition(
-        tuple(frozenset(c) for c in ordered), tuple(flags)
-    )
+    succ = [[] for _ in net.complexes]
+    pred = [[] for _ in net.complexes]
+    for s, p in net._ends:
+        succ[s].append(p)
+        pred[p].append(s)
+    linked = [a + b for a, b in zip(succ, pred)]
+    classes, flags = [], []
+    for root in range(len(linked)):
+        if not any(root in cls for cls in classes):
+            cls = frozenset(_closure(root, linked))
+            classes.append(cls)
+            flags.append(_closure(root, succ) == cls == _closure(root, pred))
+    return LinkageClassPartition(tuple(classes), tuple(flags))
 
 
 def is_weakly_reversible(net: ReactionNetwork) -> bool:
@@ -219,11 +222,17 @@ def reachable_states(
     """Explore the set of states reachable from ``x0`` by positive-rate jumps.
 
     Breadth-first search; stops enqueueing new states once ``cap`` states
-    have been collected and marks the report truncated.
+    have been collected and marks the report truncated.  Each state is
+    expanded from the rate table: its rates pooled by net change, one
+    successor per change with a positive rate, in the order and with the
+    sums of ``transition_rates``.  Expanding a state with a coordinate above
+    ``STATE_COORD_MAX`` raises ``ValueError``.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    start = as_state(x0, system.network.dim)
+    dim = system.network.dim
+    table, pool, changes = system._rate_table, system._pool, system._changes
+    start = as_state(x0, dim)
     seen = {start}
     queue = deque([start])
     absorbing = set()
@@ -231,15 +240,17 @@ def reachable_states(
     truncated = False
     while queue:
         x = queue.popleft()
-        rates = transition_rates(system, x)
-        if not rates:
+        if max(x, default=0) > STATE_COORD_MAX:
+            as_state(x, dim)  # raises
+        pooled = _pooled(pool, _rates(table, x)[0])
+        if not pooled:
             absorbing.add(x)
             continue
-        tot = sum(rates.values())
+        tot = sum(pooled.values())
         if min_rate is None or tot < min_rate:
             min_rate = tot
-        for h in rates:
-            nxt = tuple(a + b for a, b in zip(x, h))
+        for k in pooled:
+            nxt = tuple(map(add, x, changes[k]))
             if nxt not in seen:
                 if len(seen) >= cap:
                     truncated = True

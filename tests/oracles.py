@@ -17,19 +17,28 @@ doubling and bisection over it.  ``step_by_rates`` is the direct-method
 jump as the samplers took it before they remembered each state's jump law,
 recomputing the rates and scanning them at every jump; ``ssa_by_rates``,
 ``occupancy_by_rates`` and ``return_times_by_rates`` drive it as the
-samplers do.
+samplers do.  ``pooled_rates_by_reactions`` and ``reachable_by_dicts`` are
+the former ``transition_rates`` and the breadth-first search over its dicts,
+as checks on the table-driven expansion; ``linkage_classes_csgraph`` is the
+former scipy linkage-class computation; ``csv_by_writer`` is the CSV the
+command line wrote row by row through ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from crnkit.kinetics import _rates
-from crnkit.network import STATE_COORD_MAX
+from crnkit.network import STATE_COORD_MAX, as_state
 from crnkit.simulate import _DrawBlock
 
 
@@ -636,3 +645,74 @@ def return_times_by_rates(system, x0, target, horizon: float, replicas: int, see
             else:
                 left = True
     return np.asarray(times, dtype=np.float64), non_returning, landings
+
+
+def pooled_rates_by_reactions(system, x) -> dict:
+    """Net change -> summed positive rate at ``x``, pooled reaction by
+    reaction in declaration order; ``ValueError`` for an invalid ``x``."""
+    rates, _ = _rates(system._rate_table, as_state(x, system.network.dim))
+    out = {}
+    for r, lam in zip(system.network.reactions, rates):
+        if lam > 0.0:
+            h = r.change
+            out[h] = out.get(h, 0.0) + lam
+    return out
+
+
+def reachable_by_dicts(system, x0, cap: int) -> tuple:
+    """(start, states, truncated, absorbing, min_total_rate) of the
+    breadth-first search from ``x0`` over ``pooled_rates_by_reactions``,
+    collecting at most ``cap`` states."""
+    start = as_state(x0, system.network.dim)
+    seen = {start}
+    queue = deque([start])
+    absorbing = set()
+    min_rate = None
+    truncated = False
+    while queue:
+        x = queue.popleft()
+        rates = pooled_rates_by_reactions(system, x)
+        if not rates:
+            absorbing.add(x)
+            continue
+        tot = sum(rates.values())
+        if min_rate is None or tot < min_rate:
+            min_rate = tot
+        for h in rates:
+            nxt = tuple(a + b for a, b in zip(x, h))
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    truncated = True
+                    continue
+                seen.add(nxt)
+                queue.append(nxt)
+    return start, frozenset(seen), truncated, frozenset(absorbing), min_rate
+
+
+def linkage_classes_csgraph(net) -> tuple:
+    """(classes, strongly_connected) from scipy's weak and strong components
+    of the reaction graph, classes as frozensets in order of their smallest
+    member."""
+    n = len(net.complexes)
+    rows = [s for s, _ in net._ends]
+    cols = [p for _, p in net._ends]
+    adj = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    _, weak = connected_components(adj, directed=True, connection="weak")
+    _, strong = connected_components(adj, directed=True, connection="strong")
+    members = {}
+    for idx, lab in enumerate(weak):
+        members.setdefault(int(lab), set()).add(idx)
+    ordered = sorted(members.values(), key=min)
+    flags = tuple(len({int(strong[i]) for i in cls}) == 1 for cls in ordered)
+    return tuple(frozenset(c) for c in ordered), flags
+
+
+def csv_by_writer(header, rows) -> str:
+    """``header`` and ``rows`` as the command line wrote them, one
+    ``csv.writer`` row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return out.getvalue()

@@ -41,7 +41,12 @@ from crnkit.simulate import (
     ssa_simulate,
     truncated_stationary,
 )
-from crnkit.structure import is_weakly_reversible, linkage_classes, theorem_verdict
+from crnkit.structure import (
+    is_weakly_reversible,
+    linkage_classes,
+    reachable_states,
+    theorem_verdict,
+)
 import crnkit.tiers as tiers_module
 from crnkit.tiers import (
     Const,
@@ -60,9 +65,11 @@ from crnkit.tiers import (
 )
 from oracles import (
     enum_kstep_drift,
+    linkage_classes_csgraph,
     numeric_source_growth_partition,
     numeric_tier_partition,
     poisson_truncated,
+    reachable_by_dicts,
     scan_by_sequences,
     scan_fields_by_labels,
 )
@@ -228,6 +235,34 @@ def test_criterion_04_pattern_scan_over_random_corpus(capsys, corpus):
         assert trap_report.violation_found
         assert trap.complexes[trap_report.violating_complex].order == 0
         assert time.perf_counter() - t0 < 60.0
+
+
+def test_linkage_classes_match_csgraph_oracle_on_corpus(corpus):
+    for net in corpus:
+        part = linkage_classes(net)
+        assert (part.classes, part.strongly_connected) == linkage_classes_csgraph(net)
+
+
+def test_reachable_states_match_dict_bfs_oracle_on_corpus(corpus):
+    rng = random.Random(6113)
+    for net in corpus[:40]:
+        system = MassActionSystem(
+            net, [rng.uniform(0.1, 3.0) for _ in net.reactions]
+        )
+        for _ in range(3):
+            x0 = tuple(rng.randrange(0, 4) for _ in range(net.dim))
+            for cap in (1, 2, 3, 5, 8, 13, 21, 60, 400):
+                rep = reachable_states(system, x0, cap=cap)
+                start, states, truncated, absorbing, min_rate = reachable_by_dicts(
+                    system, x0, cap
+                )
+                assert (rep.start, rep.states, rep.truncated, rep.absorbing) == (
+                    start,
+                    states,
+                    truncated,
+                    absorbing,
+                ), (net, x0, cap)
+                assert repr(rep.min_total_rate) == repr(min_rate), (net, x0, cap)
 
 
 def binary_ring(d: int) -> ReactionNetwork:

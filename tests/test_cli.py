@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, schema-valid JSON, CSV shape,
 and determinism of every command for a fixed seed."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -14,8 +15,12 @@ import referencing
 from referencing.jsonschema import DRAFT7
 
 import crnkit
+from crnkit import cli, parse, simulate
 from crnkit.cli import main
-from crnkit.kinetics import lyapunov_difference
+from crnkit.kinetics import lyapunov_difference, total_rate
+from crnkit.simulate import ssa_simulate
+from crnkit.tiers import exact_kstep_drift, parse_sequence_spec
+from oracles import csv_by_writer
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -307,8 +312,64 @@ def test_drift_along_huge_fractional_power_is_refused_promptly(capsys):
     assert "exceeds supported maximum" in captured.err
 
 
+def test_drift_along_csv_equals_csv_writer_oracle(capsys):
+    system = parse(Path(CYCLE).read_text())
+    seq = parse_sequence_spec("A=n,B=1,C=0", system.network.species)
+    seq = seq.normalized_for(system.network)
+    ns = [1, 2, 5, 10, 100]
+    rows = (
+        [n, repr(exact_kstep_drift(system, seq.evaluate(max(n, seq.start)), 3))]
+        for n in ns
+    )
+    want = csv_by_writer(["n", "drift"], rows)
+    along = "A=n,B=1,C=0:1,2,5,10,100"
+    assert main(["drift", CYCLE, "--k", "3", "--along", along]) == 0
+    assert capsys.readouterr().out == want
+
+
 # ---------------------------------------------------------------------------
 # simulate
+
+
+def test_simulate_csv_equals_csv_writer_oracle(tmp_path, capsys):
+    # rows are written in blocks of cli._CSV_BLOCK: 9000 jumps span three
+    ends = set()
+    for path in sorted(NETWORKS.glob("*.crn")):
+        system = parse(path.read_text())
+        dim = system.network.dim
+        species = system.network.species
+        ones = (1,) * dim
+        cases = [
+            (ones, {"max_jumps": 9000}, ["--jumps", "9000"]),
+            (ones, {"max_time": 2.5}, ["--t-max", "2.5"]),
+        ]
+        absorbing = [
+            x
+            for x in itertools.product(range(3), repeat=dim)
+            if total_rate(system, x) == 0.0
+        ]
+        if absorbing:
+            cases.append((absorbing[0], {"max_jumps": 10}, ["--jumps", "10"]))
+        for x0, bounds, flags in cases:
+            sample = ssa_simulate(system, x0, seed=7, **bounds)
+            ends.add(sample.terminated_by)
+            want = csv_by_writer(
+                ["t", *species],
+                (
+                    [repr(float(t)), *(int(v) for v in row)]
+                    for t, row in zip(sample.times, sample.states)
+                ),
+            )
+            start = ",".join(map(str, x0))
+            argv = ["simulate", str(path), "--x0", start, *flags, "--seed", "7"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == want, (path.stem, x0, bounds)
+            out = tmp_path / f"{path.stem}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == want.encode("utf-8"), (path.stem, x0, bounds)
+            if x0 in absorbing:
+                assert want.count("\n") == 2  # the header and the start state
+    assert ends == {"max_jumps", "max_time", "absorbed"}
 
 
 def test_simulate_csv_shape_and_header(capsys):
@@ -426,6 +487,14 @@ def test_stationary_absorbing_start_warns_and_gives_point_mass(capsys, tmp_path)
     ]
 
 
+def test_stationary_huge_horizon_exits_one_at_the_jump_budget(capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "_JUMP_BUDGET", 20_000)
+    assert main(["stationary", BIRTHDEATH, "--x0", "1", "--t-max", "1e12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget of 20000 jumps" in captured.err
+
+
 @pytest.mark.parametrize("t_max", ["inf", "nan"])
 def test_stationary_time_average_rejects_a_non_finite_horizon(capsys, tmp_path, t_max):
     # an infinite horizon never ends a recurrent walk, and on an absorbing
@@ -482,6 +551,29 @@ def test_demo_runs_as_subprocess(demo):
         env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_one_parser_answers_each_call_as_a_fresh_process(capsys):
+    # a usage error, a report and --version in this process, each against a
+    # fresh interpreter; the parser is built once and reused
+    for argv in (["analyze"], ["analyze", CYCLE], ["--version"], ["drift", CYCLE]):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "crnkit", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse exits after printing the version
+            code = stop.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+    assert cli._parser() is cli._parser()
 
 
 def test_bad_flags_exit_one_not_two(capsys):

@@ -24,7 +24,7 @@ from crnkit.catalog import (
     reversible_isomers,
     three_class_network,
 )
-from crnkit.errors import AmbiguousRegionError
+from crnkit.errors import AmbiguousRegionError, BudgetExceededError
 from crnkit.kinetics import embedded_step_distribution, lyapunov, total_rate
 from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import (
@@ -123,6 +123,31 @@ def test_infinite_max_time_is_no_bound_beside_max_jumps():
     sample = ssa_simulate(BD, (1,), max_time=math.inf, max_jumps=7, seed=2)
     assert len(sample) == 8
     assert sample.terminated_by == "max_jumps"
+
+
+def test_horizon_bound_samplers_stop_at_the_jump_budget(monkeypatch):
+    block = simulate._BLOCK
+    monkeypatch.setattr(simulate, "_JUMP_BUDGET", 2 * block)
+    with pytest.raises(BudgetExceededError, match=f"after {2 * block} jumps"):
+        ssa_simulate(BD, (1,), max_time=1e12)
+    with pytest.raises(BudgetExceededError, match="budget of"):
+        occupancy_estimate(BD, (1,), 1e12)
+    with pytest.raises(BudgetExceededError, match="budget of"):
+        return_times(
+            pure_birth(), (1,), lyapunov_sublevel(1.0), horizon=1e12, replicas=2
+        )
+    # a jump bound replaces the budget
+    sample = ssa_simulate(BD, (1,), max_time=1e12, max_jumps=3 * block)
+    assert sample.terminated_by == "max_jumps"
+    # the replicas of one call share the budget: a few hundred short
+    # excursions pass, a few thousand run past it
+    monkeypatch.setattr(simulate, "_JUMP_BUDGET", block)
+    return_times(BD, (1,), lyapunov_sublevel(1.0), horizon=1e3, replicas=100)
+    with pytest.raises(BudgetExceededError):
+        return_times(BD, (1,), lyapunov_sublevel(1.0), horizon=1e3, replicas=3000)
+    # the budget is checked only as a draw block refills
+    monkeypatch.setattr(simulate, "_JUMP_BUDGET", 10)
+    assert 10 < len(ssa_simulate(BD, (1,), max_time=100.0)) < block
 
 
 def test_absorbed_trajectory_terminates_early():

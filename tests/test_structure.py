@@ -1,10 +1,11 @@
 """Structural checks against brute-force graph oracles and known networks."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork
+from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork, parse
 from crnkit.catalog import (
     birth_death,
     creation_annihilation_loop,
@@ -23,7 +24,18 @@ from crnkit.structure import (
     species_complex_condition,
     theorem_verdict,
 )
-from oracles import transitive_closure_weakly_reversible
+from crnkit.kinetics import transition_rates
+from crnkit.network import STATE_COORD_MAX
+from oracles import (
+    linkage_classes_csgraph,
+    pooled_rates_by_reactions,
+    reachable_by_dicts,
+    transitive_closure_weakly_reversible,
+)
+
+DEMOS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "networks").glob("*.crn")
+)
 
 
 # ------------------------------------------------------------ linkage classes
@@ -94,6 +106,21 @@ def test_weak_reversibility_matches_transitive_closure_oracle():
     # the sample must exercise both outcomes for the comparison to mean much
     assert agree_true > 10
     assert agree_false > 10
+
+
+def test_linkage_classes_match_csgraph_oracle():
+    rng = random.Random(4471)
+    several = weak_only = 0
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        net = _random_network(
+            rng, d=d, n_complex=rng.randint(2, min(7, 3**d)), n_edges=rng.randint(1, 8)
+        )
+        part = linkage_classes(net)
+        assert (part.classes, part.strongly_connected) == linkage_classes_csgraph(net)
+        several += len(part) > 1
+        weak_only += not all(part.strongly_connected)
+    assert several > 10 and weak_only > 10
 
 
 # ------------------------------------------------------------------ binarity
@@ -227,3 +254,70 @@ def test_reachable_min_rate_positive_on_weakly_reversible_loop():
 def test_reachable_cap_validation():
     with pytest.raises(ValueError):
         reachable_states(birth_death(), (0,), cap=0)
+
+
+def _pooling_system() -> MassActionSystem:
+    """2A -> A and A -> 0 share a change, and B -> A + B, declared between
+    them, fires first wherever 2A -> A cannot."""
+    a, b = Complex((1, 0)), Complex((0, 1))
+    reactions = [
+        Reaction(Complex((2, 0)), a),
+        Reaction(b, Complex((1, 1))),
+        Reaction(a, Complex((0, 0))),
+        Reaction(b, Complex((0, 0))),
+    ]
+    net = ReactionNetwork.from_reactions(("A", "B"), reactions)
+    return MassActionSystem(net, (0.3, 1.7, 0.1, 2.9))
+
+
+def _systems():
+    return [(p.stem, parse(p.read_text())) for p in DEMOS] + [
+        ("pooling", _pooling_system())
+    ]
+
+
+def test_transition_rates_equal_the_per_reaction_oracle():
+    for name, system in _systems():
+        dim = system.network.dim
+        for x in [(0,) * dim, (1,) * dim, (3,) * dim, tuple(range(1, dim + 1))]:
+            got = transition_rates(system, x).items()
+            want = pooled_rates_by_reactions(system, x).items()
+            assert [(h, repr(v)) for h, v in got] == [
+                (h, repr(v)) for h, v in want
+            ], (name, x)
+    # the pooled changes come in order of their first positive rate
+    order = list(transition_rates(_pooling_system(), (1, 1)))
+    assert order == [(1, 0), (-1, 0), (0, -1)]
+
+
+def _reach_fields(system, x0, cap):
+    rep = reachable_states(system, x0, cap=cap)
+    got = (rep.start, rep.states, rep.truncated, rep.absorbing)
+    got += (repr(rep.min_total_rate),)
+    start, states, truncated, absorbing, min_rate = reachable_by_dicts(system, x0, cap)
+    return got, (start, states, truncated, absorbing, repr(min_rate))
+
+
+def test_reachable_states_match_the_dict_bfs_oracle_on_every_demo():
+    systems = _systems()
+    cut = 0
+    for name, system in systems:
+        dim = system.network.dim
+        for x0 in [(0,) * dim, (1,) * dim, (3,) * dim]:
+            for cap in [*range(1, 25), 97, 1000]:
+                got, want = _reach_fields(system, x0, cap)
+                assert got == want, (name, x0, cap)
+                cut += got[2]
+    assert cut > 300  # most searches stop at the cap, many inside a level
+    isomers = dict(systems)["isomers"]
+    assert _reach_fields(isomers, (0, 0), 5)[0][3] == {(0, 0)}  # an absorbing start
+
+
+def test_reachable_states_past_the_coordinate_limit_raise_as_the_oracle():
+    bd = birth_death()
+    with pytest.raises(ValueError) as got:
+        reachable_states(bd, (STATE_COORD_MAX - 2,), cap=10)
+    with pytest.raises(ValueError) as want:
+        reachable_by_dicts(bd, (STATE_COORD_MAX - 2,), 10)
+    assert str(got.value) == str(want.value)
+    assert "exceeds supported maximum" in str(got.value)
