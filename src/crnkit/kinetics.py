@@ -17,7 +17,7 @@ import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import AbsorbingStateError
-from .network import Complex, MassActionSystem, Reaction, State, as_state
+from .network import Complex, MassActionSystem, Reaction, State, _whole, as_state
 
 __all__ = [
     "intensity",
@@ -113,8 +113,11 @@ def lyapunov(x: Iterable[int]) -> float:
     """Entropy-like Lyapunov function V(x).
 
     Nonnegative everywhere, and zero exactly at the all-ones state.
+    Entries must be integers (integral floats are accepted).
     """
-    xs = tuple(int(v) for v in x)
+    xs = tuple(map(_whole, x))
+    if None in xs:
+        raise ValueError("lyapunov requires an integer state")
     if any(v < 0 for v in xs):
         raise ValueError("lyapunov requires a nonnegative state")
     return sum(_f(v) for v in xs)
@@ -147,14 +150,24 @@ def generator_applied(system: MassActionSystem, x: Iterable[int]) -> float:
         sum over reactions of  rate(x) * (V(x + change) - V(x)).
 
     Zero-rate reactions are skipped, so states near the boundary never
-    evaluate V at negative arguments.
+    evaluate V at negative arguments.  Each difference runs over the
+    reaction's sparse change in coordinate order, as ``lyapunov_difference``
+    sums it, with ``_f(x_i)`` evaluated once per coordinate.
     """
     xs = as_state(x, system.network.dim)
-    rates, _ = _rates(system._rate_table, xs)
+    table = system._rate_table
+    rates, _ = _rates(table, xs)
+    fx = [_f(v) for v in xs]
     acc = 0.0
-    for r, lam in zip(system.network.reactions, rates):
+    for (_, _, change), lam in zip(table, rates):
         if lam > 0.0:
-            acc += lam * lyapunov_difference(xs, r.change)
+            out = 0.0
+            for i, hi in change:
+                xn = xs[i] + hi
+                if xn < 0:
+                    raise ValueError(f"jump drives coordinate {xs[i]} to negative value {xn}")
+                out += _f(xn) - fx[i]
+            acc += lam * out
     return acc
 
 

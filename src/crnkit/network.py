@@ -10,8 +10,10 @@ chain are nonnegative integer tuples of the same dimension.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 #: Largest state coordinate accepted by the kinetics routines.  Falling
 #: factorials of larger counts no longer round-trip through float64 exactly,
@@ -21,13 +23,28 @@ STATE_COORD_MAX = 10**8
 #: States are plain integer tuples, one coordinate per species.
 State = tuple
 
+
+def _whole(v) -> Optional[int]:
+    """``v`` as an int when it is of an integer type (numpy's included) or a
+    finite real without a fractional part, else None."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        if isinstance(v, numbers.Real) and math.isfinite(v) and v == math.floor(v):
+            return int(v)
+        return None
+
+
 def as_state(x: Iterable[int], dim: int) -> State:
     """Coerce ``x`` to a valid state tuple of dimension ``dim``.
 
-    Raises ``ValueError`` on wrong dimension, negative or non-integer
-    entries, or any coordinate above ``STATE_COORD_MAX``.
+    Integers of any type and integral floats are accepted.  Raises
+    ``ValueError`` on wrong dimension, negative or non-integer entries, or
+    any coordinate above ``STATE_COORD_MAX``.
     """
-    xs = tuple(int(v) for v in x)
+    xs = tuple(map(_whole, x))
+    if None in xs:
+        raise ValueError(f"state coordinate {xs.index(None)} is not an integer")
     if len(xs) != dim:
         raise ValueError(f"state has dimension {len(xs)}, expected {dim}")
     for v in xs:
@@ -178,6 +195,9 @@ class ReactionNetwork:
         for j, (s, p) in enumerate(self._ends):
             out_edges[s].append((p, j))
         self._out_edges = tuple(map(tuple, out_edges))
+        # (laws, static tail parts) of the last sequence laws walked on this
+        # network; see ``tiers._static``
+        self._tail_memo: Optional[tuple] = None
 
     @classmethod
     def from_reactions(

@@ -33,6 +33,7 @@ matters for the conclusion being drawn.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -51,7 +52,8 @@ from .errors import (
     WitnessPathError,
 )
 from .kinetics import _rates, lyapunov_difference
-from .network import Complex, MassActionSystem, Reaction, ReactionNetwork, as_state
+from .network import Complex, MassActionSystem, Reaction, ReactionNetwork
+from .network import _whole, as_state
 
 __all__ = [
     "Const",
@@ -83,10 +85,13 @@ class Const:
     value: int
 
     def __post_init__(self):
-        if self.value < 0:
+        v = _whole(self.value)
+        if v is None or v < 0:
             raise InvalidSequenceError(
-                f"constant coordinate value must be nonnegative, got {self.value}"
+                "constant coordinate value must be a nonnegative integer, "
+                f"got {self.value}"
             )
+        object.__setattr__(self, "value", v)
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,16 @@ def _minimal_start(laws: tuple, offset: tuple, start: int, bound: int) -> int:
     return out
 
 
+def _integers(values, what: str) -> tuple:
+    """``values`` as ints (see ``network._whole``); ``InvalidSequenceError``
+    names the first that is not an integer."""
+    values = tuple(values)
+    out = tuple(map(_whole, values))
+    if None in out:
+        raise InvalidSequenceError(f"{what} must be integers, got {values}")
+    return out
+
+
 def _check_constants(laws: tuple, offset) -> None:
     for l, w in zip(laws, offset):
         if isinstance(l, Const) and l.value + w < 0:
@@ -174,7 +189,8 @@ class ParametricSequence:
     coordinate must grow.  The start index is raised on construction to the
     smallest value at which every growing coordinate is nonnegative; a
     constant coordinate driven negative by its offset raises
-    ``InvalidSequenceError`` outright.
+    ``InvalidSequenceError`` outright, as do laws other than ``Const`` and
+    ``Grow`` and offsets or a start that are not integers.
     """
 
     laws: tuple
@@ -185,9 +201,11 @@ class ParametricSequence:
         laws = tuple(laws)
         if not laws:
             raise InvalidSequenceError("sequence needs at least one coordinate")
+        if not all(isinstance(l, (Const, Grow)) for l in laws):
+            raise InvalidSequenceError(f"coordinate laws must be Const or Grow, got {laws}")
         if offset is None:
             offset = (0,) * len(laws)
-        offset = tuple(map(int, offset))
+        offset = _integers(offset, "offsets")
         if len(offset) != len(laws):
             raise InvalidSequenceError(
                 f"{len(offset)} offsets for {len(laws)} coordinates"
@@ -195,12 +213,19 @@ class ParametricSequence:
         if not any(isinstance(l, Grow) for l in laws):
             raise InvalidSequenceError("sequence needs at least one growing coordinate")
         _check_constants(laws, offset)
-        start = int(start)
-        if start < 1:
-            raise InvalidSequenceError(f"start index must be >= 1, got {start}")
-        object.__setattr__(self, "laws", laws)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "start", _minimal_start(laws, offset, start, -1))
+        n = _whole(start)
+        if n is None or n < 1:
+            raise InvalidSequenceError(f"start index must be an integer >= 1, got {start}")
+        start = _minimal_start(laws, offset, n, -1)
+        vars(self).update(laws=laws, offset=offset, start=start)
+
+    @classmethod
+    def _trusted(cls, laws: tuple, offset: tuple, start: int) -> "ParametricSequence":
+        """A sequence from parts already known to be valid, ``start`` already
+        at least the minimal start: no checks."""
+        seq = object.__new__(cls)
+        vars(seq).update(laws=laws, offset=offset, start=start)
+        return seq
 
     @property
     def dim(self) -> int:
@@ -220,7 +245,7 @@ class ParametricSequence:
         """Sequence x_n + w.  Raises ``InvalidSequenceError`` when a constant
         coordinate goes negative; the start index is raised as needed to keep
         growing coordinates nonnegative."""
-        w = tuple(int(v) for v in w)
+        w = _integers(w, "shift entries")
         if len(w) != self.dim:
             raise InvalidSequenceError("shift vector has wrong dimension")
         new_offset = tuple(a + b for a, b in zip(self.offset, w))
@@ -242,7 +267,7 @@ class ParametricSequence:
         start = _minimal_start(self.laws, self.offset, self.start, bound)
         if start == self.start:
             return self
-        return ParametricSequence(self.laws, self.offset, start)
+        return ParametricSequence._trusted(self.laws, self.offset, start)
 
     def degree(self, c: Complex) -> Fraction:
         """Growth exponent of (x_n vee 1) ** c: sum of c_i * p_i over growing
@@ -293,12 +318,49 @@ class TierPartition:
         return self.tiers[0] if self.tiers else frozenset()
 
 
+def _static(net: ReactionNetwork, laws: tuple) -> tuple:
+    """The static part of a tail, (common, users, scaled, rank): the common
+    denominator of the growth powers; per constant coordinate, ascending, the
+    (complex, entry) pairs that need it; each complex's degree times
+    ``common`` (exact ints, cheap to hash and sort); and each complex's
+    growth rank, 0 being the top growth tier.  It depends only on the
+    network and on each law's kind and power, so equal laws share it: the
+    network keeps the last one built, keyed by the laws."""
+    memo = net._tail_memo
+    if memo is not None and memo[0] == laws:
+        return memo[1]
+    powers = [l.power if isinstance(l, Grow) else None for l in laws]
+    common = math.lcm(*(p.denominator for p in powers if p is not None))
+    # a growing coordinate's power times the common denominator; 0 marks
+    # a constant coordinate
+    weight = [
+        0 if p is None else p.numerator * (common // p.denominator) for p in powers
+    ]
+    users: Dict[int, list] = {i: [] for i, w in enumerate(weight) if not w}
+    scaled = []
+    for j, row in enumerate(net._rows):
+        v = 0
+        for i, c in row:
+            if weight[i]:
+                v += c * weight[i]
+            else:
+                users[i].append((j, c))
+        scaled.append(v)
+    rank_of = {v: r for r, v in enumerate(sorted(set(scaled), reverse=True))}
+    static = (
+        common,
+        tuple((i, tuple(u)) for i, u in users.items()),
+        tuple(scaled),
+        tuple(rank_of[v] for v in scaled),
+    )
+    net._tail_memo = (laws, static)
+    return static
+
+
 class _Tail:
     """The tail of one sequence along a network, followed through shifts.
 
-    The static part depends on the network and the laws alone: each
-    complex's growth rank (0 is the top growth tier), from integer degrees
-    over a common denominator, and its needs on the constant coordinates.
+    The static part depends on the network and the laws alone (``_static``).
     The moving part is the offsets and, per complex, the count of needs the
     current constant values leave unmet; a complex is live when that count
     is zero.  A shift touches only the complexes that need a moved
@@ -308,38 +370,16 @@ class _Tail:
     def __init__(self, net: ReactionNetwork, seq: ParametricSequence):
         if net.complexes and net.dim != seq.dim:  # as seq.degree(complex) fails
             raise InvalidSequenceError("complex dimension does not match sequence")
-        self.laws = laws = seq.laws
-        powers = [l.power if isinstance(l, Grow) else None for l in laws]
-        self.common = math.lcm(*(p.denominator for p in powers if p is not None))
-        # a growing coordinate's power times the common denominator; 0 marks
-        # a constant coordinate
-        weight = [
-            0 if p is None else p.numerator * (self.common // p.denominator)
-            for p in powers
-        ]
-        # per constant coordinate, ascending: the (complex, entry) pairs
-        # that need it
-        self.users: Dict[int, list] = {i: [] for i, w in enumerate(weight) if not w}
-        # deg(y) * common: exact ints, cheap to hash and sort
-        self.scaled = []
+        self.laws = seq.laws
         self.rows = net._rows
-        for j, row in enumerate(self.rows):
-            v = 0
-            for i, c in row:
-                if weight[i]:
-                    v += c * weight[i]
-                else:
-                    self.users[i].append((j, c))
-            self.scaled.append(v)
-        rank_of = {v: r for r, v in enumerate(sorted(set(self.scaled), reverse=True))}
-        self.rank = [rank_of[v] for v in self.scaled]
+        self.common, self.users, self.scaled, self.rank = _static(net, seq.laws)
         self.restart(seq.offset)
 
     def restart(self, offset) -> None:
         """Start the walk afresh at ``offset``."""
         self.offset = list(offset)
         self.unmet = [0] * len(self.rank)
-        for i, users in self.users.items():
+        for i, users in self.users:
             v = self.laws[i].value + self.offset[i]
             for j, c in users:
                 if v < c:
@@ -400,7 +440,7 @@ class _Tail:
         """Move by ``change``, failing as ``ParametricSequence.shifted`` does
         on the first constant coordinate driven negative."""
         laws, offset, unmet = self.laws, self.offset, self.unmet
-        for i, users in self.users.items():
+        for i, users in self.users:
             h = change[i]
             if not h:
                 continue
@@ -735,10 +775,17 @@ def _firsts(rows: np.ndarray, keys: np.ndarray) -> tuple:
     return rows[first], keys
 
 
-def _labelings(net: ReactionNetwork, rows) -> list:
-    """The labelings at the given rows of the enumeration."""
+def _scan_sequences(net: ReactionNetwork, rows) -> list:
+    """The sequences of the labelings at the given rows of the enumeration,
+    with zero offset and start 1.  They skip the checks of
+    ``ParametricSequence``: every row has a growing coordinate, and at zero
+    offset every law is nonnegative from n = 1 on."""
     digits = _digits(np.asarray(rows, dtype=np.int64), net.dim)
-    return [tuple(map(_SCAN_LABELS.__getitem__, row)) for row in digits.tolist()]
+    zero = (0,) * net.dim
+    return [
+        ParametricSequence._trusted(tuple(map(_SCAN_LABELS.__getitem__, row)), zero, 1)
+        for row in digits.tolist()
+    ]
 
 
 def _violations(degrees: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -772,7 +819,7 @@ def scan_patterns(
     if rows:
         firsts = np.sort(_firsts(np.concatenate(rows), np.concatenate(keys))[0])
     return ScanFamily(
-        sequences=tuple(ParametricSequence(l) for l in _labelings(net, firsts)),
+        sequences=tuple(_scan_sequences(net, firsts)),
         enumerated=enumerated,
         exhaustive=exhaustive,
     )
@@ -799,7 +846,7 @@ def hypothesis_check(
             # a violating row is the first of its pattern: count up to it
             j = int(hit.argmax())
             keys.append(k[: j + 1])
-            seq = ParametricSequence(_labelings(net, r[j : j + 1])[0])
+            seq = _scan_sequences(net, r[j : j + 1])[0]
             idx = _violation(degrees[j].tolist(), np.flatnonzero(live[j]).tolist())
             break
         keys.append(np.unique(k))
@@ -1042,7 +1089,10 @@ def parse_sequence_spec(text: str, species: Sequence[str]) -> ParametricSequence
     return ParametricSequence(tuple(assignments[s] for s in species))
 
 
+@functools.lru_cache(maxsize=1024)
 def _parse_sequence_expr(expr: str) -> CoordLaw:
+    """One coordinate's law; laws are frozen, so one parsed law serves every
+    spec that spells it alike."""
     expr = expr.strip()
     if re.fullmatch(r"[0-9]+", expr):
         return Const(int(expr))

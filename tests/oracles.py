@@ -22,6 +22,12 @@ the former ``transition_rates`` and the breadth-first search over its dicts,
 as checks on the table-driven expansion; ``linkage_classes_csgraph`` is the
 former scipy linkage-class computation; ``csv_by_writer`` is the CSV the
 command line wrote row by row through ``csv.writer``.
+``generator_by_reactions`` is the generator summed through
+``lyapunov_difference`` reaction by reaction, as a check on the sparse
+pass; ``MemoFreeTail`` is the tier walks' tail with its static part built
+afresh for every tail, as a check on the per-network memo; and
+``scan_fields_by_labels`` builds its family through the checking
+``ParametricSequence`` constructor, as a check on the scan's trusted path.
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from crnkit.kinetics import _rates
+from crnkit.kinetics import _rates, lyapunov_difference
 from crnkit.network import STATE_COORD_MAX, as_state
 from crnkit.simulate import _DrawBlock
+from crnkit.tiers import Grow, _Tail
 
 
 def falling_product(x: int, k: int) -> int:
@@ -716,3 +723,51 @@ def csv_by_writer(header, rows) -> str:
     for row in rows:
         writer.writerow(row)
     return out.getvalue()
+
+
+def generator_by_reactions(system, x) -> float:
+    """The generator applied to V at ``x``: each positive-rate reaction's
+    rate times ``lyapunov_difference`` over its dense change, in reaction
+    order."""
+    xs = as_state(x, system.network.dim)
+    rates, _ = _rates(system._rate_table, xs)
+    acc = 0.0
+    for r, lam in zip(system.network.reactions, rates):
+        if lam > 0.0:
+            acc += lam * lyapunov_difference(xs, r.change)
+    return acc
+
+
+class MemoFreeTail(_Tail):
+    """The tier walks' tail with its static part (common denominator,
+    constant-coordinate users, scaled degrees, growth ranks) built from the
+    network and the laws for every tail, never taken from the network's
+    memo; the walk itself is ``_Tail``'s."""
+
+    def __init__(self, net, seq):
+        from crnkit.errors import InvalidSequenceError
+
+        if net.complexes and net.dim != seq.dim:
+            raise InvalidSequenceError("complex dimension does not match sequence")
+        self.laws = laws = seq.laws
+        powers = [l.power if isinstance(l, Grow) else None for l in laws]
+        self.common = math.lcm(*(p.denominator for p in powers if p is not None))
+        weight = [
+            0 if p is None else p.numerator * (self.common // p.denominator)
+            for p in powers
+        ]
+        users = {i: [] for i, w in enumerate(weight) if not w}
+        self.scaled = []
+        self.rows = net._rows
+        for j, row in enumerate(self.rows):
+            v = 0
+            for i, c in row:
+                if weight[i]:
+                    v += c * weight[i]
+                else:
+                    users[i].append((j, c))
+            self.scaled.append(v)
+        self.users = tuple(users.items())
+        rank_of = {v: r for r, v in enumerate(sorted(set(self.scaled), reverse=True))}
+        self.rank = [rank_of[v] for v in self.scaled]
+        self.restart(seq.offset)

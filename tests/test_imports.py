@@ -1,10 +1,14 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+importing the package leaves scipy unloaded.
 
 No linter ships with the test extras, so this walks the syntax tree of each
 module under ``src/crnkit`` (the package ``__init__`` re-exports names on
 purpose and is left out)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,15 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_importing_crnkit_does_not_load_scipy():
+    # scipy is imported only inside the censored stationary solve; loading
+    # it with the package about doubled every process's start-up time and
+    # added some 28 MiB of peak memory (BENCH_11.json)
+    child = "import sys, crnkit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, check=True, env=env, text=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -34,6 +34,7 @@ from crnkit.catalog import (
 )
 from crnkit.kinetics import _rates
 from crnkit.network import STATE_COORD_MAX
+from crnkit.tiers import exact_kstep_drift
 from oracles import hand_intensity, hand_rates, v_value
 
 CYCLE = five_complex_cycle()
@@ -157,6 +158,22 @@ def test_lyapunov_nonnegative_zero_only_at_ones(x):
 def test_lyapunov_rejects_negative():
     with pytest.raises(ValueError):
         lyapunov((1, -1))
+
+
+def test_state_routines_refuse_non_integral_states():
+    for x in ([2.5], [math.inf], [math.nan]):
+        with pytest.raises(ValueError):
+            lyapunov(x)
+    assert lyapunov([2.0]) == lyapunov([2])
+    bd = birth_death()
+    with pytest.raises(ValueError):
+        exact_kstep_drift(bd, (2.9,), 1)
+    assert exact_kstep_drift(bd, (3.0,), 1) == exact_kstep_drift(bd, (3,), 1)
+    for routine in (generator_applied, total_rate, transition_rates):
+        with pytest.raises(ValueError):
+            routine(bd, (1.5,))
+        with pytest.raises(ValueError):
+            routine(bd, (math.inf,))
 
 
 @given(

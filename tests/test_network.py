@@ -1,13 +1,17 @@
 """Construction invariants of the core network types."""
 
+import math
 import pickle
 import random
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork, catalog, parse
 from crnkit.catalog import birth_death, five_complex_cycle
+from crnkit.network import as_state
 from test_acceptance import random_theorem_network
 
 DEMO_NETWORKS = sorted((Path(__file__).parent.parent / "demos" / "networks").glob("*.crn"))
@@ -183,3 +187,16 @@ def test_parsed_network_survives_pickling():
         assert net._out_edges == system.network._out_edges
         assert all(net.complex_index(c) == i for i, c in enumerate(system.network.complexes))
         assert all(net._reaction_index[r] == j for j, r in enumerate(system.network.reactions))
+
+
+def test_as_state_takes_integral_values_of_any_numeric_type():
+    got = as_state((np.int64(3), 2.0, True, np.float32(4.0), Fraction(6, 2)), 5)
+    assert got == (3, 2, 1, 4, 3)
+    assert all(type(v) is int for v in got)
+    assert as_state(iter([1, 2]), 2) == (1, 2)
+
+
+def test_as_state_rejects_non_integral_entries_with_value_error():
+    for bad in (1.5, 2.9, np.float64(0.5), math.inf, -math.inf, math.nan, "1", None, 1j):
+        with pytest.raises(ValueError, match="not an integer"):
+            as_state((0, bad), 2)

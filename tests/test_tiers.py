@@ -15,12 +15,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crnkit
-from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork
+from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork, catalog, parse
 from crnkit.catalog import (
     birth_death,
     creation_annihilation_loop,
@@ -39,6 +40,7 @@ from crnkit.errors import (
 )
 from crnkit.kinetics import (
     embedded_step_distribution,
+    generator_applied,
     lyapunov,
     lyapunov_difference,
     path_probability,
@@ -55,6 +57,8 @@ from crnkit.tiers import (
     parse_sequence_spec,
     path_probability_limit,
     path_tier_membership,
+    scan_patterns,
+    _parse_sequence_expr,
     _Tail,
     _minimal_start,
     _raw_value,
@@ -63,13 +67,16 @@ from crnkit.tiers import (
     witness_path,
 )
 from oracles import (
+    MemoFreeTail,
     ScratchTail,
     coefficient_path_limit,
     enum_kstep_drift,
+    generator_by_reactions,
     law_value_fraction,
     minimal_start_bisection,
     numeric_tier_partition,
     path_membership_by_offsets,
+    scan_fields_by_labels,
     top_tiers_at,
 )
 from test_acceptance import random_theorem_network
@@ -125,6 +132,30 @@ def test_laws_hash_equal_after_pickling_in_another_process():
 def test_sequence_requires_growing_coordinate():
     with pytest.raises(InvalidSequenceError):
         ParametricSequence((Const(1), Const(0)))
+
+
+def test_sequence_parts_are_checked_at_construction():
+    bad = [
+        lambda: ParametricSequence([Grow(), 3]),  # not a law
+        lambda: ParametricSequence([Grow(), None]),
+        lambda: ParametricSequence((Grow(),), (1.7,)),
+        lambda: ParametricSequence((Grow(),), (math.inf,)),
+        lambda: ParametricSequence((Grow(),), ("1",)),
+        lambda: ParametricSequence((Grow(),), start=1.5),
+        lambda: ParametricSequence((Grow(),), start=math.nan),
+        lambda: ParametricSequence((Grow(),)).shifted((0.5,)),
+        lambda: Const(1.5),
+        lambda: Const(math.inf),
+        lambda: Const("2"),
+    ]
+    for make in bad:
+        with pytest.raises(InvalidSequenceError):
+            make()
+    # integral values of any numeric type are taken, as Python ints
+    seq = ParametricSequence((Grow(), Const(2.0)), (np.int64(3), 1.0), start=np.int32(2))
+    assert repr(seq) == repr(ParametricSequence((Grow(), Const(2)), (3, 1), 2))
+    assert type(Const(np.int64(4)).value) is int
+    assert seq.shifted((1.0, np.int8(-1))).offset == (4, 0)
 
 
 def test_sequence_evaluate_basic():
@@ -886,3 +917,127 @@ def test_parse_sequence_spec_errors():
         parse_sequence_spec("A=n, A=1, B=1", ("A", "B"))  # duplicate
     with pytest.raises(ValueError):
         parse_sequence_spec("A=n^-1, B=1", ("A", "B"))  # bad exponent
+
+
+# ------------------------------------------ shared tails, trusted sequences
+
+DEMO_NETWORKS = sorted((Path(__file__).parent.parent / "demos" / "networks").glob("*.crn"))
+
+
+def _tail_systems():
+    """The catalog systems, the demo files and the 100 acceptance-corpus
+    networks (seeded rate constants in {0.5, 1, 2})."""
+    systems = [
+        getattr(catalog, name)()
+        for name in (
+            "five_complex_cycle",
+            "creation_annihilation_loop",
+            "three_class_network",
+            "birth_death",
+            "pure_birth",
+            "reversible_isomers",
+            "pair_annihilation",
+        )
+    ]
+    systems += [parse(path.read_text()) for path in DEMO_NETWORKS]
+    rng = random.Random(20260823)
+    for _ in range(100):
+        net = random_theorem_network(rng)
+        systems.append(MassActionSystem(net, [rng.choice((0.5, 1.0, 2.0)) for _ in net.reactions]))
+    return systems
+
+
+def _walks(system, seq) -> str:
+    """Everything the tier walks answer along ``seq``, as one repr: the
+    witness path (or the error it raises), its report and limit, the
+    hypothesis check, both partitions and the normalized sequence."""
+    net = system.network
+    out = []
+    try:
+        path = witness_path(net, seq)
+        out += [path, path_tier_membership(net, seq, path)]
+        out.append(path_probability_limit(system, seq, path))
+    except (WitnessPathError, ValueError) as e:
+        out.append((type(e).__name__, str(e)))
+    out.append(hypothesis_violation(net, seq))
+    out.append(d_partition(net, seq))
+    tail = seq.normalized_for(net)
+    out += [tail, s_partition(net, tail)]
+    return repr(out)
+
+
+def test_tail_memo_matches_memo_free_tail_on_demos_and_corpus(monkeypatch):
+    # up to 48 scan patterns per network, spread over its family
+    calls = []
+    for system in _tail_systems():
+        seqs = scan_patterns(system.network).sequences
+        calls += [(system, seq) for seq in seqs[:: -(-len(seqs) // 48)]]
+    got = [_walks(system, seq) for system, seq in calls]
+    with monkeypatch.context() as m:
+        m.setattr(crnkit.tiers, "_Tail", MemoFreeTail)
+        want = [_walks(system, seq) for system, seq in calls]
+    assert got == want
+    assert len(calls) > 3000
+
+
+def test_tail_memo_serves_no_stale_entry_across_laws_and_networks(monkeypatch):
+    # two networks over three species and law tuples that differ in kind,
+    # in power, and only in coefficients and offsets (equal static parts)
+    cycle, loop = five_complex_cycle(), creation_annihilation_loop()
+    seqs = [
+        ParametricSequence((Grow(), Const(1), Const(0))),
+        ParametricSequence((Const(2), Grow(1.0, 2), Grow())),
+        ParametricSequence((Grow(3.0), Const(1), Const(0)), (0, 2, 1)),
+        ParametricSequence((Const(0), Grow(2.0, 2), Grow(0.5)), (1, 0, 0)),
+    ]
+    calls = [(system, seq) for seq in seqs for system in (cycle, loop)]
+    calls += calls[::-1] + calls[::3] + calls[1::2]
+    with monkeypatch.context() as m:
+        m.setattr(crnkit.tiers, "_Tail", MemoFreeTail)
+        want = [_walks(system, seq) for system, seq in calls]
+    for (system, seq), expected in zip(calls, want):
+        assert _walks(system, seq) == expected
+        assert system.network._tail_memo[0] == seq.laws
+
+
+def test_generator_matches_per_reaction_oracle_bit_for_bit():
+    rng = random.Random(7)
+    checked = 0
+    for system in _tail_systems():
+        net = system.network
+        states = [tuple(rng.randrange(0, 6) for _ in range(net.dim)) for _ in range(20)]
+        states += [(10**6,) + (1,) * (net.dim - 1), (0,) * net.dim]
+        for seq in scan_patterns(net).sequences[:20]:
+            tail = seq.normalized_for(net)
+            states += [tail.evaluate(n) for n in (tail.start, tail.start + 1, 4 * tail.start)]
+        for x in states:
+            assert repr(generator_applied(system, x)) == repr(generator_by_reactions(system, x))
+            checked += 1
+    assert checked > 5000
+    with pytest.raises(ValueError):
+        generator_applied(CYCLE, (1.5, 1, 0))
+
+
+def test_trusted_sequences_equal_the_checking_constructor():
+    for system in _tail_systems():
+        net = system.network
+        if net.dim > 4:  # the label loop takes seconds at 5 species
+            continue
+        family = scan_patterns(net)
+        want = scan_fields_by_labels(net, 10**6)
+        assert repr(family.sequences) == repr(want["sequences"])
+        report = hypothesis_check(net)
+        assert repr(report.violating_sequence) == repr(want["violating_sequence"])
+        for seq in family.sequences:
+            tail = seq.normalized_for(net)
+            assert repr(tail) == repr(ParametricSequence(seq.laws, seq.offset, tail.start))
+    shifted = CYCLE_SEQ.shifted((-1, 2, 0)).normalized_for(CYCLE.network)
+    assert repr(shifted) == repr(ParametricSequence(CYCLE_SEQ.laws, (-1, 2, 0), shifted.start))
+
+
+def test_parsed_laws_are_cached_and_shared():
+    a = parse_sequence_spec("A=n^2, B=1, C=0", ("A", "B", "C"))
+    b = parse_sequence_spec("A = n^2, B=1, C=0", ("A", "B", "C"))
+    assert all(x is y for x, y in zip(a.laws, b.laws))
+    assert a.laws == (Grow(1.0, 2), Const(1), Const(0))
+    assert _parse_sequence_expr.cache_info().maxsize is not None
