@@ -15,7 +15,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +79,7 @@ from oracles import (
     top_tiers_at,
 )
 from test_acceptance import random_theorem_network
+from test_network import DEMO_NETWORKS
 
 CYCLE = five_complex_cycle()
 CYCLE_SEQ = ParametricSequence((Grow(), Const(1), Const(0)))
@@ -920,9 +920,6 @@ def test_parse_sequence_spec_errors():
 
 
 # ------------------------------------------ shared tails, trusted sequences
-
-DEMO_NETWORKS = sorted((Path(__file__).parent.parent / "demos" / "networks").glob("*.crn"))
-
 
 def _tail_systems():
     """The catalog systems, the demo files and the 100 acceptance-corpus
