@@ -35,6 +35,14 @@ def _whole(v) -> Optional[int]:
         return None
 
 
+def _count(v, what: str, least: int = 0) -> int:
+    """``v`` as an int >= ``least`` (see ``_whole``), else ``ValueError``."""
+    n = _whole(v)
+    if n is None or n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {v}")
+    return n
+
+
 def as_state(x: Iterable[int], dim: int) -> State:
     """Coerce ``x`` to a valid state tuple of dimension ``dim``.
 
@@ -195,9 +203,10 @@ class ReactionNetwork:
         for j, (s, p) in enumerate(self._ends):
             out_edges[s].append((p, j))
         self._out_edges = tuple(map(tuple, out_edges))
-        # (laws, static tail parts) of the last sequence laws walked on this
-        # network; see ``tiers._static``
+        # the last sequence laws' static tail parts and the last completed
+        # pattern scan on this network; see ``tiers._static``, ``tiers._scan``
         self._tail_memo: Optional[tuple] = None
+        self._scan_memo: Optional[tuple] = None
 
     @classmethod
     def from_reactions(

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import AmbiguousRegionError, BudgetExceededError
 from .kinetics import _f, _pooled, _rates, lyapunov, lyapunov_difference
-from .network import STATE_COORD_MAX, MassActionSystem, State, as_state
+from .network import STATE_COORD_MAX, MassActionSystem, State, _count, as_state
 
 __all__ = [
     "TrajectorySample",
@@ -287,8 +287,8 @@ def ssa_simulate(
         raise ValueError(f"max_time must be nonnegative, got {max_time}")
     if max_jumps is None and not math.isfinite(max_time):
         raise ValueError(f"max_time must be finite without max_jumps, got {max_time}")
-    if max_jumps is not None and max_jumps < 0:
-        raise ValueError(f"max_jumps must be nonnegative, got {max_jumps}")
+    if max_jumps is not None:
+        max_jumps = _count(max_jumps, "max_jumps")
     table = system._rate_table
     dim = system.network.dim
     x = list(as_state(x0, dim))
@@ -411,8 +411,7 @@ def return_times(
     x_start = as_state(x0, system.network.dim)
     if not target(x_start):
         raise ValueError(f"start state {x_start} is not in the target set")
-    if replicas < 1:
-        raise ValueError("need at least one replica")
+    replicas = _count(replicas, "replicas", 1)
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     desc = (
@@ -609,10 +608,8 @@ def drift_estimate_mc(
     and evaluates the Lyapunov difference coordinate-wise.  Returns (mean,
     standard error); k = 0 gives exactly (0.0, 0.0).
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if replicas < 2:
-        raise ValueError("need at least two replicas for a standard error")
+    k = _count(k, "k")
+    replicas = _count(replicas, "replicas", 2)  # two for a standard error
     table = system._rate_table
     x_start = as_state(x, system.network.dim)
     np.random.SeedSequence(seed)  # rejects a bad seed as the replica keys do

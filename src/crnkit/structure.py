@@ -23,6 +23,7 @@ from .network import (
     MassActionSystem,
     ReactionNetwork,
     State,
+    _count,
     as_state,
 )
 
@@ -228,8 +229,7 @@ def reachable_states(
     sums of ``transition_rates``.  Expanding a state with a coordinate above
     ``STATE_COORD_MAX`` raises ``ValueError``.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    cap = _count(cap, "cap", 1)
     dim = system.network.dim
     table, pool, changes = system._rate_table, system._pool, system._changes
     start = as_state(x0, dim)

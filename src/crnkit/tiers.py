@@ -53,7 +53,7 @@ from .errors import (
 )
 from .kinetics import _rates, lyapunov_difference
 from .network import Complex, MassActionSystem, Reaction, ReactionNetwork
-from .network import _whole, as_state
+from .network import _count, _whole, as_state
 
 __all__ = [
     "Const",
@@ -606,8 +606,8 @@ def path_probability_limit(
 
 # ------------------------------------------------------------ pattern scan
 
-#: Coordinate labels enumerated by ``hypothesis_check``: pinned empty, pinned
-#: above any binary requirement, or growing with exponent 1, 2, or 3.
+#: Coordinate labels enumerated by ``hypothesis_check`` and ``scan_patterns``:
+#: pinned at 0, pinned above any binary need, or growing like n, n^2 or n^3.
 _SCAN_LABELS = (
     Const(0),
     Const(2),
@@ -629,10 +629,11 @@ class HypothesisScanReport:
     tier).
 
     ``patterns_enumerated`` counts labelings with at least one growing
-    coordinate; ``patterns_checked`` counts the distinct patterns actually
-    classified after deduplication by (complex degrees, vanishing set).
-    When ``exhaustive`` is False the enumeration hit its budget, so a
-    negative result is only heuristic.
+    coordinate; ``patterns_checked`` counts the distinct patterns, by
+    (complex degrees, vanishing set), up to the violating one or to the end.
+    ``violating_complex`` is ``hypothesis_violation`` along the violating
+    sequence.  When ``exhaustive`` is False the enumeration hit its budget,
+    so a negative result is only heuristic.
     """
 
     violation_found: bool
@@ -654,19 +655,9 @@ def hypothesis_violation(
     if net.dim != seq.dim:
         raise InvalidSequenceError("network dimension does not match sequence")
     tail = _Tail(net, seq)
-    return _violation(tail.scaled, tail.live())
-
-
-def _violation(degrees: Sequence, live: Sequence[int]) -> Optional[int]:
-    """First complex of the top intensity tier when that tier sits below the
-    top growth tier; ``live`` lists the non-vanishing complexes ascending."""
-    if not live:
-        return None
-    # the top intensity tier shares one degree: all inside or all out
-    best = max(degrees[j] for j in live)
-    if best == max(degrees):
-        return None
-    return next(j for j in live if degrees[j] == best)
+    # the top intensity tier shares one growth rank: all inside or all out
+    j = min(tail.top(), default=None)
+    return j if j is not None and tail.rank[j] else None
 
 
 @dataclass(frozen=True)
@@ -708,12 +699,13 @@ def _scan_chunks(net: ReactionNetwork, enumerated: int):
     """The first ``enumerated`` labelings with a growing coordinate, in
     ``itertools.product`` order, ``_SCAN_CHUNK`` rows of the enumeration at
     a time; row n is the labeling ``_digits`` reads off n.  Yields
-    (rows, keys, degrees, live) over a chunk's kept rows: ``degrees[k, j]``
-    is complex j's sum of y_i * p_i over the growing coordinates (exact: the
-    dtype holds the largest possible degree, and is ``object`` past int64),
-    ``live[k, j]`` says y_i <= value at every constant coordinate, and
-    ``keys[k]`` is a fixed-width byte string, equal exactly when the
-    (degrees, live) rows are."""
+    (rows, keys, flags) over the rows that come first for their key within
+    the chunk, ascending.  A key is a fixed-width byte string of the row's
+    ``degrees[k, j]``, complex j's sum of y_i * p_i over the growing
+    coordinates (exact: the dtype holds the largest possible degree, and is
+    ``object`` past int64), and ``live[k, j]``, y_i <= value at every
+    constant coordinate; a flag says the live complexes of largest degree
+    (the top intensity tier) sit below the top growth tier."""
     d, base = net.dim, len(_SCAN_LABELS)
     coeffs = [c.coeffs for c in net.complexes]
     powers = [int(l.power) if isinstance(l, Grow) else 0 for l in _SCAN_LABELS]
@@ -766,13 +758,12 @@ def _scan_chunks(net: ReactionNetwork, enumerated: int):
             axis=1,
         )
         keys = raw.view(f"V{raw.shape[1]}").ravel()
-        yield rows, keys, degrees, live
-
-
-def _firsts(rows: np.ndarray, keys: np.ndarray) -> tuple:
-    """Each distinct key once, with the first of ``rows`` that holds it."""
-    keys, first = np.unique(keys, return_index=True)
-    return rows[first], keys
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        degrees, live = degrees[first], live[first]
+        # degrees are nonnegative, so -1 marks a row without live complexes
+        best = np.where(live, degrees, -1).max(axis=1, initial=-1)
+        most = degrees.max(axis=1, initial=-1)
+        yield rows[first], keys[first], (best >= 0) & (best < most)
 
 
 def _scan_sequences(net: ReactionNetwork, rows) -> list:
@@ -788,12 +779,29 @@ def _scan_sequences(net: ReactionNetwork, rows) -> list:
     ]
 
 
-def _violations(degrees: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Per row, whether the top intensity tier sits below the top growth
-    tier (``_violation`` over a chunk); degrees are nonnegative, so -1
-    marks a row without live complexes."""
-    best = np.where(live, degrees, -1).max(axis=1, initial=-1)
-    return (best >= 0) & (best < degrees.max(axis=1, initial=-1))
+def _scan(net: ReactionNetwork, enumerated: int, stop: bool) -> tuple:
+    """(rows, flags) of the distinct patterns among the first ``enumerated``
+    labelings: each pattern's first row, ascending, and its violation flag.
+    With ``stop`` the scan ends after the first chunk that holds a
+    violation.  The network keeps its last completed scan, keyed by
+    ``enumerated``; a scan that stopped early is not kept."""
+    memo = net._scan_memo
+    if memo is not None and memo[0] == enumerated:
+        return memo[1]
+    chunks, complete = [], True
+    for chunk in _scan_chunks(net, enumerated):
+        chunks.append(chunk)
+        if stop and chunk[2].any():
+            complete = False
+            break
+    found = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    if chunks:
+        rows, keys, flags = map(np.concatenate, zip(*chunks))
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        found = rows[first], flags[first]
+    if complete:
+        net._scan_memo = (enumerated, found)
+    return found
 
 
 def scan_patterns(
@@ -809,17 +817,9 @@ def scan_patterns(
     species are rejected.
     """
     enumerated, exhaustive = _scan_extent(net, pattern_budget)
-    # each chunk's first row per key, then the first of those per key
-    rows, keys = [], []
-    for r, k, _, _ in _scan_chunks(net, enumerated):
-        r, k = _firsts(r, k)
-        rows.append(r)
-        keys.append(k)
-    firsts = []
-    if rows:
-        firsts = np.sort(_firsts(np.concatenate(rows), np.concatenate(keys))[0])
+    rows, _ = _scan(net, enumerated, stop=False)
     return ScanFamily(
-        sequences=tuple(_scan_sequences(net, firsts)),
+        sequences=tuple(_scan_sequences(net, rows)),
         enumerated=enumerated,
         exhaustive=exhaustive,
     )
@@ -830,28 +830,23 @@ def hypothesis_check(
 ) -> HypothesisScanReport:
     """Scan the canonical pattern family for a tier-inclusion violation.
 
-    Classifies the distinct patterns of ``scan_patterns`` in order up to the
-    first violation.  Finding a violation refutes the inclusion outright;
-    exhausting the family without one confirms it for all monomial
-    sequences with these exponents, which is a heuristic for general
-    sequences.  Enumerations beyond ``pattern_budget`` return a partial,
-    non-exhaustive report.
+    Reads the distinct patterns of ``scan_patterns`` in order up to the
+    first violation, scanning no chunk of labelings past it; the network
+    keeps a clean scan for the next call.  Finding a violation refutes
+    the inclusion outright; exhausting the family without one confirms it
+    for all monomial sequences with these exponents, which is a heuristic
+    for general sequences.  Enumerations beyond ``pattern_budget`` return a
+    partial, non-exhaustive report.
     """
     enumerated, exhaustive = _scan_extent(net, pattern_budget)
-    keys = []
-    seq, idx = None, None
-    for r, k, degrees, live in _scan_chunks(net, enumerated):
-        hit = _violations(degrees, live)
-        if hit.any():
-            # a violating row is the first of its pattern: count up to it
-            j = int(hit.argmax())
-            keys.append(k[: j + 1])
-            seq = _scan_sequences(net, r[j : j + 1])[0]
-            idx = _violation(degrees[j].tolist(), np.flatnonzero(live[j]).tolist())
-            break
-        keys.append(np.unique(k))
-    keys = np.concatenate(keys) if keys else []  # frees the chunks' arrays
-    checked = len(np.unique(keys))
+    rows, flags = _scan(net, enumerated, stop=True)
+    seq, idx, checked = None, None, len(rows)
+    hits = np.flatnonzero(flags)
+    if len(hits):
+        # the patterns are in row order: count them up to the violating one
+        checked = int(hits[0]) + 1
+        seq = _scan_sequences(net, rows[hits[:1]])[0]
+        idx = hypothesis_violation(net, seq)
     return HypothesisScanReport(
         violation_found=idx is not None,
         patterns_enumerated=enumerated,
@@ -993,10 +988,9 @@ def exact_kstep_drift(
 
     Raises ``AbsorbingStateError`` when ``x`` itself is absorbing,
     ``BudgetExceededError`` when ``r ** k`` exceeds ``budget`` and
-    ``ValueError`` when ``budget`` is NaN.
+    ``ValueError`` when ``k`` is not a nonnegative integer or ``budget`` is NaN.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _count(k, "k")
     if budget != budget:  # NaN: no path count would ever exceed it
         raise ValueError("budget must not be NaN")
     net = system.network

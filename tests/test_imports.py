@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and
-importing the package leaves scipy unloaded.
+"""Every name a library module imports is used in that module, every
+module-level private helper is used somewhere in the library, and importing
+the package leaves scipy unloaded.
 
 No linter ships with the test extras, so this walks the syntax tree of each
 module under ``src/crnkit`` (the package ``__init__`` re-exports names on
@@ -17,6 +18,22 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crnkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def names_used(tree: ast.AST) -> set:
+    """The names read under ``tree``, quoted ones included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations and ``__all__`` entries name things too
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return used
+
+
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
     imported = {}
@@ -27,18 +44,45 @@ def unused_imports(source: str) -> list:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # quoted annotations and ``__all__`` entries name things too
-            try:
-                quoted = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    used = names_used(tree)
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _defined(node: ast.stmt) -> list:
+    """The names a top-level definition or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = []
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def dead_helpers(sources: dict) -> list:
+    """(module, line, name) of each module-level private function, class or
+    constant in ``sources`` (module name -> source) that no other top-level
+    statement of any module reads: by name, as an attribute, or imported
+    from its module."""
+    defined, used_by = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            used = names_used(node)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute):
+                    used.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    used |= {alias.name for alias in sub.names}
+            used_by.append((node, used))
+            for name in _defined(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, node, name))
+    return sorted(
+        (module, node.lineno, name)
+        for module, node, name in defined
+        if not any(name in used for other, used in used_by if other is not node)
+    )
 
 
 def test_checker_flags_an_unused_import():
@@ -52,6 +96,30 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_checker_flags_a_dead_helper():
+    sources = {
+        "a": (
+            "_used = 1\n_dead: int = 2\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Quoted: ...\n_read_as_attribute = 3\n__all__ = []\n"
+            "def f(m) -> '_Quoted':\n    return _used + m._read_as_attribute\n"
+        ),
+        "b": "from .c import _imported\n",
+        "c": "def _imported(): ...\n_assigned_twice = 1\n_assigned_twice = 2\n",
+    }
+    assert dead_helpers(sources) == [
+        ("a", 2, "_dead"),
+        ("a", 3, "_recursive"),
+        ("c", 2, "_assigned_twice"),
+        ("c", 3, "_assigned_twice"),
+    ]
+
+
+def test_library_has_no_dead_private_helpers():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_helpers(sources) == []
 
 
 def test_importing_crnkit_does_not_load_scipy():

@@ -630,3 +630,31 @@ def test_mc_drift_freezes_at_absorbing_states():
 def test_mc_drift_needs_enough_replicas_for_an_error_bar():
     with pytest.raises(ValueError, match="replicas"):
         drift_estimate_mc(BD, (5,), 1, replicas=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("k", lambda: drift_estimate_mc(BD, (3,), 2.5, 10)),
+        ("replicas", lambda: drift_estimate_mc(BD, (3,), 2, 10.5)),
+        ("max_jumps", lambda: ssa_simulate(BD, (3,), max_jumps=2.5)),
+        ("replicas", lambda: return_times(
+            BD, (1,), lyapunov_sublevel(5.0), horizon=10.0, replicas=2.5
+        )),
+    ],
+    ids=["drift_mc_k", "drift_mc_replicas", "ssa_max_jumps", "return_times_replicas"],
+)
+def test_non_integral_counts_are_rejected(name, call):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_integral_float_counts_act_as_ints():
+    a = ssa_simulate(BD, (3,), max_jumps=7.0, seed=1)
+    b = ssa_simulate(BD, (3,), max_jumps=np.int64(7), seed=1)
+    assert len(a) == 8 and np.array_equal(a.states, b.states)
+    assert drift_estimate_mc(BD, (3,), 4.0, 10.0, seed=2) == drift_estimate_mc(
+        BD, (3,), 4, 10, seed=2
+    )
+    sweep = return_times(BD, (1,), lyapunov_sublevel(5.0), horizon=10.0, replicas=3.0)
+    assert sweep.replicas == 3 and type(sweep.replicas) is int

@@ -256,6 +256,14 @@ def test_reachable_cap_validation():
         reachable_states(birth_death(), (0,), cap=0)
 
 
+def test_reachable_cap_must_be_an_integer():
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        reachable_states(birth_death(), (0,), cap=2.5)
+    assert reachable_states(birth_death(), (0,), cap=3.0) == reachable_states(
+        birth_death(), (0,), cap=3
+    )
+
+
 def _pooling_system() -> MassActionSystem:
     """2A -> A and A -> 0 share a change, and B -> A + B, declared between
     them, fires first wherever 2A -> A cannot."""

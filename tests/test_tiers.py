@@ -723,6 +723,118 @@ def test_hypothesis_check_dimension_guard():
         hypothesis_check(net)
 
 
+#: First violation at row 10 of the enumeration, after three patterns seen
+#: twice; every row of a chunk past it is clean or repeats a pattern.
+TRAP = "species: A, B, C\nA + B <-> 0 ; k=1, 1\nC <-> 0 ; k=1, 1"
+
+
+def _counted_scans(monkeypatch) -> list:
+    """Wraps ``tiers._scan_chunks``: one entry per scan, the number of
+    chunks it handed out."""
+    scans, real = [], crnkit.tiers._scan_chunks
+
+    def counted(net, enumerated):
+        scans.append(0)
+        for chunk in real(net, enumerated):
+            scans[-1] += 1
+            yield chunk
+
+    monkeypatch.setattr(crnkit.tiers, "_scan_chunks", counted)
+    return scans
+
+
+def _scan_fields(call, net, budget) -> dict:
+    """The fields of one ``scan_patterns`` or ``hypothesis_check`` call,
+    named as in ``oracles.scan_fields_by_labels``."""
+    if call is scan_patterns:
+        family = scan_patterns(net, budget)
+        return {
+            "sequences": family.sequences,
+            "enumerated": family.enumerated,
+            "exhaustive": family.exhaustive,
+        }
+    report = hypothesis_check(net, budget)
+    assert report.violation_found == (report.violating_complex is not None)
+    return {
+        "enumerated": report.patterns_enumerated,
+        "exhaustive": report.exhaustive,
+        "patterns_checked": report.patterns_checked,
+        "violating_sequence": report.violating_sequence,
+        "violating_complex": report.violating_complex,
+    }
+
+
+def test_hypothesis_check_and_scan_patterns_share_one_pass(monkeypatch):
+    scans = _counted_scans(monkeypatch)
+    net = five_complex_cycle().network
+    report = hypothesis_check(net)
+    family = scan_patterns(net)
+    assert len(scans) == 1
+    assert not report.violation_found
+    assert report.patterns_checked == len(family.sequences)
+    # the memo is keyed by the labelings enumerated, not by the budget
+    assert repr(hypothesis_check(net, 10**9)) == repr(report)
+    assert scan_patterns(net, 10**9) == family
+    assert len(scans) == 1
+    hypothesis_check(net, 7)  # a different budget scans again ...
+    scan_patterns(net, 7)  # ... once
+    assert len(scans) == 2
+    assert scan_patterns(net) == family  # the memo holds the last scan only
+    assert len(scans) == 3
+    hypothesis_check(five_complex_cycle().network)  # an equal, other network
+    assert len(scans) == 4
+
+
+def test_a_scan_stopped_at_a_violation_is_not_kept(monkeypatch):
+    scans = _counted_scans(monkeypatch)
+    net = parse(TRAP).network
+    report = hypothesis_check(net)
+    assert report.violation_found and net._scan_memo is None
+    want = scan_fields_by_labels(net, 10**6)
+    assert repr(_scan_fields(scan_patterns, net, 10**6)) == repr(
+        {k: want[k] for k in ("sequences", "enumerated", "exhaustive")}
+    )
+    assert repr(hypothesis_check(net)) == repr(report)
+    assert len(scans) == 2
+
+
+def test_mixed_scan_call_orders_equal_the_label_loop(monkeypatch):
+    # chunks of a few rows, budgets before, at and past the violation and
+    # the whole family; each order starts on a freshly parsed network
+    monkeypatch.setattr(crnkit.tiers, "_SCAN_CHUNK", 7)
+    texts = [
+        TRAP,
+        "species: A, B\n3A <-> B ; k=1, 1\n0 <-> B ; k=1, 1",
+        "species: A, B\nA + B -> 0 ; k=1\n0 -> A + B ; k=1",
+        "species: A, B, C\nA -> B ; k=1\nB -> C ; k=1\nC -> A ; k=1\nA <-> 0 ; k=1, 1",
+    ]
+    S, H = scan_patterns, hypothesis_check
+    for text in texts:
+        for b1, b2 in [(10**6, 9), (10**6, 10), (11, 30), (0, 10**6), (4, 5)]:
+            for order in [
+                [(S, b1), (H, b2), (H, b1)],
+                [(H, b1), (S, b1), (H, b2), (S, b2)],
+                [(H, b2), (H, b1), (S, b2), (S, b1), (H, b2)],
+            ]:
+                net = parse(text).network
+                for call, budget in order:
+                    got = _scan_fields(call, net, budget)
+                    want = scan_fields_by_labels(net, budget)
+                    assert repr(got) == repr({k: want[k] for k in got}), (text, order)
+
+
+def test_hypothesis_check_takes_no_chunk_past_the_violating_one(monkeypatch):
+    chunk = 4
+    monkeypatch.setattr(crnkit.tiers, "_SCAN_CHUNK", chunk)
+    scans = _counted_scans(monkeypatch)
+    report = hypothesis_check(parse(TRAP).network)
+    labels = crnkit.tiers._SCAN_LABELS
+    row = int("".join(str(labels.index(l)) for l in report.violating_sequence.laws), 5)
+    assert row == 10
+    assert scans == [row // chunk + 1]
+    assert row // chunk + 1 < -(-(5**3) // chunk)  # chunks were left
+
+
 # ------------------------------------------------------------ witness path
 
 def test_witness_path_cycle_matches_construction():
@@ -872,6 +984,14 @@ def test_exact_drift_rejects_nan_budget():
     with pytest.raises(ValueError, match="NaN"):
         exact_kstep_drift(CYCLE, (1, 1, 0), 10**9, budget=math.nan)
     assert time.perf_counter() - start < 1.0
+
+
+def test_exact_drift_rejects_a_non_integral_k():
+    with pytest.raises(ValueError, match="k must be an integer"):
+        exact_kstep_drift(birth_death(), (3,), 2.5)
+    assert exact_kstep_drift(birth_death(), (3,), 2.0) == exact_kstep_drift(
+        birth_death(), (3,), 2
+    )
 
 
 def test_exact_drift_long_horizon_needs_no_recursion():
