@@ -64,7 +64,8 @@ def dead_helpers(sources: dict) -> list:
     """(module, line, name) of each module-level private function, class or
     constant in ``sources`` (module name -> source) that no other top-level
     statement of any module reads: by name, as an attribute, or imported
-    from its module."""
+    from its module.  Reads from dead statements do not count, so a chain of
+    dead helpers is flagged whole."""
     defined, used_by = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -78,11 +79,22 @@ def dead_helpers(sources: dict) -> list:
             for name in _defined(node):
                 if name.startswith("_") and not name.startswith("__"):
                     defined.append((module, node, name))
-    return sorted(
-        (module, node.lineno, name)
-        for module, node, name in defined
-        if not any(name in used for other, used in used_by if other is not node)
-    )
+    dead: list = []
+    while True:
+        gone = {id(node) for _, node, _ in dead}
+        more = [
+            (module, node, name)
+            for module, node, name in defined
+            if id(node) not in gone
+            and not any(
+                name in used
+                for other, used in used_by
+                if other is not node and id(other) not in gone
+            )
+        ]
+        if not more:
+            return sorted((module, node.lineno, name) for module, node, name in dead)
+        dead += more
 
 
 def test_checker_flags_an_unused_import():
@@ -107,13 +119,18 @@ def test_checker_flags_a_dead_helper():
             "def f(m) -> '_Quoted':\n    return _used + m._read_as_attribute\n"
         ),
         "b": "from .c import _imported\n",
-        "c": "def _imported(): ...\n_assigned_twice = 1\n_assigned_twice = 2\n",
+        "c": (
+            "def _imported(): ...\n_assigned_twice = 1\n_assigned_twice = 2\n"
+            "def _chain_end(): ...\ndef _chain_start():\n    return _chain_end()\n"
+        ),
     }
     assert dead_helpers(sources) == [
         ("a", 2, "_dead"),
         ("a", 3, "_recursive"),
         ("c", 2, "_assigned_twice"),
         ("c", 3, "_assigned_twice"),
+        ("c", 4, "_chain_end"),
+        ("c", 5, "_chain_start"),
     ]
 
 
