@@ -69,6 +69,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer, and not negative, as numpy requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected non-negative integer, got {seed}")
+    return seed
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -504,7 +515,7 @@ def _parser() -> _Parser:
         default=1e7,
         help="cap on enumerated branches r^k (default 1e7)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_drift)
 
     p = sub.add_parser("simulate", help="sample a trajectory to CSV")
@@ -512,7 +523,7 @@ def _parser() -> _Parser:
     p.add_argument("--x0", required=True, metavar="STATE")
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--jumps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", metavar="CSV", help="write here instead of stdout")
     p.set_defaults(fn=_cmd_simulate)
 
@@ -527,7 +538,7 @@ def _parser() -> _Parser:
         metavar="BOX",
         help='censored-solve mode box, e.g. "0..40" or "0..3,0..3"',
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_stationary)
     return parser
 

@@ -22,11 +22,12 @@ time and one uniform for the reaction choice, drawn in blocks of 4096; the
 embedded-chain sampler shares this discipline, so it visits exactly the
 states of the full simulation with the same seed.
 
-A sampler call works out each state's jump law once: the running sums of
-the rates, the last being their total, kept in a memo by state tuple that
-is emptied whenever it holds ``_MEMO_MAX`` states.  Bisection over the sums picks the
-reaction a linear scan of the rates would, so trajectories are unchanged
-byte for byte.
+A sampler call steps on state tuples and works out each state's jump law
+once: the running sums of the rates, the last being their total, and a slot
+per reaction for the successor state it leads to, filled when first taken.
+The laws sit in a memo by state that is emptied whenever it holds
+``_MEMO_MAX`` states.  Bisection over the sums picks the reaction a linear
+scan of the rates would, so trajectories are unchanged byte for byte.
 """
 
 from __future__ import annotations
@@ -197,9 +198,9 @@ class _StateMemo(dict):
 
 
 def _jump_law(table: tuple, x: State) -> Optional[tuple]:
-    """The running sums of the rates at ``x``, the last being their total;
-    None when ``x`` is absorbing.  A tuple of floats, which the garbage
-    collector stops tracking."""
+    """(running sums of the rates at ``x``, the last being their total, one
+    successor slot per reaction, None until ``_step`` fills it), or None
+    when ``x`` is absorbing."""
     rates, total = _rates(table, x)
     if total == 0.0:
         return None
@@ -208,38 +209,41 @@ def _jump_law(table: tuple, x: State) -> Optional[tuple]:
     for lam in rates:
         acc += lam
         sums.append(acc)
-    return tuple(sums)
+    return tuple(sums), [None] * len(sums)
 
 
 def _step(
-    table: tuple, laws: _StateMemo, x: list, draws: _DrawBlock
-) -> Optional[Tuple[float, tuple]]:
-    """One direct-method jump from ``x``, applied to ``x`` in place.
+    table: tuple, laws: _StateMemo, x: State, draws: _DrawBlock
+) -> Optional[Tuple[float, State]]:
+    """One direct-method jump from the state tuple ``x``: None when ``x`` is
+    absorbing (no draws consumed), otherwise (holding time, next state).
 
-    ``table`` is the system's rate table and ``laws`` the call's memo of
-    ``_jump_law`` over it.  Returns None when ``x`` is absorbing (no draws
-    consumed), otherwise (holding time, sparse change).  The reaction is
-    the first whose running sum exceeds the uniform times the total, else
-    the last.
-    """
-    sums = laws[tuple(x)]
-    if sums is None:
+    ``laws`` is the call's memo of ``_jump_law`` over the rate ``table``.
+    The reaction is the first whose running sum exceeds the uniform times
+    the total, else the last; its successor is built, and checked against
+    ``STATE_COORD_MAX``, the first time it is taken from ``x``."""
+    law = laws[x]
+    if law is None:
         return None
+    sums, successors = law
     total = sums[-1]
     if draws.pos == draws.block:
         draws.refill()
     pos = draws.pos
     draws.pos = pos + 1
-    change = table[bisect_right(sums, draws.unis[pos] * total, 0, len(sums) - 1)][2]
-    for i, c in change:
-        xi = x[i] + c
-        if xi > STATE_COORD_MAX:
-            raise ValueError(
-                f"state coordinate exceeded supported maximum {STATE_COORD_MAX} "
-                "during simulation"
-            )
-        x[i] = xi
-    return draws.exps[pos] / total, change
+    j = bisect_right(sums, draws.unis[pos] * total, 0, len(sums) - 1)
+    y = successors[j]
+    if y is None:
+        y = list(x)
+        for i, c in table[j][2]:
+            y[i] += c
+            if y[i] > STATE_COORD_MAX:
+                raise ValueError(
+                    f"state coordinate exceeded supported maximum {STATE_COORD_MAX} "
+                    "during simulation"
+                )
+        y = successors[j] = tuple(y)
+    return draws.exps[pos] / total, y
 
 
 TERMINATED_MAX_TIME = "max_time"
@@ -291,7 +295,7 @@ def ssa_simulate(
         max_jumps = _count(max_jumps, "max_jumps")
     table = system._rate_table
     dim = system.network.dim
-    x = list(as_state(x0, dim))
+    x = as_state(x0, dim)
     laws = _StateMemo(partial(_jump_law, table))
     budget = _JUMP_BUDGET if max_jumps is None else math.inf
     draws = _DrawBlock(_generator(seed), budget=budget)
@@ -308,7 +312,7 @@ def ssa_simulate(
         if jump is None:
             terminated = TERMINATED_ABSORBED
             break
-        dt = jump[0]
+        dt, x = jump
         if max_time is not None and t + dt > max_time:
             terminated = TERMINATED_MAX_TIME  # the applied jump is not recorded
             break
@@ -427,17 +431,18 @@ def return_times(
     laws = _StateMemo(partial(_jump_law, table))
 
     def run(draws: _DrawBlock) -> Optional[float]:
-        x = list(x_start)
+        x = x_start
         t = 0.0
         left = False
         while True:
             jump = _step(table, laws, x, draws)
             if jump is None:
                 return None  # stuck outside the target (or inside, pre-exit)
-            t += jump[0]
+            dt, x = jump
+            t += dt
             if t > horizon:
                 return None
-            if inside(tuple(x)):
+            if inside(x):
                 if left:
                     return t
             else:
@@ -490,19 +495,19 @@ def occupancy_estimate(
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     table = system._rate_table
-    x = list(as_state(x0, system.network.dim))
+    x = as_state(x0, system.network.dim)
     laws = _StateMemo(partial(_jump_law, table))
     draws = _DrawBlock(_generator(seed), budget=_JUMP_BUDGET)
     weights: Dict[State, float] = {}
     t = 0.0
     while True:
-        here = tuple(x)
         jump = _step(table, laws, x, draws)
         if jump is None or t + jump[0] >= t_max:
-            weights[here] = weights.get(here, 0.0) + (t_max - t)
+            weights[x] = weights.get(x, 0.0) + (t_max - t)
             break
-        weights[here] = weights.get(here, 0.0) + jump[0]
+        weights[x] = weights.get(x, 0.0) + jump[0]
         t += jump[0]
+        x = jump[1]
     support = tuple(sorted(weights))
     probs = np.asarray([weights[s] for s in support], dtype=np.float64)
     probs /= probs.sum()
@@ -625,11 +630,13 @@ def drift_estimate_mc(
     )
 
     def run(draws: _DrawBlock) -> float:
-        state = list(x_start)
+        x = x_start
         for _ in range(k):
-            if _step(table, laws, state, draws) is None:
+            jump = _step(table, laws, x, draws)
+            if jump is None:
                 break
-        return difference[tuple(state)]
+            x = jump[1]
+        return difference[x]
 
     values = np.asarray(
         [run(draws) for draws in _replica_draws(seed, replicas, block)],

@@ -45,7 +45,7 @@ from scipy.sparse.csgraph import connected_components
 
 from crnkit.kinetics import _rates, lyapunov_difference
 from crnkit.network import STATE_COORD_MAX, as_state
-from crnkit.simulate import _DrawBlock
+from crnkit.simulate import _BLOCK, _DrawBlock
 from crnkit.tiers import Grow, _Tail
 
 
@@ -652,6 +652,23 @@ def return_times_by_rates(system, x0, target, horizon: float, replicas: int, see
             else:
                 left = True
     return np.asarray(times, dtype=np.float64), non_returning, landings
+
+
+def drift_mc_by_rates(system, x0, k: int, replicas: int, seed: int):
+    """(mean, standard error) of ``drift_estimate_mc`` by ``step_by_rates``,
+    for k >= 1: replica r walks k jumps from ``x0`` on its spawned stream,
+    drawn in blocks of min(k, _BLOCK)."""
+    table = system._rate_table
+    values = []
+    for r in range(replicas):
+        draws = _DrawBlock(replica_generator(seed, r), min(k, _BLOCK))
+        x = list(x0)
+        for _ in range(k):
+            if step_by_rates(table, x, draws) is None:
+                break
+        values.append(lyapunov_difference(x0, tuple(a - b for a, b in zip(x, x0))))
+    values = np.asarray(values, dtype=np.float64)
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(replicas))
 
 
 def pooled_rates_by_reactions(system, x) -> dict:

@@ -252,6 +252,17 @@ def test_drift_mc_zero_steps_negative_seed_exits_1(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_negative_seed_names_its_flag(capsys):
+    for argv in (
+        ["simulate", BIRTHDEATH, "--x0", "1", "--jumps", "3"],
+        ["drift", BIRTHDEATH, "--x", "5", "--k", "2", "--mc", "10"],
+        ["stationary", BIRTHDEATH, "--x0", "1", "--t-max", "5"],
+    ):
+        assert main([*argv, "--seed", "-1"]) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "argument --seed: expected non-negative integer, got -1" in err, argv[0]
+
+
 def test_drift_along_emits_decreasing_csv(capsys):
     code = main(
         ["drift", CYCLE, "--k", "5", "--along", "A=n,B=1,C=0:10,100,1000"]

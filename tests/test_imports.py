@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-module-level private helper is used somewhere in the library, and importing
-the package leaves scipy unloaded.
+module-level private helper is used somewhere in the library, every test
+oracle is read by a test or by another oracle, and importing the package
+leaves scipy unloaded.
 
 No linter ships with the test extras, so this walks the syntax tree of each
 module under ``src/crnkit`` (the package ``__init__`` re-exports names on
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crnkit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "crnkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -60,12 +62,17 @@ def _defined(node: ast.stmt) -> list:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def dead_helpers(sources: dict) -> list:
-    """(module, line, name) of each module-level private function, class or
-    constant in ``sources`` (module name -> source) that no other top-level
-    statement of any module reads: by name, as an attribute, or imported
-    from its module.  Reads from dead statements do not count, so a chain of
-    dead helpers is flagged whole."""
+def _private(module: str, node: ast.stmt, name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def dead_helpers(sources: dict, checked=_private) -> list:
+    """(module, line, name) of each top-level definition in ``sources``
+    (module name -> source) that ``checked(module, node, name)`` selects,
+    by default the private functions, classes and constants, and that no
+    other top-level statement of any module reads: by name, as an
+    attribute, or imported from its module.  Reads from dead statements do
+    not count, so a chain of dead helpers is flagged whole."""
     defined, used_by = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -77,7 +84,7 @@ def dead_helpers(sources: dict) -> list:
                     used |= {alias.name for alias in sub.names}
             used_by.append((node, used))
             for name in _defined(node):
-                if name.startswith("_") and not name.startswith("__"):
+                if checked(module, node, name):
                     defined.append((module, node, name))
     dead: list = []
     while True:
@@ -137,6 +144,39 @@ def test_checker_flags_a_dead_helper():
 def test_library_has_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_helpers(sources) == []
+
+
+def _oracle(module: str, node: ast.stmt, name: str) -> bool:
+    """The functions and classes of ``oracles.py``."""
+    return module == "oracles.py" and isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    )
+
+
+def test_checker_flags_a_dead_oracle():
+    sources = {
+        "oracles.py": (
+            "LIMIT = 3\ndef read_by_test(): ...\ndef read_by_oracle(): ...\n"
+            "def reader():\n    return read_by_oracle()\n"
+            "def _chain_end(): ...\ndef _chain_start():\n    return _chain_end()\n"
+            "class Unread: ...\n"
+        ),
+        "test_a.py": (
+            "from oracles import read_by_test\nimport oracles\n"
+            "def test_it():\n    return oracles.reader(), read_by_test()\n"
+        ),
+    }
+    assert dead_helpers(sources, _oracle) == [
+        ("oracles.py", 6, "_chain_end"),
+        ("oracles.py", 7, "_chain_start"),
+        ("oracles.py", 9, "Unread"),
+    ]
+
+
+def test_every_oracle_is_read():
+    paths = [TESTS / "oracles.py", *sorted(TESTS.glob("test_*.py"))]
+    sources = {p.name: p.read_text() for p in paths}
+    assert dead_helpers(sources, _oracle) == []
 
 
 def test_importing_crnkit_does_not_load_scipy():

@@ -44,6 +44,7 @@ from crnkit.simulate import (
 )
 from crnkit.tiers import exact_kstep_drift
 from oracles import (
+    drift_mc_by_rates,
     occupancy_by_rates,
     poisson_truncated,
     replica_generator,
@@ -425,20 +426,19 @@ def memo_cases():
     return cases
 
 
-def memo_and_oracle_steps(table):
-    """The memo's step and the per-jump oracle, both as step(x, draws)."""
-    laws = _StateMemo(partial(_jump_law, table))
-    return partial(simulate._step, table, laws), partial(step_by_rates, table)
-
-
 @pytest.mark.parametrize("cap", [None, 2, 8])
 def test_memo_samplers_equal_the_per_jump_oracle(monkeypatch, cap):
-    # caps of 2 and 8 states empty the memo every few jumps
+    # caps of 2 and 8 states empty the memo every few jumps, successor
+    # slots and all
     if cap is not None:
         monkeypatch.setattr(simulate, "_MEMO_MAX", cap)
     for name, system, x0 in memo_cases():
+        cutoff = lyapunov(x0)
         for seed in range(5):
-            for bounds in ({"max_jumps": 300}, {"max_time": 3.0}):
+            all_bounds = [{"max_jumps": 300}, {"max_time": 3.0}]
+            if name == "birth_death":  # the second draw block refills mid-walk
+                all_bounds.append({"max_jumps": 2 * simulate._BLOCK + 7})
+            for bounds in all_bounds:
                 got = ssa_simulate(system, x0, seed=seed, **bounds)
                 times, states, terminated = ssa_by_rates(system, x0, seed, **bounds)
                 assert got.times.tobytes() == times.tobytes(), (name, seed, bounds)
@@ -448,6 +448,18 @@ def test_memo_samplers_equal_the_per_jump_oracle(monkeypatch, cap):
             support, probs = occupancy_by_rates(system, x0, 20.0, seed)
             assert est.support == support, (name, seed)
             assert est.probabilities.tobytes() == probs.tobytes(), (name, seed)
+            got = return_times(
+                system, x0, lyapunov_sublevel(cutoff), horizon=10.0, replicas=6, seed=seed
+            )
+            times, non_returning, _ = return_times_by_rates(
+                system, x0, lambda s: lyapunov(s) <= cutoff, 10.0, 6, seed
+            )
+            assert got.times.tobytes() == times.tobytes(), (name, seed)
+            assert got.non_returning == non_returning, (name, seed)
+            for k in (1, 25):
+                got = drift_estimate_mc(system, x0, k, replicas=6, seed=seed)
+                want = drift_mc_by_rates(system, x0, k, 6, seed)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (name, seed, k)
 
 
 def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
@@ -457,31 +469,39 @@ def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
         "species: A, B\nA -> 0 ; k=1.0\nB -> A ; k=1.0\nA -> 2A ; k=2.0\nB -> 0 ; k=1.0\n"
     )
     table = system._rate_table
+    laws = _StateMemo(partial(_jump_law, table))
+
+    def draws(u):
+        return SimpleNamespace(pos=0, block=1, unis=[u], exps=[1.0])
+
     for u in (0.0, 1 / 3, 0.5, 0.999, 1.0):
-        picks = [
-            step([1, 0], SimpleNamespace(pos=0, block=1, unis=[u], exps=[1.0]))
-            for step in memo_and_oracle_steps(table)
-        ]
-        assert picks[0] == picks[1], u
-    assert picks[0][1] == table[-1][2]
+        x = [1, 0]
+        dt, _ = step_by_rates(table, x, draws(u))
+        # the first step from (1, 0) fills the reaction's successor slot,
+        # the second reads it back
+        for _ in range(2):
+            assert simulate._step(table, laws, (1, 0), draws(u)) == (dt, tuple(x)), u
+    assert tuple(x) == (1, -1)  # (1, 0) moved by the last reaction, B -> 0
 
 
 def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
     # a walk that grows on average, started just below the limit: both
-    # steps raise at the same jump, leaving the same state and draws
+    # steps raise at the same jump, from the same state, after the same draws
     growth = parse("species: S\nS -> 2S ; k=2.0\nS -> 0 ; k=1.0\n")
     table = growth._rate_table
     crossings = []
     for seed in range(5):
-        seen = []
-        for step in memo_and_oracle_steps(table):
-            x, draws = [STATE_COORD_MAX - 2], _DrawBlock(_generator(seed))
-            with pytest.raises(ValueError, match="exceeded supported maximum"):
-                for jumps in range(1000):
-                    step(x, draws)
-            seen.append((jumps, x, draws.pos))
-        assert seen[0] == seen[1]
-        crossings.append(seen[0][0])
+        laws = _StateMemo(partial(_jump_law, table))
+        x, draws = (STATE_COORD_MAX - 2,), _DrawBlock(_generator(seed))
+        with pytest.raises(ValueError, match="exceeded supported maximum"):
+            for jumps in range(1000):
+                x = simulate._step(table, laws, x, draws)[1]
+        y, oracle_draws = [STATE_COORD_MAX - 2], _DrawBlock(_generator(seed))
+        with pytest.raises(ValueError, match="exceeded supported maximum"):
+            for oracle_jumps in range(1000):
+                step_by_rates(table, y, oracle_draws)
+        assert (jumps, x, draws.pos) == (oracle_jumps, tuple(y), oracle_draws.pos)
+        crossings.append(jumps)
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             ssa_simulate(growth, (STATE_COORD_MAX - 2,), max_jumps=10**6, seed=seed)
     assert len(set(crossings)) > 1  # the limit falls at different jumps
