@@ -5,7 +5,7 @@ leaves scipy unloaded.
 
 No linter ships with the test extras, so this walks the syntax tree of each
 module under ``src/crnkit`` (the package ``__init__`` re-exports names on
-purpose and is left out)."""
+purpose and is left out), and of ``tests/oracles.py`` and the test modules."""
 
 import ast
 import os
