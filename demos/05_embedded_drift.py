@@ -5,8 +5,9 @@ chain.  On the five-complex cycle the expected one-step change of V from
 (n, 1, 0) stays positive for every n shown, while the five-step change
 turns negative once n is large: the chain needs a few jumps to convert
 A-mass into the complexes that drain it.  The exact values come from
-enumerating the k-step tree of the embedded chain; the Monte Carlo
-estimate is there to show agreement within its standard error.
+carrying the embedded chain's law forward k steps and averaging the change
+of V over it; the Monte Carlo estimate is there to show agreement within
+its standard error.
 """
 
 from crnkit import drift_estimate_mc, exact_kstep_drift

@@ -513,7 +513,7 @@ def _parser() -> _Parser:
         "--budget",
         type=float,
         default=1e7,
-        help="cap on enumerated branches r^k (default 1e7)",
+        help="cap on the step count k and on the branches r^k (default 1e7)",
     )
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_drift)

@@ -51,9 +51,9 @@ from .errors import (
     TailNotNormalizedError,
     WitnessPathError,
 )
-from .kinetics import _rates, lyapunov_difference
+from .kinetics import _pooled, _rates, lyapunov_difference
 from .network import Complex, MassActionSystem, Reaction, ReactionNetwork
-from .network import _count, _whole, as_state
+from .network import STATE_COORD_MAX, _count, _whole, as_state
 
 __all__ = [
     "Const",
@@ -980,69 +980,59 @@ def exact_kstep_drift(
 ) -> float:
     """Exact expectation of V(Z_k) - V(Z_0) for the embedded chain from ``x``.
 
-    Collects the states reached level by level, then folds expectations back
-    from the last level; zero-rate branches are pruned and branches that
-    reach an absorbing state hold V constant.  Lyapunov differences are
-    accumulated coordinate-wise relative to ``x``, so large states do not
-    lose precision to cancellation.
+    Carries the law ``{state: probability}`` of Z_j forward one step at a
+    time, each state's rates pooled by net change as ``reachable_states``
+    expands it; an absorbing state keeps its mass, so V holds constant.
+    The result sums p * (V(state) - V(x)) over the law of Z_k, each
+    difference taken coordinate-wise relative to ``x`` so that large states
+    do not lose precision to cancellation.
 
     Raises ``AbsorbingStateError`` when ``x`` itself is absorbing,
-    ``BudgetExceededError`` when ``r ** k`` exceeds ``budget`` and
-    ``ValueError`` when ``k`` is not a nonnegative integer or ``budget`` is NaN.
+    ``BudgetExceededError`` when ``r ** k`` paths or ``k`` steps exceed
+    ``budget``, and ``ValueError`` when ``k`` is not a nonnegative integer,
+    ``budget`` is NaN or a state to expand has a coordinate above
+    ``STATE_COORD_MAX``.
     """
     k = _count(k, "k")
     if budget != budget:  # NaN: no path count would ever exceed it
         raise ValueError("budget must not be NaN")
     net = system.network
     x0 = as_state(x, net.dim)
-    table = system._rate_table
+    table, pool, changes = system._rate_table, system._pool, system._changes
     if _rates(table, x0)[1] == 0.0:
         raise AbsorbingStateError(f"state {x0} is absorbing (total rate 0)")
     if k == 0:
         return 0.0
-    # r ** k > budget, decided without building r ** k: k may be huge.
+    # max(r ** k, k) > budget, decided without building r ** k: k may be huge.
     r = len(net.reactions)
     paths = 1
     for _ in range(k):
         if paths > budget or r == 1:
             break
         paths *= r
-    if paths > budget:
+    if max(paths, k) > budget:
         raise BudgetExceededError(
-            f"{r} ** {k} paths exceed the budget of {budget}"
+            f"{k} steps ({r} ** {k} paths) exceed the budget of {budget}"
         )
 
-    changes = [rr.change for rr in net.reactions]
-
-    def rel_v(state: tuple) -> float:
-        return lyapunov_difference(x0, tuple(a - b for a, b in zip(state, x0)))
-
-    # levels[j] maps each state reached after j steps to its _rates; the
-    # states after k steps need only V
-    levels = [{x0: _rates(table, x0)}]
-    for j in range(1, k + 1):
-        level: Dict[tuple, Optional[tuple]] = {}
-        for state, (rates, _total) in levels[-1].items():
-            for lam, ch in zip(rates, changes):
-                if lam != 0.0:
-                    nxt = tuple(a + b for a, b in zip(state, ch))
-                    if nxt not in level:
-                        level[nxt] = _rates(table, nxt) if j < k else None
-        levels.append(level)
-    # fold back, adding terms in reaction order: expected[state] is
-    # E[V(Z_k)] - V(x0) given the state at its level
-    expected = {state: rel_v(state) for state in levels.pop()}
-    for level in reversed(levels):
-        folded = {}
-        for state, (rates, lam_bar) in level.items():
-            out = rel_v(state) if lam_bar == 0.0 else 0.0
-            for lam, ch in zip(rates, changes):
-                if lam != 0.0:
-                    nxt = tuple(a + b for a, b in zip(state, ch))
-                    out += (lam / lam_bar) * expected[nxt]
-            folded[state] = out
-        expected = folded
-    return expected[x0]
+    law = {x0: 1.0}
+    for _ in range(k):
+        nxt: Dict[tuple, float] = {}
+        for state, p in law.items():
+            if max(state, default=0) > STATE_COORD_MAX:
+                as_state(state, net.dim)  # raises
+            rates, total = _rates(table, state)
+            if total == 0.0:
+                nxt[state] = nxt.get(state, 0.0) + p
+                continue
+            for j, lam in _pooled(pool, rates).items():
+                s = tuple(map(operator.add, state, changes[j]))
+                nxt[s] = nxt.get(s, 0.0) + p * (lam / total)
+        law = nxt
+    return sum(
+        p * lyapunov_difference(x0, tuple(map(operator.sub, s, x0)))
+        for s, p in law.items()
+    )
 
 
 # ------------------------------------------------------- textual sequences

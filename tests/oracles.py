@@ -28,6 +28,10 @@ pass; ``MemoFreeTail`` is the tier walks' tail with its static part built
 afresh for every tail, as a check on the per-network memo; and
 ``scan_fields_by_labels`` builds its family through the checking
 ``ParametricSequence`` constructor, as a check on the scan's trusted path.
+``foldback_kstep_drift`` is the exact drift's former two passes, the
+states collected level by level and expectations folded back, as a check
+on the forward pass over the chain's law at depths that full path
+enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -117,6 +121,42 @@ def enum_kstep_drift(system, x, k: int) -> float:
 
     v0 = v_value(tuple(x))
     return recurse(tuple(x), k, 1.0)
+
+
+def foldback_kstep_drift(system, x, k: int) -> float:
+    """Expected V(Z_k) - V(Z_0) of the jump chain as ``exact_kstep_drift``
+    once took it: the states reached are collected level by level with their
+    rates, one successor per reaction, then expectations are folded back
+    from the last level; absorbing intermediates hold V constant."""
+    x0 = tuple(x)
+    table = system._rate_table
+    changes = [r.change for r in system.network.reactions]
+
+    def rel_v(state):
+        return lyapunov_difference(x0, tuple(a - b for a, b in zip(state, x0)))
+
+    levels = [{x0: _rates(table, x0)}]
+    for j in range(1, k + 1):
+        level = {}
+        for state, (rates, _total) in levels[-1].items():
+            for lam, ch in zip(rates, changes):
+                if lam != 0.0:
+                    nxt = tuple(a + b for a, b in zip(state, ch))
+                    if nxt not in level:
+                        level[nxt] = _rates(table, nxt) if j < k else None
+        levels.append(level)
+    expected = {state: rel_v(state) for state in levels.pop()}
+    for level in reversed(levels):
+        folded = {}
+        for state, (rates, lam_bar) in level.items():
+            out = rel_v(state) if lam_bar == 0.0 else 0.0
+            for lam, ch in zip(rates, changes):
+                if lam != 0.0:
+                    nxt = tuple(a + b for a, b in zip(state, ch))
+                    out += (lam / lam_bar) * expected[nxt]
+            folded[state] = out
+        expected = folded
+    return expected[x0]
 
 
 def transitive_closure_weakly_reversible(net) -> bool:

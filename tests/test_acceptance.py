@@ -287,6 +287,17 @@ def test_pattern_scan_matches_per_labeling_oracle(corpus):
         binary_ring(5),
         # A appears only in 3A, which A = 2 leaves vanishing as A = 0 does
         parse("species: A, B\n3A <-> B ; k=1, 1\n0 <-> B ; k=1, 1").network,
+        # degrees past int64, keyed in 63-bit limbs; the parser caps entries
+        # at 999, so this one is built by hand
+        ReactionNetwork.from_reactions(
+            ("A", "B"),
+            [
+                Reaction(Complex((2**62, 0)), Complex((0, 1))),
+                Reaction(Complex((0, 1)), Complex((2**62, 0))),
+                Reaction(Complex((0, 0)), Complex((1, 0))),
+                Reaction(Complex((1, 0)), Complex((0, 0))),
+            ],
+        ),
     ]
     hits = 0
     for net in nets:

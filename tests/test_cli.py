@@ -300,6 +300,18 @@ def test_drift_huge_k_is_refused_by_the_budget(capsys):
     assert "budget" in captured.err.lower()
 
 
+def test_drift_huge_k_on_one_reaction_is_refused_promptly(capsys, tmp_path):
+    # one reaction has one path of any length; the step count meets the budget
+    crn = tmp_path / "birth.crn"
+    crn.write_text("0 -> S ; k=1\n")
+    start = time.perf_counter()
+    code = main(["drift", str(crn), "--x", "0", "--k", "1000000000"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "1000000000 steps" in captured.err
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf"])
 def test_drift_rejects_non_finite_budget(capsys, budget):
     start = time.perf_counter()
@@ -552,9 +564,10 @@ def test_module_entry_point_runs_as_subprocess():
     assert json.loads(result.stdout)["verdict"]["verdict"] == "PositiveRecurrent"
 
 
-@pytest.mark.parametrize("demo", ["02_parsing_networks.py", "04_tier_analysis.py"])
+@pytest.mark.parametrize(
+    "demo", [p.name for p in sorted((REPO / "demos").glob("0*.py"))]
+)
 def test_demo_runs_as_subprocess(demo):
-    # these demos call serialize and hypothesis_check
     result = subprocess.run(
         [sys.executable, str(REPO / "demos" / demo)],
         capture_output=True,

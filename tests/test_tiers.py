@@ -3,7 +3,9 @@ pattern scan, and exact embedded drift.
 
 The numeric cross-checks classify complexes by measured intensity growth at
 two widely separated indices (``oracles.numeric_tier_partition``) and
-re-derive drift values by full path enumeration (``oracles.enum_kstep_drift``).
+re-derive drift values by full path enumeration (``oracles.enum_kstep_drift``)
+and, at depths enumeration cannot reach, by the former level-by-level
+fold-back (``oracles.foldback_kstep_drift``).
 """
 
 import math
@@ -37,6 +39,7 @@ from crnkit.errors import (
     TailNotNormalizedError,
     WitnessPathError,
 )
+from crnkit.network import STATE_COORD_MAX
 from crnkit.kinetics import (
     embedded_step_distribution,
     generator_applied,
@@ -70,6 +73,7 @@ from oracles import (
     ScratchTail,
     coefficient_path_limit,
     enum_kstep_drift,
+    foldback_kstep_drift,
     generator_by_reactions,
     law_value_fraction,
     minimal_start_bisection,
@@ -959,7 +963,8 @@ def test_exact_drift_budget_guard_refuses_huge_k_promptly():
 
 
 def test_exact_drift_budget_guard_is_exact():
-    # refused iff r ** k > budget, for r = 1, 2 and 5 reactions
+    # refused iff r ** k > budget, for r = 2 and 5 reactions; with one
+    # reaction r ** k is 1, so refused iff max(r ** k, k) > budget
     for sys_, x in [
         (pure_birth(), (0,)),
         (reversible_isomers(), (2, 0)),
@@ -967,8 +972,9 @@ def test_exact_drift_budget_guard_is_exact():
     ]:
         r = len(sys_.network.reactions)
         for k in range(1, 6):
-            for budget in (0, r**k - 1, r**k):
-                if r**k > budget:
+            budgets = (0, r**k - 1, r**k) + ((k - 1, k) if r == 1 else ())
+            for budget in budgets:
+                if (max(r**k, k) if r == 1 else r**k) > budget:
                     with pytest.raises(BudgetExceededError):
                         exact_kstep_drift(sys_, x, k, budget=budget)
                 else:
@@ -977,6 +983,14 @@ def test_exact_drift_budget_guard_is_exact():
                     )
     with pytest.raises(BudgetExceededError):
         exact_kstep_drift(pure_birth(), (0,), 10**9, budget=0)
+
+
+def test_exact_drift_one_reaction_refuses_more_steps_than_the_budget_promptly():
+    # r ** k is 1 for every k; the step count alone must meet the budget
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="1000000000 steps"):
+        exact_kstep_drift(pure_birth(), (0,), 10**9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_drift_rejects_nan_budget():
@@ -1010,6 +1024,27 @@ def test_exact_drift_absorbing_branch_freezes_v():
     for k in (1, 2, 5):
         got = exact_kstep_drift(sys_, (1, 0), k)
         assert got == pytest.approx(lyapunov((0, 1)) - v0, abs=1e-14)
+
+
+def test_exact_drift_matches_the_foldback_oracle_beyond_enumeration():
+    # 8 ** 8, 5 ** 12 and 2 ** 30 paths: out of reach of full enumeration
+    for sys_, x, k in [
+        (creation_annihilation_loop(), (50, 50, 50), 8),
+        (CYCLE, (50, 1, 0), 12),
+        (birth_death(2.0, 1.0), (3,), 30),
+    ]:
+        assert exact_kstep_drift(sys_, x, k, budget=10**10) == pytest.approx(
+            foldback_kstep_drift(sys_, x, k), rel=1e-12
+        )
+
+
+def test_exact_drift_raises_past_the_coordinate_limit():
+    # the start may sit at the limit; expanding a state above it raises
+    top = (STATE_COORD_MAX,)
+    assert exact_kstep_drift(pure_birth(), top, 1) == lyapunov_difference(top, (1,))
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            exact_kstep_drift(pure_birth(), top, k)
 
 
 # --------------------------------------------------------------- seq specs
