@@ -512,8 +512,9 @@ def _parser() -> _Parser:
     p.add_argument(
         "--budget",
         type=float,
-        default=1e7,
-        help="cap on the step count k and on the branches r^k (default 1e7)",
+        default=1e6,
+        help="cap on the (state, level) pairs of an exact drift, at least k "
+        "(default 1e6)",
     )
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_drift)

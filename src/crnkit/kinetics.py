@@ -8,16 +8,21 @@ generator applied to the Lyapunov function
 
     V(x) = sum_i (x_i (log x_i - 1) + 1),        with 0 log 0 = 0,
 
-and finite-path probabilities of the embedded chain.
+and finite-path probabilities of the embedded chain.  Every rate comes from
+``_rates``, and every exact routine (here, in ``structure``, ``tiers`` and
+``simulate``) expands a state through ``_moves``: its successors, each with
+the summed rate of the reactions that reach it.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import AbsorbingStateError
-from .network import Complex, MassActionSystem, Reaction, State, _whole, as_state
+from .network import STATE_COORD_MAX, Complex, MassActionSystem, Reaction, State
+from .network import _whole, as_state
 
 __all__ = [
     "intensity",
@@ -56,14 +61,22 @@ def _rates(table, x) -> Tuple[List[float], float]:
     return rates, total
 
 
-def _pooled(pool: tuple, rates: List[float]) -> Dict[int, float]:
-    """The positive ``rates`` summed by net change, keyed by the change's
-    position in the system's ``_changes`` (``pool`` is its ``_pool``), in
-    order of each change's first positive rate."""
-    out: Dict[int, float] = {}
-    for k, lam in zip(pool, rates):
+def _moves(system: MassActionSystem, x: State) -> Dict[State, float]:
+    """Successor state -> summed positive rate at the state tuple ``x``.
+
+    Reactions share a successor exactly when they share a net change, so
+    their rates pool, summed in reaction order; successors come in the order
+    of their first positive rate.  Raises ``as_state``'s ``ValueError`` when
+    ``x`` has a coordinate above ``STATE_COORD_MAX``.
+    """
+    if max(x, default=0) > STATE_COORD_MAX:
+        as_state(x, len(x))  # raises
+    rates, _ = _rates(system._rate_table, x)
+    out: Dict[State, float] = {}
+    for r, lam in zip(system.network.reactions, rates):
         if lam > 0.0:
-            out[k] = out.get(k, 0.0) + lam
+            s = tuple(map(add, x, r.change))
+            out[s] = out.get(s, 0.0) + lam
     return out
 
 
@@ -93,12 +106,12 @@ def total_rate(system: MassActionSystem, x: Iterable[int]) -> float:
 def transition_rates(system: MassActionSystem, x: Iterable[int]) -> Dict[State, float]:
     """Aggregate rate of each net jump vector at ``x``.
 
-    Reactions sharing the same net change pool their rates.  Jumps with zero
+    The jumps of ``_moves``: reactions sharing the same net change pool their
+    rates, and each change is its successor minus ``x``.  Jumps with zero
     rate are omitted, so an absorbing state yields an empty dict.
     """
-    rates, _ = _rates(system._rate_table, as_state(x, system.network.dim))
-    changes = system._changes
-    return {changes[k]: lam for k, lam in _pooled(system._pool, rates).items()}
+    xs = as_state(x, system.network.dim)
+    return {tuple(map(sub, s, xs)): lam for s, lam in _moves(system, xs).items()}
 
 
 def _f(t: int) -> float:
@@ -181,14 +194,11 @@ def embedded_step_distribution(
     Raises ``AbsorbingStateError`` when the total rate is zero.
     """
     xs = as_state(x, system.network.dim)
-    rates = transition_rates(system, xs)
-    lam_bar = sum(rates.values())
+    moves = _moves(system, xs)
+    lam_bar = sum(moves.values())
     if lam_bar == 0.0:
         raise AbsorbingStateError(f"state {xs} is absorbing (total rate 0)")
-    return {
-        tuple(xi + hi for xi, hi in zip(xs, h)): lam / lam_bar
-        for h, lam in rates.items()
-    }
+    return {s: lam / lam_bar for s, lam in moves.items()}
 
 
 def path_probability(

@@ -304,14 +304,6 @@ class MassActionSystem:
             )
             for r, k in zip(network.reactions, rates)
         )
-        # Reactions pooled by net change: ``_changes`` lists the distinct
-        # changes in order of first appearance, ``_pool`` maps each reaction
-        # to its change's position there.
-        changes: dict = {}
-        self._pool = tuple(
-            changes.setdefault(r.change, len(changes)) for r in network.reactions
-        )
-        self._changes = tuple(changes)
 
     def rate_constant(self, reaction: Reaction) -> float:
         """Rate constant of ``reaction``; KeyError if not in the network."""

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from .errors import AmbiguousRegionError, BudgetExceededError
-from .kinetics import _f, _pooled, _rates, lyapunov, lyapunov_difference
+from .kinetics import _f, _moves, _rates, lyapunov, lyapunov_difference
 from .network import STATE_COORD_MAX, MassActionSystem, State, _count, as_state
 
 __all__ = [
@@ -525,9 +525,10 @@ def truncated_stationary(
 ) -> StationaryEstimate:
     """Stationary distribution of the chain censored to a finite region.
 
-    Transitions leaving the region are discarded (their rate is dropped, not
-    redirected).  The censored chain must have exactly one closed
-    communicating class inside the region, else ``AmbiguousRegionError``.
+    Each state's transitions are its ``kinetics._moves``; those leaving the
+    region are discarded (their rate is dropped, not redirected).  The
+    censored chain must have exactly one closed communicating class inside
+    the region, else ``AmbiguousRegionError``.
     Its law comes from sparse direct solves: one with the normalization in
     place of a balance equation locates the most probable state; with pi
     fixed to 1 there, the other balance equations form a nonsingular
@@ -544,12 +545,11 @@ def truncated_stationary(
         raise ValueError("region is empty")
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
-    table, pool, changes = system._rate_table, system._pool, system._changes
     rows, cols, vals = [], [], []
     for i, s in enumerate(states):
-        # jumps are pooled by (nonzero) net change: no (i, j) pair repeats
-        for k, lam in _pooled(pool, _rates(table, s)[0]).items():
-            j = index.get(tuple(a + b for a, b in zip(s, changes[k])))
+        # successors are distinct and differ from s: no (i, j) pair repeats
+        for t, lam in _moves(system, s).items():
+            j = index.get(t)
             if j is not None:
                 rows.append(i)
                 cols.append(j)

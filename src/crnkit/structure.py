@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import add
 from typing import Iterable, Optional
 
-from .kinetics import _pooled, _rates
+from .kinetics import _moves
 from .network import (
-    STATE_COORD_MAX,
     Complex,
     MassActionSystem,
     ReactionNetwork,
@@ -223,16 +221,13 @@ def reachable_states(
     """Explore the set of states reachable from ``x0`` by positive-rate jumps.
 
     Breadth-first search; stops enqueueing new states once ``cap`` states
-    have been collected and marks the report truncated.  Each state is
-    expanded from the rate table: its rates pooled by net change, one
-    successor per change with a positive rate, in the order and with the
-    sums of ``transition_rates``.  Expanding a state with a coordinate above
-    ``STATE_COORD_MAX`` raises ``ValueError``.
+    have been collected and marks the report truncated.  Each state expands
+    through ``kinetics._moves``, in the order and with the pooled rates of
+    ``transition_rates``; its total rate is the sum of those.  Expanding a
+    state with a coordinate above ``STATE_COORD_MAX`` raises ``ValueError``.
     """
     cap = _count(cap, "cap", 1)
-    dim = system.network.dim
-    table, pool, changes = system._rate_table, system._pool, system._changes
-    start = as_state(x0, dim)
+    start = as_state(x0, system.network.dim)
     seen = {start}
     queue = deque([start])
     absorbing = set()
@@ -240,17 +235,14 @@ def reachable_states(
     truncated = False
     while queue:
         x = queue.popleft()
-        if max(x, default=0) > STATE_COORD_MAX:
-            as_state(x, dim)  # raises
-        pooled = _pooled(pool, _rates(table, x)[0])
-        if not pooled:
+        moves = _moves(system, x)
+        if not moves:
             absorbing.add(x)
             continue
-        tot = sum(pooled.values())
+        tot = sum(moves.values())
         if min_rate is None or tot < min_rate:
             min_rate = tot
-        for k in pooled:
-            nxt = tuple(map(add, x, changes[k]))
+        for nxt in moves:
             if nxt not in seen:
                 if len(seen) >= cap:
                     truncated = True

@@ -51,9 +51,9 @@ from .errors import (
     TailNotNormalizedError,
     WitnessPathError,
 )
-from .kinetics import _pooled, _rates, lyapunov_difference
+from .kinetics import _moves, lyapunov_difference
 from .network import Complex, MassActionSystem, Reaction, ReactionNetwork
-from .network import STATE_COORD_MAX, _count, _whole, as_state
+from .network import _count, _whole, as_state
 
 __all__ = [
     "Const",
@@ -180,7 +180,7 @@ def _check_constants(laws: tuple, offset) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParametricSequence:
     """State sequence x_n with per-coordinate laws, offsets, and start index.
 
@@ -216,15 +216,18 @@ class ParametricSequence:
         n = _whole(start)
         if n is None or n < 1:
             raise InvalidSequenceError(f"start index must be an integer >= 1, got {start}")
-        start = _minimal_start(laws, offset, n, -1)
-        vars(self).update(laws=laws, offset=offset, start=start)
+        object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "start", _minimal_start(laws, offset, n, -1))
 
     @classmethod
     def _trusted(cls, laws: tuple, offset: tuple, start: int) -> "ParametricSequence":
         """A sequence from parts already known to be valid, ``start`` already
         at least the minimal start: no checks."""
         seq = object.__new__(cls)
-        vars(seq).update(laws=laws, offset=offset, start=start)
+        object.__setattr__(seq, "laws", laws)
+        object.__setattr__(seq, "offset", offset)
+        object.__setattr__(seq, "start", start)
         return seq
 
     @property
@@ -976,59 +979,54 @@ def exact_kstep_drift(
     system: MassActionSystem,
     x,
     k: int,
-    budget: int = 10**7,
+    budget: int = 10**6,
 ) -> float:
     """Exact expectation of V(Z_k) - V(Z_0) for the embedded chain from ``x``.
 
     Carries the law ``{state: probability}`` of Z_j forward one step at a
-    time, each state's rates pooled by net change as ``reachable_states``
-    expands it; an absorbing state keeps its mass, so V holds constant.
-    The result sums p * (V(state) - V(x)) over the law of Z_k, each
-    difference taken coordinate-wise relative to ``x`` so that large states
-    do not lose precision to cancellation.
+    time, each state expanded by ``kinetics._moves`` and each successor
+    taking its pooled rate over their sum; an absorbing state keeps its
+    mass, so V holds constant.  The result sums p * (V(state) - V(x)) over
+    the law of Z_k, each difference taken coordinate-wise relative to ``x``
+    so that large states do not lose precision to cancellation.
 
     Raises ``AbsorbingStateError`` when ``x`` itself is absorbing,
-    ``BudgetExceededError`` when ``r ** k`` paths or ``k`` steps exceed
-    ``budget``, and ``ValueError`` when ``k`` is not a nonnegative integer,
+    ``BudgetExceededError`` as soon as the (state, level) pairs collected,
+    the sizes of the laws of Z_1, ..., Z_k, exceed ``budget`` (each law holds
+    a state, so ``k`` above it is refused up front), and ``ValueError`` when ``k`` is not a nonnegative integer,
     ``budget`` is NaN or a state to expand has a coordinate above
     ``STATE_COORD_MAX``.
     """
     k = _count(k, "k")
-    if budget != budget:  # NaN: no path count would ever exceed it
+    if budget != budget:  # NaN: no pair count would ever exceed it
         raise ValueError("budget must not be NaN")
-    net = system.network
-    x0 = as_state(x, net.dim)
-    table, pool, changes = system._rate_table, system._pool, system._changes
-    if _rates(table, x0)[1] == 0.0:
+    x0 = as_state(x, system.network.dim)
+    if not _moves(system, x0):
         raise AbsorbingStateError(f"state {x0} is absorbing (total rate 0)")
     if k == 0:
         return 0.0
-    # max(r ** k, k) > budget, decided without building r ** k: k may be huge.
-    r = len(net.reactions)
-    paths = 1
-    for _ in range(k):
-        if paths > budget or r == 1:
-            break
-        paths *= r
-    if max(paths, k) > budget:
-        raise BudgetExceededError(
-            f"{k} steps ({r} ** {k} paths) exceed the budget of {budget}"
-        )
+    if k > budget:
+        raise BudgetExceededError(f"{k} steps exceed the budget of {budget}")
 
     law = {x0: 1.0}
-    for _ in range(k):
+    pairs = 0
+    for step in range(1, k + 1):
         nxt: Dict[tuple, float] = {}
         for state, p in law.items():
-            if max(state, default=0) > STATE_COORD_MAX:
-                as_state(state, net.dim)  # raises
-            rates, total = _rates(table, state)
-            if total == 0.0:
+            moves = _moves(system, state)
+            if not moves:
                 nxt[state] = nxt.get(state, 0.0) + p
                 continue
-            for j, lam in _pooled(pool, rates).items():
-                s = tuple(map(operator.add, state, changes[j]))
+            total = sum(moves.values())
+            for s, lam in moves.items():
                 nxt[s] = nxt.get(s, 0.0) + p * (lam / total)
         law = nxt
+        pairs += len(law)
+        if pairs > budget:
+            raise BudgetExceededError(
+                f"{pairs} (state, level) pairs after {step} of {k} steps "
+                f"exceed the budget of {budget}"
+            )
     return sum(
         p * lyapunov_difference(x0, tuple(map(operator.sub, s, x0)))
         for s, p in law.items()

@@ -123,6 +123,30 @@ def enum_kstep_drift(system, x, k: int) -> float:
     return recurse(tuple(x), k, 1.0)
 
 
+def kstep_drift_pairs(system, x, k: int) -> int:
+    """Distinct (state, level) pairs in the laws of Z_1, ..., Z_k of the jump
+    chain from ``x``: each level is the set of successors, one per reaction
+    with positive hand-computed intensity, of the one before; an absorbing
+    state stays put."""
+    reactions = system.network.reactions
+    level = {tuple(x)}
+    pairs = 0
+    for _ in range(k):
+        nxt = set()
+        for state in level:
+            live = [
+                r.change for r in reactions
+                if hand_intensity(r.source.coeffs, state) > 0.0
+            ]
+            if not live:
+                nxt.add(state)
+            for h in live:
+                nxt.add(tuple(a + b for a, b in zip(state, h)))
+        level = nxt
+        pairs += len(level)
+    return pairs
+
+
 def foldback_kstep_drift(system, x, k: int) -> float:
     """Expected V(Z_k) - V(Z_0) of the jump chain as ``exact_kstep_drift``
     once took it: the states reached are collected level by level with their

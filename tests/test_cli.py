@@ -278,12 +278,14 @@ def test_drift_along_emits_decreasing_csv(capsys):
 
 
 def test_drift_budget_violation_reports_bound(capsys):
+    # the cycle from (3,1,0) collects 1001 (state, level) pairs in 12 steps
     code = main(
-        ["drift", CYCLE, "--x", "3,1,0", "--k", "9", "--budget", "1000"]
+        ["drift", CYCLE, "--x", "3,1,0", "--k", "12", "--budget", "1000"]
     )
     captured = capsys.readouterr()
     assert code == 1
     assert "budget" in captured.err.lower()
+    assert "1001 (state, level) pairs" in captured.err
 
 
 def test_drift_long_horizon_on_one_reaction(capsys, tmp_path):

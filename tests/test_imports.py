@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, every
-module-level private helper is used somewhere in the library, every test
-oracle is read by a test or by another oracle, and importing the package
-leaves scipy unloaded.
+module-level private helper and private instance attribute is used somewhere
+in the library, every test oracle is read by a test or by another oracle, and
+importing the package leaves scipy unloaded.
 
 No linter ships with the test extras, so this walks the syntax tree of each
 module under ``src/crnkit`` (the package ``__init__`` re-exports names on
@@ -144,6 +144,45 @@ def test_checker_flags_a_dead_helper():
 def test_library_has_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_helpers(sources) == []
+
+
+def unread_attributes(sources: dict) -> list:
+    """(module, line, name) of each private attribute assigned to ``self``
+    (``self._x = ...``) in ``sources`` that no module reads as an
+    attribute."""
+    assigned, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif (
+                isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and _private(module, node, node.attr)
+            ):
+                assigned.append((module, node.lineno, node.attr))
+    return sorted(a for a in assigned if a[2] not in read)
+
+
+def test_checker_flags_an_unread_attribute():
+    sources = {
+        "a": (
+            "class A:\n    def __init__(self):\n"
+            "        self._read = 1\n        self._unread = 2\n"
+            "        self.public = 3\n        self._read_elsewhere: int = 4\n"
+            "        self.__dunder__ = 5\n"
+            "    def f(self):\n        return self._read\n"
+        ),
+        "b": "def g(a):\n    a._stored_only = 0\n    return a._read_elsewhere\n",
+    }
+    assert unread_attributes(sources) == [("a", 4, "_unread")]
+
+
+def test_library_reads_every_private_attribute():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_attributes(sources) == []
 
 
 def _oracle(module: str, node: ast.stmt, name: str) -> bool:

@@ -24,7 +24,7 @@ from crnkit.structure import (
     species_complex_condition,
     theorem_verdict,
 )
-from crnkit.kinetics import transition_rates
+from crnkit.kinetics import _moves, transition_rates
 from crnkit.network import STATE_COORD_MAX
 from oracles import (
     linkage_classes_csgraph,
@@ -296,6 +296,45 @@ def test_transition_rates_equal_the_per_reaction_oracle():
     # the pooled changes come in order of their first positive rate
     order = list(transition_rates(_pooling_system(), (1, 1)))
     assert order == [(1, 0), (-1, 0), (0, -1)]
+
+
+def test_moves_pool_as_the_per_reaction_oracle():
+    catalog = [
+        five_complex_cycle(),
+        creation_annihilation_loop(),
+        three_class_network(),
+        birth_death(),
+        pure_birth(),
+        reversible_isomers(),
+        pair_annihilation(),
+    ]
+    for system in [_pooling_system(), *catalog]:
+        dim = system.network.dim
+        for x in [(0,) * dim, (1,) * dim, (2,) * dim, tuple(range(3, dim + 3))]:
+            want = [
+                (tuple(a + b for a, b in zip(x, h)), repr(v))
+                for h, v in pooled_rates_by_reactions(system, x).items()
+            ]
+            assert [(s, repr(v)) for s, v in _moves(system, x).items()] == want
+    # 2A -> A and A -> 0 reach one successor, summed in reaction order
+    moves = _moves(_pooling_system(), (2, 1))
+    assert list(moves.items()) == [
+        ((1, 1), 0.3 * 2 + 0.1 * 2),
+        ((3, 1), 1.7),
+        ((2, 0), 2.9),
+    ]
+    assert list(_moves(_pooling_system(), (1, 1))) == [(2, 1), (0, 1), (1, 0)]
+
+
+def test_moves_raise_past_the_coordinate_limit():
+    assert _moves(birth_death(), (STATE_COORD_MAX,)) == {
+        (STATE_COORD_MAX + 1,): 1.0,
+        (STATE_COORD_MAX - 1,): float(STATE_COORD_MAX),
+    }
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        _moves(birth_death(), (STATE_COORD_MAX + 1,))
+    with pytest.raises(ValueError, match="exceeds supported maximum"):
+        _moves(_pooling_system(), (0, STATE_COORD_MAX + 1))
 
 
 def _reach_fields(system, x0, cap):

@@ -75,6 +75,7 @@ from oracles import (
     enum_kstep_drift,
     foldback_kstep_drift,
     generator_by_reactions,
+    kstep_drift_pairs,
     law_value_fraction,
     minimal_start_bisection,
     numeric_tier_partition,
@@ -84,6 +85,7 @@ from oracles import (
 )
 from test_acceptance import random_theorem_network
 from test_network import DEMO_NETWORKS
+from test_structure import _pooling_system
 
 CYCLE = five_complex_cycle()
 CYCLE_SEQ = ParametricSequence((Grow(), Const(1), Const(0)))
@@ -951,8 +953,9 @@ def test_exact_drift_absorbing_raises():
 
 
 def test_exact_drift_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        exact_kstep_drift(reversible_isomers(), (2, 0), 30, budget=10**6)
+    # birth-death from 5 collects 253k (state, level) pairs in 1000 steps
+    with pytest.raises(BudgetExceededError, match="pairs after"):
+        exact_kstep_drift(birth_death(), (5,), 1000, budget=10**5)
 
 
 def test_exact_drift_budget_guard_refuses_huge_k_promptly():
@@ -963,18 +966,18 @@ def test_exact_drift_budget_guard_refuses_huge_k_promptly():
 
 
 def test_exact_drift_budget_guard_is_exact():
-    # refused iff r ** k > budget, for r = 2 and 5 reactions; with one
-    # reaction r ** k is 1, so refused iff max(r ** k, k) > budget
+    # refused iff the (state, level) pairs collected exceed the budget, for
+    # 1, 2 and 5 reactions; each level holds a state, so k is never more
     for sys_, x in [
         (pure_birth(), (0,)),
         (reversible_isomers(), (2, 0)),
         (CYCLE, (3, 1, 0)),
     ]:
-        r = len(sys_.network.reactions)
         for k in range(1, 6):
-            budgets = (0, r**k - 1, r**k) + ((k - 1, k) if r == 1 else ())
-            for budget in budgets:
-                if (max(r**k, k) if r == 1 else r**k) > budget:
+            pairs = kstep_drift_pairs(sys_, x, k)
+            assert pairs >= k
+            for budget in sorted({0, k - 1, k, pairs - 1, pairs}):
+                if pairs > budget:
                     with pytest.raises(BudgetExceededError):
                         exact_kstep_drift(sys_, x, k, budget=budget)
                 else:
@@ -983,6 +986,16 @@ def test_exact_drift_budget_guard_is_exact():
                     )
     with pytest.raises(BudgetExceededError):
         exact_kstep_drift(pure_birth(), (0,), 10**9, budget=0)
+
+
+def test_exact_drift_pools_shared_changes_as_the_enumeration():
+    # the pooled total is summed in successor order, not reaction order
+    system = _pooling_system()
+    for x in [(1, 1), (2, 1), (3, 2), (0, 3)]:
+        for k in (1, 2, 4):
+            assert exact_kstep_drift(system, x, k) == pytest.approx(
+                enum_kstep_drift(system, x, k), abs=1e-12
+            )
 
 
 def test_exact_drift_one_reaction_refuses_more_steps_than_the_budget_promptly():
@@ -1009,7 +1022,7 @@ def test_exact_drift_rejects_a_non_integral_k():
 
 
 def test_exact_drift_long_horizon_needs_no_recursion():
-    # one reaction passes the r ** k budget for any k
+    # one reaction collects one pair a level: 5000 pairs
     got = exact_kstep_drift(pure_birth(), (0,), 5000)
     assert got == lyapunov_difference((0,), (5000,))
 
@@ -1027,13 +1040,15 @@ def test_exact_drift_absorbing_branch_freezes_v():
 
 
 def test_exact_drift_matches_the_foldback_oracle_beyond_enumeration():
-    # 8 ** 8, 5 ** 12 and 2 ** 30 paths: out of reach of full enumeration
+    # 8 ** 9, 5 ** 12 and 2 ** 30 paths: out of reach of full enumeration,
+    # but within the default budget of (state, level) pairs
     for sys_, x, k in [
-        (creation_annihilation_loop(), (50, 50, 50), 8),
+        (creation_annihilation_loop(), (50, 50, 50), 9),
         (CYCLE, (50, 1, 0), 12),
         (birth_death(2.0, 1.0), (3,), 30),
+        (birth_death(), (5,), 30),
     ]:
-        assert exact_kstep_drift(sys_, x, k, budget=10**10) == pytest.approx(
+        assert exact_kstep_drift(sys_, x, k) == pytest.approx(
             foldback_kstep_drift(sys_, x, k), rel=1e-12
         )
 
