@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .errors import CRNError
@@ -80,25 +80,17 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+def _load(path: str) -> Tuple[MassActionSystem, dict]:
+    """The network in the file at ``path`` and the report envelope naming
+    it, both from one read: the SHA-256 is that of the bytes parsed."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _load(path: str) -> MassActionSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
-def _envelope(path: str) -> dict:
-    return {
+        data = fh.read()
+    envelope = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "crnkit", "version": __version__},
-        "input": {"path": path, "sha256": _sha256(path)},
+        "input": {"path": path, "sha256": hashlib.sha256(data).hexdigest()},
     }
+    return parse(data.decode("utf-8")), envelope
 
 
 def _emit(report: dict, out: TextIO) -> None:
@@ -196,12 +188,11 @@ def _parse_path_flag(text: str, system: MassActionSystem):
 
 
 def _cmd_analyze(args) -> int:
-    system = _load(args.file)
+    system, report = _load(args.file)
     net = system.network
     species = net.species
     verdict = theorem_verdict(net)
     partition = linkage_classes(net)
-    report = _envelope(args.file)
     report["network"] = {
         "species": list(species),
         "n_species": len(species),
@@ -263,13 +254,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_tiers(args) -> int:
-    system = _load(args.file)
+    system, report = _load(args.file)
     net = system.network
     species = net.species
     seq = parse_sequence_spec(args.seq, species).normalized_for(net)
     dpart = d_partition(net, seq)
     spart = s_partition(net, seq)
-    report = _envelope(args.file)
     report["sequence"] = {
         "spec": _render_sequence(seq, species),
         "start": seq.start,
@@ -297,13 +287,15 @@ def _cmd_tiers(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    system = _load(args.file)
+    system, report = _load(args.file)
     net = system.network
     species = net.species
     if args.mc is not None and args.along is not None:
         raise _UsageError("--along computes exact drifts; drop --mc")
     if not math.isfinite(args.budget):
         raise _UsageError(f"--budget must be finite, got {args.budget}")
+    # pairs and k are integers, and an integer n exceeds b iff it exceeds floor(b)
+    budget = math.floor(args.budget)
     if args.along is not None:
         spec, _, tail = args.along.partition(":")
         if not tail:
@@ -315,7 +307,7 @@ def _cmd_drift(args) -> int:
             raise _UsageError(f"--along index list {tail!r} must be integers")
         drifts = (
             exact_kstep_drift(
-                system, seq.evaluate(max(n, seq.start)), args.k, budget=args.budget
+                system, seq.evaluate(max(n, seq.start)), args.k, budget=budget
             )
             for n in ns
         )
@@ -326,7 +318,6 @@ def _cmd_drift(args) -> int:
     if args.x is None:
         raise _UsageError("--x is required unless --along is given")
     x = _parse_state(args.x, net.dim, "--x")
-    report = _envelope(args.file)
     if args.mc is not None:
         mean, stderr = drift_estimate_mc(
             system, x, args.k, replicas=args.mc, seed=args.seed
@@ -341,7 +332,7 @@ def _cmd_drift(args) -> int:
             "seed": args.seed,
         }
     else:
-        value = exact_kstep_drift(system, x, args.k, budget=args.budget)
+        value = exact_kstep_drift(system, x, args.k, budget=budget)
         report["drift"] = {
             "state": list(x),
             "k": args.k,
@@ -356,7 +347,7 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    system = _load(args.file)
+    system, _ = _load(args.file)
     net = system.network
     x0 = _parse_state(args.x0, net.dim, "--x0")
     if args.t_max is None and args.jumps is None:
@@ -401,7 +392,7 @@ def _parse_region(text: str, dim: int):
 
 
 def _cmd_stationary(args) -> int:
-    system = _load(args.file)
+    system, report = _load(args.file)
     net = system.network
     if (args.region is None) == (args.x0 is None):
         raise _UsageError("give exactly one of --x0 (time average) or --region (solve)")
@@ -419,7 +410,6 @@ def _cmd_stationary(args) -> int:
                 file=sys.stderr,
             )
         estimate = occupancy_estimate(system, x0, args.t_max, seed=args.seed)
-    report = _envelope(args.file)
     report["stationary"] = {
         "method": estimate.method,
         "detail": estimate.detail,

@@ -163,9 +163,11 @@ def generator_applied(system: MassActionSystem, x: Iterable[int]) -> float:
         sum over reactions of  rate(x) * (V(x + change) - V(x)).
 
     Zero-rate reactions are skipped, so states near the boundary never
-    evaluate V at negative arguments.  Each difference runs over the
-    reaction's sparse change in coordinate order, as ``lyapunov_difference``
-    sums it, with ``_f(x_i)`` evaluated once per coordinate.
+    evaluate V at negative arguments: a positive rate needs x_i >= y_i for
+    each source coefficient y_i, so x + change = x - y + y' stays
+    nonnegative.  Each difference runs over the reaction's sparse change in
+    coordinate order, as ``lyapunov_difference`` sums it, with ``_f(x_i)``
+    evaluated once per coordinate.
     """
     xs = as_state(x, system.network.dim)
     table = system._rate_table
@@ -176,10 +178,7 @@ def generator_applied(system: MassActionSystem, x: Iterable[int]) -> float:
         if lam > 0.0:
             out = 0.0
             for i, hi in change:
-                xn = xs[i] + hi
-                if xn < 0:
-                    raise ValueError(f"jump drives coordinate {xs[i]} to negative value {xn}")
-                out += _f(xn) - fx[i]
+                out += _f(xs[i] + hi) - fx[i]
             acc += lam * out
     return acc
 

@@ -72,9 +72,10 @@ class Complex:
     coeffs: tuple
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = tuple(int(c) for c in coeffs)
-        if any(c < 0 for c in cs):
-            raise ValueError(f"complex coefficients must be nonnegative, got {cs}")
+        raw = tuple(coeffs)
+        cs = tuple(map(_whole, raw))
+        if None in cs or any(c < 0 for c in cs):
+            raise ValueError(f"complex coefficients must be nonnegative integers, got {raw}")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "_hash", hash((cs,)))
 

@@ -7,20 +7,22 @@ et al., SC 2011).  A run with seed s uses the stream of
 trajectories, and replicas are independent and reproducible; replica sweeps
 run them one after another.
 
-A replica sweep derives those streams without building a ``SeedSequence``
-per replica.  The seed is mixed once (``SeedSequence(s).pool``, which also
+Each stream comes from its key, ``SeedSequence(...).generate_state(2,
+np.uint64)``, set with a zero counter on the one ``Philox`` a sampler call
+reuses; that is the key ``Philox`` takes from the sequence itself, so the
+draws are the same.
+A replica sweep derives its keys without building a ``SeedSequence`` per
+replica.  The seed is mixed once (``SeedSequence(s).pool``, which also
 validates it); the spawn word r is then mixed in and the two 64-bit output
 words hashed as numpy integer arithmetic over chunks of replica indices,
 step for step as ``SeedSequence(s, spawn_key=(r,)).generate_state(2,
-np.uint64)`` does.  That is the key ``Philox`` takes from the spawned
-sequence, so setting it, with a zero counter, on one reused ``Philox``
-gives replica r exactly its ``spawn_key`` stream.
+np.uint64)`` does.
 
-Every sampler advances by the same direct-method step (Gillespie 1977).
-Each jump consumes exactly two variates, one exponential for the holding
-time and one uniform for the reaction choice, drawn in blocks of 4096; the
-embedded-chain sampler shares this discipline, so it visits exactly the
-states of the full simulation with the same seed.
+Every sampler iterates the same direct-method walk (Gillespie 1977), which
+yields one jump at a time.  Each jump consumes exactly two variates, one
+exponential for the holding time and one uniform for the reaction choice,
+drawn in blocks of 4096; the embedded-chain sampler shares this discipline,
+so it visits exactly the states of the full simulation with the same seed.
 
 A sampler call steps on state tuples and works out each state's jump law
 once: the running sums of the rates, the last being their total, and a slot
@@ -38,6 +40,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -63,16 +66,13 @@ _BLOCK = 4096
 _KEY_CHUNK = 4096  # replica keys derived per vectorised pass
 _MEMO_MAX = 2**12  # states a sampler call remembers before it forgets them all
 _JUMP_BUDGET = 10**7  # jumps a sampler call without a jump bound may take
+_TRAJECTORY_BUDGET = 10**6  # the same for a trajectory, which stores every jump
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _M32, _SHIFT, _HIGH = np.uint64(0xFFFFFFFF), np.uint64(16), np.uint64(32)
-
-
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def _replica_keys(seed, replicas: range) -> Iterator[np.ndarray]:
@@ -121,27 +121,11 @@ def _replica_keys(seed, replicas: range) -> Iterator[np.ndarray]:
         yield from np.stack([out[0] | out[1] << _HIGH, out[2] | out[3] << _HIGH], 1)
 
 
-def _replica_generators(seed, replicas: int) -> Iterator[np.random.Generator]:
-    """Replica r's generator for r = 0 .. replicas - 1, in order.
-
-    Every item is the same ``Generator`` on one reused ``Philox``, rekeyed
-    with a zero counter and an empty buffer before it is yielded, so use it
-    up before taking the next one.
-    """
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
-    state = bits.state  # a fresh Philox: zero counter, empty buffer
-    for key in _replica_keys(seed, range(replicas)):
-        state["state"]["key"] = key
-        bits.state = state
-        yield rng
-
-
 class _DrawBlock:
     """Blocked draws: one exponential and one uniform per jump, refilled
-    ``block`` at a time as ``_step`` consumes them.  Once ``spent``, the
+    ``block`` at a time as ``_walk`` consumes them.  Once ``spent``, the
     jumps drawn before a refill, reaches ``budget``, the refill raises: the
-    jump loop checks nothing, and a caller takes under budget + block jumps."""
+    walk checks nothing, and a caller takes under budget + block jumps."""
 
     def __init__(
         self, rng: np.random.Generator, block: int = _BLOCK, budget: float = math.inf
@@ -166,16 +150,23 @@ class _DrawBlock:
         self.pos = 0
 
 
-def _replica_draws(
-    seed, replicas: int, block: int = _BLOCK, budget: float = math.inf
+def _draw_blocks(
+    keys: Iterable[np.ndarray], block: int = _BLOCK, budget: float = math.inf
 ) -> Iterator[_DrawBlock]:
-    """One ``_DrawBlock`` for a whole sweep, yielded once per replica after
-    a fresh block from replica r's stream; ``spent`` counts the sweep."""
-    generators = _replica_generators(seed, replicas)
-    draws = _DrawBlock(next(generators), block, budget)
-    yield draws
-    for _ in generators:  # the one generator, rekeyed for the next replica
-        draws.refill()
+    """One ``_DrawBlock`` for every stream, yielded once per Philox key in
+    ``keys`` after a fresh block from that key's stream; ``spent`` counts
+    them all.  One reused ``Philox`` is rekeyed with a zero counter and an
+    empty buffer for each key, so use the block up before taking the next."""
+    bits = np.random.Philox(0)
+    state = bits.state  # a fresh Philox: zero counter, empty buffer
+    draws = None
+    for key in keys:
+        state["state"]["key"] = key
+        bits.state = state
+        if draws is None:
+            draws = _DrawBlock(np.random.Generator(bits), block, budget)
+        else:
+            draws.refill()
         yield draws
 
 
@@ -199,7 +190,7 @@ class _StateMemo(dict):
 
 def _jump_law(table: tuple, x: State) -> Optional[tuple]:
     """(running sums of the rates at ``x``, the last being their total, one
-    successor slot per reaction, None until ``_step`` fills it), or None
+    successor slot per reaction, None until ``_walk`` fills it), or None
     when ``x`` is absorbing."""
     rates, total = _rates(table, x)
     if total == 0.0:
@@ -212,38 +203,41 @@ def _jump_law(table: tuple, x: State) -> Optional[tuple]:
     return tuple(sums), [None] * len(sums)
 
 
-def _step(
+def _walk(
     table: tuple, laws: _StateMemo, x: State, draws: _DrawBlock
-) -> Optional[Tuple[float, State]]:
-    """One direct-method jump from the state tuple ``x``: None when ``x`` is
-    absorbing (no draws consumed), otherwise (holding time, next state).
+) -> Iterator[Tuple[float, State]]:
+    """Direct-method jumps from the state tuple ``x``: yields (holding time,
+    next state) per jump, and returns at an absorbing state, where it
+    consumes no draws.
 
     ``laws`` is the call's memo of ``_jump_law`` over the rate ``table``.
     The reaction is the first whose running sum exceeds the uniform times
     the total, else the last; its successor is built, and checked against
-    ``STATE_COORD_MAX``, the first time it is taken from ``x``."""
-    law = laws[x]
-    if law is None:
-        return None
-    sums, successors = law
-    total = sums[-1]
-    if draws.pos == draws.block:
-        draws.refill()
-    pos = draws.pos
-    draws.pos = pos + 1
-    j = bisect_right(sums, draws.unis[pos] * total, 0, len(sums) - 1)
-    y = successors[j]
-    if y is None:
-        y = list(x)
-        for i, c in table[j][2]:
-            y[i] += c
-            if y[i] > STATE_COORD_MAX:
-                raise ValueError(
-                    f"state coordinate exceeded supported maximum {STATE_COORD_MAX} "
-                    "during simulation"
-                )
-        y = successors[j] = tuple(y)
-    return draws.exps[pos] / total, y
+    ``STATE_COORD_MAX``, the first time it is taken from a state."""
+    while True:
+        law = laws[x]
+        if law is None:
+            return
+        sums, successors = law
+        total = sums[-1]
+        if draws.pos == draws.block:
+            draws.refill()
+        pos = draws.pos
+        draws.pos = pos + 1
+        j = bisect_right(sums, draws.unis[pos] * total, 0, len(sums) - 1)
+        y = successors[j]
+        if y is None:
+            y = list(x)
+            for i, c in table[j][2]:
+                y[i] += c
+                if y[i] > STATE_COORD_MAX:
+                    raise ValueError(
+                        f"state coordinate exceeded supported maximum {STATE_COORD_MAX} "
+                        "during simulation"
+                    )
+            y = successors[j] = tuple(y)
+        yield draws.exps[pos] / total, y
+        x = y
 
 
 TERMINATED_MAX_TIME = "max_time"
@@ -281,9 +275,10 @@ def ssa_simulate(
 
     Runs until the time horizon ``max_time`` would be crossed, ``max_jumps``
     jumps have fired, or an absorbing state is reached; at least one finite
-    bound must be given; without ``max_jumps``, a run past 10**7 jumps
-    (``_JUMP_BUDGET``) raises ``BudgetExceededError``.  Trajectories are
-    identical byte for byte across runs with equal seeds.
+    bound must be given.  Without ``max_jumps``, a run past 10**6 jumps
+    (``_TRAJECTORY_BUDGET``) raises ``BudgetExceededError``, so such a run
+    stores at most 10**6 + 4096 rows.  Trajectories are identical byte for
+    byte across runs with equal seeds.
     """
     if max_time is None and max_jumps is None:
         raise ValueError("give max_time and/or max_jumps")
@@ -297,29 +292,23 @@ def ssa_simulate(
     dim = system.network.dim
     x = as_state(x0, dim)
     laws = _StateMemo(partial(_jump_law, table))
-    budget = _JUMP_BUDGET if max_jumps is None else math.inf
-    draws = _DrawBlock(_generator(seed), budget=budget)
+    budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    walk = _walk(table, laws, x, next(_draw_blocks([key], budget=budget)))
+    if max_jumps is not None:
+        walk = islice(walk, max_jumps)  # stops before drawing for jump max_jumps + 1
     times = array("d", [0.0])
     states = array("q", x)
     t = 0.0
-    jumps = 0
-    terminated = None
-    while True:
-        if max_jumps is not None and jumps >= max_jumps:
-            terminated = TERMINATED_MAX_JUMPS
-            break
-        jump = _step(table, laws, x, draws)
-        if jump is None:
-            terminated = TERMINATED_ABSORBED
-            break
-        dt, x = jump
+    for dt, x in walk:
         if max_time is not None and t + dt > max_time:
             terminated = TERMINATED_MAX_TIME  # the applied jump is not recorded
             break
         t += dt
         times.append(t)
         states.extend(x)
-        jumps += 1
+    else:
+        terminated = TERMINATED_MAX_JUMPS if len(times) - 1 == max_jumps else TERMINATED_ABSORBED
     return TrajectorySample(
         times=np.asarray(times, dtype=np.float64),
         states=np.asarray(states, dtype=np.int64).reshape(-1, dim),
@@ -431,14 +420,9 @@ def return_times(
     laws = _StateMemo(partial(_jump_law, table))
 
     def run(draws: _DrawBlock) -> Optional[float]:
-        x = x_start
         t = 0.0
         left = False
-        while True:
-            jump = _step(table, laws, x, draws)
-            if jump is None:
-                return None  # stuck outside the target (or inside, pre-exit)
-            dt, x = jump
+        for dt, x in _walk(table, laws, x_start, draws):
             t += dt
             if t > horizon:
                 return None
@@ -447,8 +431,9 @@ def return_times(
                     return t
             else:
                 left = True
+        return None  # stuck outside the target (or inside, pre-exit)
 
-    sweep = _replica_draws(seed, replicas, budget=_JUMP_BUDGET)
+    sweep = _draw_blocks(_replica_keys(seed, range(replicas)), budget=_JUMP_BUDGET)
     results = [run(draws) for draws in sweep]
     returned = [t for t in results if t is not None]
     return ReturnTimeStats(
@@ -497,17 +482,16 @@ def occupancy_estimate(
     table = system._rate_table
     x = as_state(x0, system.network.dim)
     laws = _StateMemo(partial(_jump_law, table))
-    draws = _DrawBlock(_generator(seed), budget=_JUMP_BUDGET)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     weights: Dict[State, float] = {}
     t = 0.0
-    while True:
-        jump = _step(table, laws, x, draws)
-        if jump is None or t + jump[0] >= t_max:
-            weights[x] = weights.get(x, 0.0) + (t_max - t)
+    for dt, y in _walk(table, laws, x, next(_draw_blocks([key], budget=_JUMP_BUDGET))):
+        if t + dt >= t_max:
             break
-        weights[x] = weights.get(x, 0.0) + jump[0]
-        t += jump[0]
-        x = jump[1]
+        weights[x] = weights.get(x, 0.0) + dt
+        t += dt
+        x = y
+    weights[x] = weights.get(x, 0.0) + (t_max - t)  # to the horizon or absorbed
     support = tuple(sorted(weights))
     probs = np.asarray([weights[s] for s in support], dtype=np.float64)
     probs /= probs.sum()
@@ -631,17 +615,12 @@ def drift_estimate_mc(
 
     def run(draws: _DrawBlock) -> float:
         x = x_start
-        for _ in range(k):
-            jump = _step(table, laws, x, draws)
-            if jump is None:
-                break
-            x = jump[1]
+        for _, x in islice(_walk(table, laws, x_start, draws), k):
+            pass
         return difference[x]
 
-    values = np.asarray(
-        [run(draws) for draws in _replica_draws(seed, replicas, block)],
-        dtype=np.float64,
-    )
+    sweep = _draw_blocks(_replica_keys(seed, range(replicas)), block)
+    values = np.asarray([run(draws) for draws in sweep], dtype=np.float64)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(replicas))
     return mean, stderr

@@ -993,9 +993,9 @@ def exact_kstep_drift(
     Raises ``AbsorbingStateError`` when ``x`` itself is absorbing,
     ``BudgetExceededError`` as soon as the (state, level) pairs collected,
     the sizes of the laws of Z_1, ..., Z_k, exceed ``budget`` (each law holds
-    a state, so ``k`` above it is refused up front), and ``ValueError`` when ``k`` is not a nonnegative integer,
-    ``budget`` is NaN or a state to expand has a coordinate above
-    ``STATE_COORD_MAX``.
+    a state, so ``k`` above it is refused up front), and ``ValueError`` when
+    ``k`` is not a nonnegative integer, ``budget`` is NaN or a state to
+    expand has a coordinate above ``STATE_COORD_MAX``.
     """
     k = _count(k, "k")
     if budget != budget:  # NaN: no pair count would ever exceed it

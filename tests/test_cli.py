@@ -1,9 +1,11 @@
 """End-to-end command-line tests: exit codes, schema-valid JSON, CSV shape,
 and determinism of every command for a fixed seed."""
 
+import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -205,6 +207,11 @@ def test_tiers_overflowing_leading_coefficient_exits_one(capsys):
     assert "growth coefficient 1e+300 to the power 2" in captured.err
 
 
+def test_tiers_renders_a_fractional_power(capsys):
+    payload = run_json(capsys, ["tiers", CYCLE, "--seq", "A=2*n^3/2, B=1, C=0"], "tiers")
+    assert payload["sequence"]["spec"] == "A=2*n^3/2, B=1, C=0"
+
+
 def test_tiers_rejects_unknown_path_reaction(capsys):
     code = main(["tiers", CYCLE, "--seq", "A=n,B=1,C=0", "--path", "C->A"])
     captured = capsys.readouterr()
@@ -286,6 +293,8 @@ def test_drift_budget_violation_reports_bound(capsys):
     assert code == 1
     assert "budget" in captured.err.lower()
     assert "1001 (state, level) pairs" in captured.err
+    assert "budget of 1000" in captured.err
+    assert "1000.0" not in captured.err
 
 
 def test_drift_long_horizon_on_one_reaction(capsys, tmp_path):
@@ -512,6 +521,14 @@ def test_stationary_absorbing_start_warns_and_gives_point_mass(capsys, tmp_path)
     ]
 
 
+def test_simulate_huge_horizon_exits_one_at_the_trajectory_budget(capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "_TRAJECTORY_BUDGET", 20_000)
+    assert main(["simulate", BIRTHDEATH, "--x0", "1", "--t-max", "1e12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget of 20000 jumps" in captured.err
+
+
 def test_stationary_huge_horizon_exits_one_at_the_jump_budget(capsys, monkeypatch):
     monkeypatch.setattr(simulate, "_JUMP_BUDGET", 20_000)
     assert main(["stationary", BIRTHDEATH, "--x0", "1", "--t-max", "1e12"]) == 1
@@ -541,6 +558,57 @@ def test_stationary_needs_exactly_one_mode(capsys):
         main(["stationary", BIRTHDEATH, "--x0", "0", "--t-max", "1", "--region", "0..2"])
         == 1
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["drift", CYCLE, "--k", "1", "--along", "A=n,B=1,C=0"], "--along expects"),
+        (["drift", CYCLE, "--k", "1", "--along", "A=n,B=1,C=0:1,x"], "must be integers"),
+        (
+            ["drift", CYCLE, "--k", "1", "--along", "A=n,B=1,C=0:1", "--mc", "5"],
+            "--along computes exact drifts; drop --mc",
+        ),
+        (["drift", CYCLE, "--k", "1"], "--x is required unless --along is given"),
+        (["stationary", BIRTHDEATH, "--region", "0-3"], '--region expects "lo..hi"'),
+        (["stationary", BIRTHDEATH, "--region", "a..3"], "--region bounds must be integers"),
+        (["stationary", BIRTHDEATH, "--region", "3..1"], "'3..1' is empty or negative"),
+        (["stationary", BIRTHDEATH, "--region=-1..2"], "'-1..2' is empty or negative"),
+        (["stationary", CYCLE, "--region", "0..2"], "--region needs 3 ranges, got 1"),
+        (["stationary", BIRTHDEATH, "--x0", "1"], "--x0 needs --t-max"),
+        (
+            ["tiers", CYCLE, "--seq", "A=n,B=1,C=0", "--path", " , "],
+            "--path expects at least one reaction",
+        ),
+        (
+            ["tiers", CYCLE, "--seq", "A=n,B=1,C=0", "--path", "A"],
+            "--path entry 'A' is not of the form src->prd",
+        ),
+    ],
+)
+def test_usage_errors_exit_one_with_their_message(capsys, argv, message):
+    args = cli._parser().parse_args(argv)
+    with pytest.raises(cli._UsageError, match=re.escape(message)):
+        args.fn(args)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_report_hashes_the_bytes_it_parsed(capsys, tmp_path, monkeypatch):
+    # a file rewritten after it is read: the report names what was analysed
+    crn = tmp_path / "cycle.crn"
+    text = Path(CYCLE).read_bytes()
+    crn.write_bytes(text)
+
+    def parse_then_rewrite(source):
+        crn.write_bytes(text + b"# rewritten\n")
+        return parse(source)
+
+    monkeypatch.setattr(cli, "parse", parse_then_rewrite)
+    payload = run_json(capsys, ["analyze", str(crn)], "analyze")
+    assert payload["input"]["sha256"] == hashlib.sha256(text).hexdigest()
 
 
 # ---------------------------------------------------------------------------

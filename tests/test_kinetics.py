@@ -191,6 +191,8 @@ def test_lyapunov_difference_matches_direct(x, data):
 def test_lyapunov_difference_rejects_negative_target():
     with pytest.raises(ValueError):
         lyapunov_difference((1, 0), (-2, 0))
+    with pytest.raises(ValueError, match="different dimensions"):
+        lyapunov_difference((1, 0), (1,))
 
 
 # --------------------------------------------------------------- generator

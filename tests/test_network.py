@@ -39,6 +39,11 @@ def _viewed_networks():
 def test_complex_rejects_negative_coefficients():
     with pytest.raises(ValueError):
         Complex((1, -1))
+    # only integers: no truncated floats, parsed strings or overflowing infinities
+    for bad in (1.7, "2", math.inf, math.nan, None):
+        with pytest.raises(ValueError, match="nonnegative integers, got"):
+            Complex((bad, 0))
+    assert Complex((np.int64(2), 1.0)).coeffs == (2, 1)
 
 
 def test_complex_order_and_support():
@@ -200,3 +205,5 @@ def test_as_state_rejects_non_integral_entries_with_value_error():
     for bad in (1.5, 2.9, np.float64(0.5), math.inf, -math.inf, math.nan, "1", None, 1j):
         with pytest.raises(ValueError, match="not an integer"):
             as_state((0, bad), 2)
+    with pytest.raises(ValueError, match="coordinate -1 is negative"):
+        as_state((0, -1), 2)

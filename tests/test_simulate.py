@@ -4,6 +4,7 @@ levels far below anything a correct sampler would trip."""
 
 import math
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,11 +30,11 @@ from crnkit.kinetics import embedded_step_distribution, lyapunov, total_rate
 from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import (
     _DrawBlock,
-    _generator,
+    _draw_blocks,
     _jump_law,
-    _replica_generators,
     _replica_keys,
     _StateMemo,
+    _walk,
     drift_estimate_mc,
     embedded_chain_simulate,
     lyapunov_sublevel,
@@ -60,6 +61,16 @@ ISO = reversible_isomers(1.0, 1.0)
 def tv_distance(a, b):
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+
+
+def seed_key(seed):
+    """The Philox key of a single run's stream."""
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+
+def seed_generator(seed):
+    """A single run's stream built from the seed's ``SeedSequence``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +139,11 @@ def test_infinite_max_time_is_no_bound_beside_max_jumps():
 
 def test_horizon_bound_samplers_stop_at_the_jump_budget(monkeypatch):
     block = simulate._BLOCK
-    monkeypatch.setattr(simulate, "_JUMP_BUDGET", 2 * block)
+    # a trajectory stores every jump, so it has a budget of its own
+    monkeypatch.setattr(simulate, "_TRAJECTORY_BUDGET", 2 * block)
     with pytest.raises(BudgetExceededError, match=f"after {2 * block} jumps"):
         ssa_simulate(BD, (1,), max_time=1e12)
+    monkeypatch.setattr(simulate, "_JUMP_BUDGET", 2 * block)
     with pytest.raises(BudgetExceededError, match="budget of"):
         occupancy_estimate(BD, (1,), 1e12)
     with pytest.raises(BudgetExceededError, match="budget of"):
@@ -147,7 +160,7 @@ def test_horizon_bound_samplers_stop_at_the_jump_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         return_times(BD, (1,), lyapunov_sublevel(1.0), horizon=1e3, replicas=3000)
     # the budget is checked only as a draw block refills
-    monkeypatch.setattr(simulate, "_JUMP_BUDGET", 10)
+    monkeypatch.setattr(simulate, "_TRAJECTORY_BUDGET", 10)
     assert 10 < len(ssa_simulate(BD, (1,), max_time=100.0)) < block
 
 
@@ -480,7 +493,7 @@ def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
         # the first step from (1, 0) fills the reaction's successor slot,
         # the second reads it back
         for _ in range(2):
-            assert simulate._step(table, laws, (1, 0), draws(u)) == (dt, tuple(x)), u
+            assert next(_walk(table, laws, (1, 0), draws(u))) == (dt, tuple(x)), u
     assert tuple(x) == (1, -1)  # (1, 0) moved by the last reaction, B -> 0
 
 
@@ -492,11 +505,12 @@ def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
     crossings = []
     for seed in range(5):
         laws = _StateMemo(partial(_jump_law, table))
-        x, draws = (STATE_COORD_MAX - 2,), _DrawBlock(_generator(seed))
+        x, draws = (STATE_COORD_MAX - 2,), next(_draw_blocks([seed_key(seed)]))
+        jumps = 0
         with pytest.raises(ValueError, match="exceeded supported maximum"):
-            for jumps in range(1000):
-                x = simulate._step(table, laws, x, draws)[1]
-        y, oracle_draws = [STATE_COORD_MAX - 2], _DrawBlock(_generator(seed))
+            for jumps, (_, x) in enumerate(islice(_walk(table, laws, x, draws), 1000), 1):
+                pass
+        y, oracle_draws = [STATE_COORD_MAX - 2], _DrawBlock(seed_generator(seed))
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             for oracle_jumps in range(1000):
                 step_by_rates(table, y, oracle_draws)
@@ -550,14 +564,23 @@ def test_replica_keys_past_one_spawn_word_and_for_sequence_seeds():
             assert key.tolist() == want.tolist()
 
 
+def assert_equal_blocks(draws, oracle):
+    # the block drawn on rekeying, then one drawn by a refill
+    for _ in range(2):
+        assert (draws.exps, draws.unis) == (oracle.exps, oracle.unis)
+        draws.refill()
+        oracle.refill()
+
+
 def test_replica_draws_equal_per_replica_generators():
     for seed in KEY_SEEDS:
-        for r, rng in enumerate(_replica_generators(seed, 4101)):
-            if r not in KEY_REPLICAS:
-                continue
-            oracle = replica_generator(seed, r)
-            assert np.all(rng.standard_exponential(5000) == oracle.standard_exponential(5000))
-            assert np.all(rng.random(5000) == oracle.random(5000))
+        sweep = _draw_blocks(_replica_keys(seed, range(4101)), 3000)
+        for r, draws in enumerate(sweep):
+            if r in KEY_REPLICAS:
+                assert_equal_blocks(draws, _DrawBlock(replica_generator(seed, r), 3000))
+        # a single run's stream, keyed by the seed itself
+        draws = next(_draw_blocks([seed_key(seed)], 3000))
+        assert_equal_blocks(draws, _DrawBlock(seed_generator(seed), 3000))
 
 
 def test_replica_sweeps_reject_a_negative_seed():

@@ -132,6 +132,9 @@ def test_is_binary():
         ("A",), [Reaction(Complex((3,)), Complex((1,)))]
     )
     assert not is_binary(ternary)
+    verdict = theorem_verdict(ternary)
+    assert verdict.verdict == "Inconclusive"
+    assert "not binary (complex of total molecularity 3)" in verdict.reasons
 
 
 # -------------------------------------------------------- species condition

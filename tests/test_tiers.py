@@ -203,6 +203,14 @@ def test_sequence_dimension_checks():
         seq.shifted((1, 2))
     with pytest.raises(InvalidSequenceError):
         seq.normalized_for(CYCLE.network)
+    net = CYCLE.network
+    with pytest.raises(InvalidSequenceError, match="^complex dimension does not match"):
+        seq.degree(net.complexes[0])
+    with pytest.raises(InvalidSequenceError, match="^complex dimension does not match"):
+        d_partition(net, seq)  # the tail's own check
+    for partition in (s_partition, hypothesis_violation):
+        with pytest.raises(InvalidSequenceError, match="^network dimension does not match"):
+            partition(net, seq)
 
 
 def test_normalized_for_raises_start_past_complex_entries():
