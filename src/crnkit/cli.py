@@ -300,15 +300,13 @@ def _cmd_drift(args) -> int:
         spec, _, tail = args.along.partition(":")
         if not tail:
             raise _UsageError('--along expects "<sequence spec>:<n list>"')
-        seq = parse_sequence_spec(spec, species).normalized_for(net)
+        seq = parse_sequence_spec(spec, species)
         try:
             ns = [int(p) for p in tail.split(",") if p.strip()]
         except ValueError:
             raise _UsageError(f"--along index list {tail!r} must be integers")
         drifts = (
-            exact_kstep_drift(
-                system, seq.evaluate(max(n, seq.start)), args.k, budget=budget
-            )
+            exact_kstep_drift(system, seq.evaluate(n), args.k, budget=budget)
             for n in ns
         )
         # one block per row, each written as soon as its drift is known
@@ -319,29 +317,22 @@ def _cmd_drift(args) -> int:
         raise _UsageError("--x is required unless --along is given")
     x = _parse_state(args.x, net.dim, "--x")
     if args.mc is not None:
-        mean, stderr = drift_estimate_mc(
+        value, stderr = drift_estimate_mc(
             system, x, args.k, replicas=args.mc, seed=args.seed
         )
-        report["drift"] = {
-            "state": list(x),
-            "k": args.k,
-            "method": "mc",
-            "value": mean,
-            "stderr": stderr,
-            "replicas": args.mc,
-            "seed": args.seed,
-        }
+        method, replicas, seed = "mc", args.mc, args.seed
     else:
         value = exact_kstep_drift(system, x, args.k, budget=budget)
-        report["drift"] = {
-            "state": list(x),
-            "k": args.k,
-            "method": "exact",
-            "value": value,
-            "stderr": None,
-            "replicas": None,
-            "seed": None,
-        }
+        method, stderr, replicas, seed = "exact", None, None, None
+    report["drift"] = {
+        "state": list(x),
+        "k": args.k,
+        "method": method,
+        "value": value,
+        "stderr": stderr,
+        "replicas": replicas,
+        "seed": seed,
+    }
     _emit(report, sys.stdout)
     return 0
 

@@ -22,6 +22,7 @@ equal to the original system.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -228,7 +229,7 @@ def parse(text: str) -> MassActionSystem:
 
     Raises ``ParseError`` (with line and column) for syntax errors, unknown
     or duplicate species, self-loop reactions, duplicate reactions, and
-    missing or non-positive rate constants.
+    missing, non-positive or infinite rate constants.
     """
     doc = parse_document(text)
     decl = doc.species_declaration
@@ -264,8 +265,10 @@ def parse(text: str) -> MassActionSystem:
         if reversible:
             directed.append((product, source, k_back))
         for src, prd, k in directed:
-            if k is None or not k > 0:
-                raise ParseError(f"rate constant must be positive, got {k}", s.line, 1)
+            if k is None or not 0 < k < math.inf:
+                raise ParseError(
+                    f"rate constant must be positive and finite, got {k}", s.line, 1
+                )
             if (src, prd) in seen_pairs:
                 raise ParseError(
                     f"duplicate reaction "

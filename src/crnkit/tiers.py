@@ -37,9 +37,10 @@ import functools
 import math
 import operator
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -546,20 +547,29 @@ def path_tier_membership(
     return _membership(net, _Tail(net, seq), path)
 
 
+def _steps(net: ReactionNetwork, tail: _Tail, path: tuple):
+    """Walk ``path`` on ``tail``: yield each step's (reaction index, source,
+    product) with the tail at that step's shift.  The tail moves by a step's
+    change only when the next step is asked for, so never after the last."""
+    for m, r in enumerate(path):
+        if m:
+            tail.shift(path[m - 1].change)
+        j = net._reaction_index[r]
+        src, prd = net._ends[j]
+        yield j, src, prd
+
+
 def _membership(net: ReactionNetwork, tail: _Tail, path: tuple) -> PathTierReport:
     """``path_tier_membership`` walked on ``tail`` from its current offsets."""
     in_top_intensity = True
     sources_in_top_growth = True
     first_drop = None
-    for m, r in enumerate(path, start=1):
-        src, prd = net._ends[net._reaction_index[r]]
+    for m, (_, src, prd) in enumerate(_steps(net, tail, path), start=1):
         in_top_intensity = in_top_intensity and src in tail.top()
         if tail.rank[src]:
             sources_in_top_growth = False
         if first_drop is None and tail.rank[prd]:
             first_drop = m
-        if m < len(path):  # the shift after the last step is never consulted
-            tail.shift(r.change)
     in_drop = bool(path) and sources_in_top_growth and first_drop is not None
     return PathTierReport(
         path=path,
@@ -588,11 +598,9 @@ def path_probability_limit(
     path = _check_path(net, path)
     tail = _Tail(net, seq)
     prob = 1.0
-    for m, r in enumerate(path, start=1):
+    for j, src, _ in _steps(net, tail, path):
         # factors lie in [0, 1]: once prob is 0 only the shifts remain
         top = tail.top() if prob else frozenset()
-        j = net._reaction_index[r]
-        src = net._ends[j][0]
         if src in top:
             num = system.rate_constants[j] * tail.lead(src)
             den = 0.0
@@ -602,8 +610,6 @@ def path_probability_limit(
             prob *= num / den
         else:
             prob = 0.0
-        if m < len(path):
-            tail.shift(r.change)
     return prob
 
 
@@ -879,9 +885,12 @@ def witness_path(
     ``path_tier_membership`` verifies a path, on a fresh walk from the
     sequence's own offsets, before being returned.
 
-    Raises ``NoDropComplexError`` when all complexes share one growth tier,
-    and ``WitnessPathError`` when construction or verification fails.
+    Raises ``ValueError`` when ``target_len`` is not a nonnegative integer
+    or is shorter than the drop prefix, ``NoDropComplexError`` when all
+    complexes share one growth tier, and ``WitnessPathError`` when
+    construction or verification fails.
     """
+    length = len(net.reactions) if target_len is None else _count(target_len, "target_len")
     tail = _Tail(net, seq)
     if max(tail.rank, default=0) == 0:
         raise NoDropComplexError(
@@ -901,45 +910,31 @@ def witness_path(
     # shortest directed walk from the top intensity tier out of the top
     # growth tier; first-found in breadth-first order for determinism
     start = min(s_top)
-    parent: Dict[int, tuple] = {start: None}
-    frontier = [start]
-    goal = None
-    while frontier and goal is None:
-        nxt = []
-        for u in frontier:
-            for v, j in net._out_edges[u]:
-                if v in parent:
-                    continue
-                parent[v] = (u, j)
-                if tail.rank[v]:
-                    goal = v
-                    break
-                nxt.append(v)
-            if goal is not None:
+    walks = {start: ()}  # complex -> reactions from start
+    queue = deque([start])
+    path = None
+    while queue and path is None:
+        u = queue.popleft()
+        for v, j in net._out_edges[u]:
+            if v in walks:
+                continue
+            walks[v] = walks[u] + (net.reactions[j],)
+            if tail.rank[v]:
+                path = list(walks[v])
                 break
-        frontier = nxt
-    if goal is None:
+            queue.append(v)
+    if path is None:
         raise WitnessPathError(
             "no complex outside the top growth tier is reachable from the "
             "top intensity tier (is the network weakly reversible with a "
             "single linkage class?)"
         )
-    prefix: List[Reaction] = []
-    node = goal
-    while parent[node] is not None:
-        u, j = parent[node]
-        prefix.append(net.reactions[j])
-        node = u
-    prefix.reverse()
-
-    length = target_len if target_len is not None else len(net.reactions)
-    if length < len(prefix):
+    if length < len(path):
         raise ValueError(
             f"target_len={length} is shorter than the drop prefix "
-            f"({len(prefix)} reactions)"
+            f"({len(path)} reactions)"
         )
 
-    path = list(prefix)
     for r in path:
         tail.shift(r.change)
     while len(path) < length:
@@ -1047,8 +1042,9 @@ def parse_sequence_spec(text: str, species: Sequence[str]) -> ParametricSequence
     Each species gets either a nonnegative integer constant or a growth term
     ``[coef *] n [^ power]`` with positive coefficient and positive integer
     or fractional power (``2*n^2``, ``0.5n^3/2``, ``n``).  Every species must
-    be assigned exactly once.  Raises ``ValueError`` on malformed input and
-    ``InvalidSequenceError`` when no coordinate grows.
+    be assigned exactly once.  Raises ``ValueError`` on malformed input (a
+    power with a zero denominator included) and ``InvalidSequenceError`` when
+    a coefficient or power is not positive or no coordinate grows.
     """
     assignments = {}
     for part in text.split(","):
@@ -1089,8 +1085,10 @@ def _parse_sequence_expr(expr: str) -> CoordLaw:
     if power_txt is None:
         power = Fraction(1)
     elif "/" in power_txt:
-        num, den = power_txt.split("/")
-        power = Fraction(int(num), int(den))
+        num, den = map(int, power_txt.split("/"))
+        if not den:
+            raise ValueError(f"sequence expression '{expr}' divides its power by zero")
+        power = Fraction(num, den)
     else:
         power = Fraction(int(power_txt))
     return Grow(coef, power)

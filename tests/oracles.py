@@ -31,7 +31,9 @@ afresh for every tail, as a check on the per-network memo; and
 ``foldback_kstep_drift`` is the exact drift's former two passes, the
 states collected level by level and expectations folded back, as a check
 on the forward pass over the chain's law at depths that full path
-enumeration cannot reach.
+enumeration cannot reach.  ``drop_prefix_by_frontiers`` is the witness
+path's former search for its drop prefix, frontier lists and parent
+pointers walked back, as a check on the breadth-first table.
 """
 
 from __future__ import annotations
@@ -417,6 +419,37 @@ def path_membership_by_offsets(net, laws, path):
             first_drop = m
     in_drop = bool(path) and sources_in_growth_top and first_drop is not None
     return in_top, in_drop, first_drop
+
+
+def drop_prefix_by_frontiers(net, rank, start: int):
+    """Reaction indices of the first shortest walk from complex ``start`` to
+    a complex of nonzero ``rank``, searched frontier by frontier with
+    parent pointers and walked back from the goal; None when none is
+    reachable."""
+    parent = {start: None}
+    frontier = [start]
+    goal = None
+    while frontier and goal is None:
+        nxt = []
+        for u in frontier:
+            for v, j in net._out_edges[u]:
+                if v in parent:
+                    continue
+                parent[v] = (u, j)
+                if rank[v]:
+                    goal = v
+                    break
+                nxt.append(v)
+            if goal is not None:
+                break
+        frontier = nxt
+    if goal is None:
+        return None
+    prefix = []
+    while parent[goal] is not None:
+        goal, j = parent[goal]
+        prefix.append(j)
+    return prefix[::-1]
 
 
 class ScratchTail:

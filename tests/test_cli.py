@@ -197,6 +197,13 @@ def test_tiers_rejects_non_finite_growth_coefficient(capsys):
     assert "finite" in captured.err
 
 
+def test_tiers_rejects_a_zero_denominator_power(capsys):
+    code = main(["tiers", CYCLE, "--seq", "A=n^1/0, B=1, C=0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: sequence expression 'n^1/0' divides its power by zero\n"
+
+
 def test_tiers_overflowing_leading_coefficient_exits_one(capsys):
     # the witness path's probability limit squares 1e300 in float arithmetic
     code = main(["tiers", LOOP, "--seq", "A=1, B=1, C=1e300*n"])
@@ -347,18 +354,28 @@ def test_drift_along_huge_fractional_power_is_refused_promptly(capsys):
 
 
 def test_drift_along_csv_equals_csv_writer_oracle(capsys):
+    # each row is the drift at the x_n it names, the parsed sequence's own
     system = parse(Path(CYCLE).read_text())
     seq = parse_sequence_spec("A=n,B=1,C=0", system.network.species)
-    seq = seq.normalized_for(system.network)
     ns = [1, 2, 5, 10, 100]
-    rows = (
-        [n, repr(exact_kstep_drift(system, seq.evaluate(max(n, seq.start)), 3))]
-        for n in ns
-    )
-    want = csv_by_writer(["n", "drift"], rows)
+    values = [repr(exact_kstep_drift(system, seq.evaluate(n), 3)) for n in ns]
+    want = csv_by_writer(["n", "drift"], ([n, v] for n, v in zip(ns, values)))
     along = "A=n,B=1,C=0:1,2,5,10,100"
     assert main(["drift", CYCLE, "--k", "3", "--along", along]) == 0
     assert capsys.readouterr().out == want
+    for n, v in zip(ns, values):
+        x = ",".join(map(str, seq.evaluate(n)))
+        payload = run_json(capsys, ["drift", CYCLE, "--k", "3", "--x", x], "drift")
+        assert repr(payload["drift"]["value"]) == v
+
+
+def test_drift_along_below_the_start_exits_one_after_the_rows_before(capsys):
+    first = repr(exact_kstep_drift(parse(Path(CYCLE).read_text()), (1, 1, 0), 3))
+    along = "A=n,B=1,C=0:1,0,3"
+    assert main(["drift", CYCLE, "--k", "3", "--along", along]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"n,drift\n1,{first}\n"
+    assert captured.err == "error: n=0 is below the sequence start 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Text format: parsing, diagnostics, canonical serialization, round trips."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork
@@ -78,6 +78,7 @@ def test_repeated_species_in_complex_accumulates():
         ("A -> B ;\n", "rate constant"),
         ("A -> B ; k=0\n", "positive"),
         ("A -> B ; k=-2\n", "positive"),
+        ("A -> B ; k=1e999\n", "positive"),
         ("A <-> B ; k=1\n", "two rate constants"),
         ("A -> B ; k=1, 2\n", "one-way"),
         ("A <-> B ; k=1, 0\n", "positive"),
@@ -192,6 +193,7 @@ def test_round_trip_random_systems(sys_):
 
 @settings(max_examples=120, deadline=None)
 @given(st.text(alphabet="AB2 +-><;k=.,\n#_0e1", max_size=60))
+@example("A->B;k=1e2220")
 def test_parse_is_total(text):
     """Arbitrary input either parses or raises ParseError, never anything else."""
     try:

@@ -72,6 +72,7 @@ from oracles import (
     MemoFreeTail,
     ScratchTail,
     coefficient_path_limit,
+    drop_prefix_by_frontiers,
     enum_kstep_drift,
     foldback_kstep_drift,
     generator_by_reactions,
@@ -885,6 +886,48 @@ def test_witness_path_target_too_short():
         witness_path(CYCLE.network, CYCLE_SEQ, target_len=2)
 
 
+def test_witness_path_takes_an_integral_target_len_only():
+    with pytest.raises(ValueError, match="target_len must be an integer >= 0, got 5.5"):
+        witness_path(CYCLE.network, CYCLE_SEQ, target_len=5.5)
+    assert witness_path(CYCLE.network, CYCLE_SEQ, target_len=5.0) == witness_path(
+        CYCLE.network, CYCLE_SEQ, target_len=5
+    )
+
+
+@pytest.mark.parametrize(
+    "text, spec, target_len, message",
+    [
+        (
+            "A + B <-> 2B ; k=1, 1\n",
+            "A=n, B=0",
+            None,
+            "every complex has identically zero intensity along the sequence",
+        ),
+        (
+            "A + C -> 2B ; k=1\n",
+            "A=2, B=0, C=n^2",
+            3,
+            "no reaction fires from the top intensity tier during the greedy "
+            "extension",
+        ),
+        (
+            "A + B <-> 0 ; k=1, 1\n",
+            "A=n^2, B=2",
+            3,
+            "constructed path failed tier verification "
+            "(in_top_intensity=True, in_drop=False)",
+        ),
+    ],
+)
+def test_witness_path_construction_errors(text, spec, target_len, message):
+    net = parse(text).network
+    seq = parse_sequence_spec(spec, net.species)
+    with pytest.raises(WitnessPathError) as exc:
+        witness_path(net, seq, target_len)
+    assert type(exc.value) is WitnessPathError
+    assert str(exc.value) == message
+
+
 def test_witness_path_divergent_weighted_increment():
     """The probability-weighted Lyapunov increment of the witness path tends
     to minus infinity along the sequence, and is bounded above on the grid."""
@@ -1095,6 +1138,12 @@ def test_parse_sequence_spec_errors():
         parse_sequence_spec("A=n, A=1, B=1", ("A", "B"))  # duplicate
     with pytest.raises(ValueError):
         parse_sequence_spec("A=n^-1, B=1", ("A", "B"))  # bad exponent
+    with pytest.raises(InvalidSequenceError):
+        parse_sequence_spec("A=n^0, B=1", ("A", "B"))  # zero power
+    with pytest.raises(InvalidSequenceError):
+        parse_sequence_spec("A=0*n, B=1", ("A", "B"))  # zero coefficient
+    with pytest.raises(ValueError, match="divides its power by zero"):
+        parse_sequence_spec("A=n^1/0, B=1, C=0", ("A", "B", "C"))
 
 
 # ------------------------------------------ shared tails, trusted sequences
@@ -1173,6 +1222,28 @@ def test_tail_memo_serves_no_stale_entry_across_laws_and_networks(monkeypatch):
     for (system, seq), expected in zip(calls, want):
         assert _walks(system, seq) == expected
         assert system.network._tail_memo[0] == seq.laws
+
+
+def test_witness_prefix_matches_the_frontier_search_on_demos_and_corpus():
+    # the witness starts with the first shortest walk out of the top growth
+    # tier that the former frontier search found, from the same start
+    found = 0
+    for system in _tail_systems():
+        net = system.network
+        seqs = scan_patterns(net).sequences
+        for seq in seqs[:: -(-len(seqs) // 16)]:
+            tail = ScratchTail(net, seq)
+            if not tail.top() or max(tail.rank) == 0 or tail.rank[min(tail.top())]:
+                continue
+            want = drop_prefix_by_frontiers(net, tail.rank, min(tail.top()))
+            try:
+                path = witness_path(net, seq)
+            except WitnessPathError as e:
+                assert want is not None or "is reachable" in str(e)
+                continue
+            assert path[: len(want)] == tuple(net.reactions[j] for j in want)
+            found += 1
+    assert found > 1000
 
 
 def test_generator_matches_per_reaction_oracle_bit_for_bit():
