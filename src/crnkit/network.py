@@ -55,12 +55,14 @@ def as_state(x: Iterable[int], dim: int) -> State:
         raise ValueError(f"state coordinate {xs.index(None)} is not an integer")
     if len(xs) != dim:
         raise ValueError(f"state has dimension {len(xs)}, expected {dim}")
-    for v in xs:
+    for i, v in enumerate(xs):
         if v < 0:
             raise ValueError(f"state coordinate {v} is negative")
         if v > STATE_COORD_MAX:
+            # Python refuses to format an int of 4300 digits or more
+            shown = f" ({v})" if v.bit_length() <= 64 else ""
             raise ValueError(
-                f"state coordinate {v} exceeds supported maximum {STATE_COORD_MAX}"
+                f"state coordinate {i}{shown} exceeds supported maximum {STATE_COORD_MAX}"
             )
     return xs
 

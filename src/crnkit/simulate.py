@@ -8,9 +8,9 @@ trajectories, and replicas are independent and reproducible; replica sweeps
 run them one after another.
 
 Each stream comes from its key, ``SeedSequence(...).generate_state(2,
-np.uint64)``, set with a zero counter on the one ``Philox`` a sampler call
-reuses; that is the key ``Philox`` takes from the sequence itself, so the
-draws are the same.
+np.uint64)`` as two Python ints, set with a zero counter on the one
+``Philox`` a sampler call reuses; that is the key ``Philox`` takes from the
+sequence itself, so the draws are the same.
 A replica sweep derives its keys without building a ``SeedSequence`` per
 replica.  The seed is mixed once (``SeedSequence(s).pool``, which also
 validates it); the spawn word r is then mixed in and the two 64-bit output
@@ -21,8 +21,10 @@ np.uint64)`` does.
 Every sampler iterates the same direct-method walk (Gillespie 1977), which
 yields one jump at a time.  Each jump consumes exactly two variates, one
 exponential for the holding time and one uniform for the reaction choice,
-drawn in blocks of 4096; the embedded-chain sampler shares this discipline,
-so it visits exactly the states of the full simulation with the same seed.
+drawn in blocks of 4096 and turned into Python floats ``_CHUNK`` jumps at a
+time as the walk reaches them; the embedded-chain sampler shares this
+discipline, so it visits exactly the states of the full simulation with the
+same seed.
 
 A sampler call steps on state tuples and works out each state's jump law
 once: the running sums of the rates, the last being their total, and a slot
@@ -63,6 +65,7 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_CHUNK = 256  # jumps of a block whose draws become Python floats at a time
 _KEY_CHUNK = 4096  # replica keys derived per vectorised pass
 _MEMO_MAX = 2**12  # states a sampler call remembers before it forgets them all
 _JUMP_BUDGET = 10**7  # jumps a sampler call without a jump bound may take
@@ -75,9 +78,9 @@ _MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _M32, _SHIFT, _HIGH = np.uint64(0xFFFFFFFF), np.uint64(16), np.uint64(32)
 
 
-def _replica_keys(seed, replicas: range) -> Iterator[np.ndarray]:
-    """Philox key of each replica index in ``replicas``, in order: equal to
-    ``SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)``.
+def _replica_keys(seed, replicas: range) -> Iterator[list]:
+    """Philox key of each replica index in ``replicas``, in order: the ints
+    of ``SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)``.
 
     The spawned sequence's entropy is the seed's words, zero-padded to the
     pool size, followed by the spawn word r.  Its pool is the seed's pool
@@ -96,9 +99,8 @@ def _replica_keys(seed, replicas: range) -> Iterator[np.ndarray]:
         chunk = replicas[lo : lo + _KEY_CHUNK]
         if not (integral and chunk[-1] < 2**32):
             for r in chunk:
-                yield np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(
-                    2, np.uint64
-                )
+                spawned = np.random.SeedSequence(seed, spawn_key=(r,))
+                yield spawned.generate_state(2, np.uint64).tolist()
             continue
         r = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.uint64)
         out = []
@@ -118,14 +120,16 @@ def _replica_keys(seed, replicas: range) -> Iterator[np.ndarray]:
             m ^= m >> _SHIFT
             out.append(m)
         # little-endian pairs of 32-bit words make the two 64-bit words
-        yield from np.stack([out[0] | out[1] << _HIGH, out[2] | out[3] << _HIGH], 1)
+        yield from np.stack([out[0] | out[1] << _HIGH, out[2] | out[3] << _HIGH], 1).tolist()
 
 
 class _DrawBlock:
-    """Blocked draws: one exponential and one uniform per jump, refilled
-    ``block`` at a time as ``_walk`` consumes them.  Once ``spent``, the
-    jumps drawn before a refill, reaches ``budget``, the refill raises: the
-    walk checks nothing, and a caller takes under budget + block jumps."""
+    """Blocked draws: one exponential and one uniform per jump, drawn
+    ``block`` at a time and turned into Python floats ``_CHUNK`` at a time,
+    ``exps[pos]`` and ``unis[pos]`` serving jump ``lo + pos`` of the block;
+    ``_walk`` calls ``turn`` once ``pos`` reaches ``end``.  Once ``spent``,
+    the jumps drawn before a refill, reaches ``budget``, the refill raises:
+    the walk checks nothing, and a caller takes under budget + block jumps."""
 
     def __init__(
         self, rng: np.random.Generator, block: int = _BLOCK, budget: float = math.inf
@@ -133,32 +137,48 @@ class _DrawBlock:
         self.rng = rng
         self.block = block
         self.budget = budget
-        self.spent = self.pos = 0
+        self.spent = self.lo = self.pos = 0
         self.refill()
 
     def refill(self) -> None:
-        self.spent += self.pos
+        self.spent += self.lo + self.pos
         if self.spent >= self.budget:
             raise BudgetExceededError(
                 f"stopped after {self.spent} jumps: the horizon needs more "
                 f"than the budget of {self.budget} jumps"
             )
+        exps = self.rng.standard_exponential(self.block)
+        unis = self.rng.random(self.block)
+        if self.block > _CHUNK:  # a short block converts whole, unsliced
+            self.drawn = exps, unis
+            exps, unis = exps[:_CHUNK], unis[:_CHUNK]
         # Python floats index and multiply faster than numpy scalars and
         # hold the same values.
-        self.exps = self.rng.standard_exponential(self.block).tolist()
-        self.unis = self.rng.random(self.block).tolist()
-        self.pos = 0
+        self.exps, self.unis = exps.tolist(), unis.tolist()
+        self.lo, self.pos, self.end = 0, 0, len(self.exps)
+
+    def turn(self) -> None:
+        """Convert the block's next chunk, or refill once it is used up."""
+        lo = self.lo + self.pos
+        if lo == self.block:
+            return self.refill()
+        hi = lo + _CHUNK
+        self.exps, self.unis = (a[lo:hi].tolist() for a in self.drawn)
+        self.lo, self.pos, self.end = lo, 0, len(self.exps)
 
 
 def _draw_blocks(
-    keys: Iterable[np.ndarray], block: int = _BLOCK, budget: float = math.inf
+    keys: Iterable[list], block: int = _BLOCK, budget: float = math.inf
 ) -> Iterator[_DrawBlock]:
     """One ``_DrawBlock`` for every stream, yielded once per Philox key in
-    ``keys`` after a fresh block from that key's stream; ``spent`` counts
-    them all.  One reused ``Philox`` is rekeyed with a zero counter and an
-    empty buffer for each key, so use the block up before taking the next."""
+    ``keys`` (two Python ints) after a fresh block from that key's stream;
+    ``spent`` counts them all.  One reused ``Philox`` is rekeyed with a zero
+    counter and an empty buffer for each key, so use the block up before
+    taking the next."""
     bits = np.random.Philox(0)
-    state = bits.state  # a fresh Philox: zero counter, empty buffer
+    state = bits.state  # a fresh Philox: empty buffer
+    # zero counter and buffer: the setter reads Python ints twice as fast as arrays
+    state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]
     draws = None
     for key in keys:
         state["state"]["key"] = key
@@ -220,8 +240,8 @@ def _walk(
             return
         sums, successors = law
         total = sums[-1]
-        if draws.pos == draws.block:
-            draws.refill()
+        if draws.pos == draws.end:
+            draws.turn()
         pos = draws.pos
         draws.pos = pos + 1
         j = bisect_right(sums, draws.unis[pos] * total, 0, len(sums) - 1)
@@ -293,7 +313,7 @@ def ssa_simulate(
     x = as_state(x0, dim)
     laws = _StateMemo(partial(_jump_law, table))
     budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
     walk = _walk(table, laws, x, next(_draw_blocks([key], budget=budget)))
     if max_jumps is not None:
         walk = islice(walk, max_jumps)  # stops before drawing for jump max_jumps + 1
@@ -482,7 +502,7 @@ def occupancy_estimate(
     table = system._rate_table
     x = as_state(x0, system.network.dim)
     laws = _StateMemo(partial(_jump_law, table))
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
     weights: Dict[State, float] = {}
     t = 0.0
     for dt, y in _walk(table, laws, x, next(_draw_blocks([key], budget=_JUMP_BUDGET))):

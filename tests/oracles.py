@@ -10,7 +10,9 @@ pattern scan with one sequence and one tail per labeling, and
 pass; ``ScratchTail`` is the tier walks' former tail, recomputed from
 scratch at every query, as a check on the incremental one;
 ``replica_generator`` builds a replica's stream the way the samplers once
-did, per replica; ``law_value_fraction`` and
+did, per replica, and ``EagerDrawBlock`` is their former draw block, which
+turned each block into Python floats whole, as a check on the chunked one
+(every sampler oracle draws through it); ``law_value_fraction`` and
 ``minimal_start_bisection`` are the sequence laws' former evaluation, in
 ``Fraction`` arithmetic with a float-seeded root, and the start search by
 doubling and bisection over it.  ``step_by_rates`` is the direct-method
@@ -49,9 +51,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from crnkit.errors import BudgetExceededError
 from crnkit.kinetics import _rates, lyapunov_difference
 from crnkit.network import STATE_COORD_MAX, as_state
-from crnkit.simulate import _BLOCK, _DrawBlock
+from crnkit.simulate import _BLOCK
 from crnkit.tiers import Grow, _Tail
 
 
@@ -646,10 +649,36 @@ def minimal_start_bisection(laws, offset, start: int, bound: int) -> int:
     return hi
 
 
+class EagerDrawBlock:
+    """The samplers' former draw block, each block turned into Python floats
+    whole as it is drawn: one exponential and one uniform per jump, refilled
+    ``block`` at a time as ``step_by_rates`` consumes them.  Once ``spent``,
+    the jumps drawn before a refill, reaches ``budget``, the refill raises."""
+
+    def __init__(self, rng: np.random.Generator, block: int = _BLOCK, budget=math.inf):
+        self.rng = rng
+        self.block = block
+        self.budget = budget
+        self.spent = self.pos = 0
+        self.refill()
+
+    def refill(self) -> None:
+        self.spent += self.pos
+        if self.spent >= self.budget:
+            raise BudgetExceededError(
+                f"stopped after {self.spent} jumps: the horizon needs more "
+                f"than the budget of {self.budget} jumps"
+            )
+        self.exps = self.rng.standard_exponential(self.block).tolist()
+        self.unis = self.rng.random(self.block).tolist()
+        self.pos = 0
+
+
 def step_by_rates(table: tuple, x: list, draws):
     """One direct-method jump from ``x``, applied to ``x`` in place, with
-    the rates recomputed and scanned linearly: None when ``x`` is absorbing
-    (no draws consumed), otherwise (holding time, sparse change)."""
+    the rates recomputed and scanned linearly and the draws taken from an
+    ``EagerDrawBlock``: None when ``x`` is absorbing (no draws consumed),
+    otherwise (holding time, sparse change)."""
     rates, total = _rates(table, x)
     if total == 0.0:
         return None
@@ -677,7 +706,7 @@ def step_by_rates(table: tuple, x: list, draws):
 
 
 def _draws(seed: int):
-    return _DrawBlock(np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
+    return EagerDrawBlock(np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))))
 
 
 def ssa_by_rates(system, x0, seed: int, max_time=None, max_jumps=None):
@@ -731,7 +760,7 @@ def return_times_by_rates(system, x0, target, horizon: float, replicas: int, see
     table = system._rate_table
     times, non_returning, landings = [], 0, 0
     for r in range(replicas):
-        draws = _DrawBlock(replica_generator(seed, r))
+        draws = EagerDrawBlock(replica_generator(seed, r))
         x = list(x0)
         t = 0.0
         left = False
@@ -758,7 +787,7 @@ def drift_mc_by_rates(system, x0, k: int, replicas: int, seed: int):
     table = system._rate_table
     values = []
     for r in range(replicas):
-        draws = _DrawBlock(replica_generator(seed, r), min(k, _BLOCK))
+        draws = EagerDrawBlock(replica_generator(seed, r), min(k, _BLOCK))
         x = list(x0)
         for _ in range(k):
             if step_by_rates(table, x, draws) is None:

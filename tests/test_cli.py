@@ -353,6 +353,15 @@ def test_drift_along_huge_fractional_power_is_refused_promptly(capsys):
     assert "exceeds supported maximum" in captured.err
 
 
+def test_drift_along_coordinate_past_the_digit_limit_names_its_index(capsys):
+    # 10**100000 has more digits than Python formats, so the message names
+    # the coordinate instead of printing it
+    code = main(["drift", CYCLE, "--k", "1", "--along", "A=n^100000, B=1, C=0:10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "state coordinate 0 exceeds supported maximum" in captured.err
+
+
 def test_drift_along_csv_equals_csv_writer_oracle(capsys):
     # each row is the drift at the x_n it names, the parsed sequence's own
     system = parse(Path(CYCLE).read_text())

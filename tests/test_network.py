@@ -11,7 +11,7 @@ import pytest
 
 from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork, catalog, parse
 from crnkit.catalog import birth_death, five_complex_cycle
-from crnkit.network import as_state
+from crnkit.network import STATE_COORD_MAX, as_state
 from test_acceptance import random_theorem_network
 
 DEMO_NETWORKS = sorted((Path(__file__).parent.parent / "demos" / "networks").glob("*.crn"))
@@ -207,3 +207,11 @@ def test_as_state_rejects_non_integral_entries_with_value_error():
             as_state((0, bad), 2)
     with pytest.raises(ValueError, match="coordinate -1 is negative"):
         as_state((0, -1), 2)
+
+
+def test_as_state_names_the_coordinate_above_the_maximum():
+    with pytest.raises(ValueError, match=r"coordinate 1 \(100000001\) exceeds supported"):
+        as_state((0, STATE_COORD_MAX + 1), 2)
+    # a value past Python's digit limit for int-to-string is not printed
+    with pytest.raises(ValueError, match=r"^state coordinate 1 exceeds supported maximum"):
+        as_state((0, 10**5000), 2)

@@ -45,6 +45,7 @@ from crnkit.simulate import (
 )
 from crnkit.tiers import exact_kstep_drift
 from oracles import (
+    EagerDrawBlock,
     drift_mc_by_rates,
     occupancy_by_rates,
     poisson_truncated,
@@ -64,8 +65,8 @@ def tv_distance(a, b):
 
 
 def seed_key(seed):
-    """The Philox key of a single run's stream."""
-    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    """The Philox key of a single run's stream, as two Python ints."""
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
 
 
 def seed_generator(seed):
@@ -485,7 +486,7 @@ def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
     laws = _StateMemo(partial(_jump_law, table))
 
     def draws(u):
-        return SimpleNamespace(pos=0, block=1, unis=[u], exps=[1.0])
+        return SimpleNamespace(pos=0, block=1, end=1, unis=[u], exps=[1.0])
 
     for u in (0.0, 1 / 3, 0.5, 0.999, 1.0):
         x = [1, 0]
@@ -510,11 +511,11 @@ def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             for jumps, (_, x) in enumerate(islice(_walk(table, laws, x, draws), 1000), 1):
                 pass
-        y, oracle_draws = [STATE_COORD_MAX - 2], _DrawBlock(seed_generator(seed))
+        y, oracle_draws = [STATE_COORD_MAX - 2], EagerDrawBlock(seed_generator(seed))
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             for oracle_jumps in range(1000):
                 step_by_rates(table, y, oracle_draws)
-        assert (jumps, x, draws.pos) == (oracle_jumps, tuple(y), oracle_draws.pos)
+        assert (jumps, x, draws.lo + draws.pos) == (oracle_jumps, tuple(y), oracle_draws.pos)
         crossings.append(jumps)
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             ssa_simulate(growth, (STATE_COORD_MAX - 2,), max_jumps=10**6, seed=seed)
@@ -553,7 +554,7 @@ def test_replica_keys_equal_spawned_seed_sequences():
         assert len(keys) == 4101
         for r in KEY_REPLICAS:
             want = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
-            assert keys[r].tolist() == want.tolist()
+            assert keys[r] == want.tolist()
 
 
 def test_replica_keys_past_one_spawn_word_and_for_sequence_seeds():
@@ -561,26 +562,110 @@ def test_replica_keys_past_one_spawn_word_and_for_sequence_seeds():
     for seed, replicas in ((7, range(2**32 - 3, 2**32 + 3)), ([1, 2**40], range(3))):
         for r, key in zip(replicas, _replica_keys(seed, replicas)):
             want = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
-            assert key.tolist() == want.tolist()
+            assert key == want.tolist()
+
+
+def chunked_pairs(draws, n):
+    """(jump counter, exponential, uniform) of the next ``n`` jumps, taken
+    from a ``_DrawBlock`` as ``_walk`` takes them."""
+    out = []
+    for _ in range(n):
+        if draws.pos == draws.end:
+            draws.turn()
+        pos = draws.pos
+        draws.pos = pos + 1
+        out.append((draws.spent + draws.lo + pos, draws.exps[pos], draws.unis[pos]))
+    return out
+
+
+def eager_pairs(oracle, n):
+    """The same from an ``EagerDrawBlock``, as ``step_by_rates`` takes them."""
+    out = []
+    for _ in range(n):
+        if oracle.pos == oracle.block:
+            oracle.refill()
+        pos = oracle.pos
+        oracle.pos = pos + 1
+        out.append((oracle.spent + pos, oracle.exps[pos], oracle.unis[pos]))
+    return out
 
 
 def assert_equal_blocks(draws, oracle):
-    # the block drawn on rekeying, then one drawn by a refill
-    for _ in range(2):
-        assert (draws.exps, draws.unis) == (oracle.exps, oracle.unis)
-        draws.refill()
-        oracle.refill()
+    # the block drawn on rekeying, then one drawn by a refill; the sweep's
+    # jump counter runs on from the replicas before
+    n, start = 2 * oracle.block, draws.spent
+    got = [(j - start, e, u) for j, e, u in chunked_pairs(draws, n)]
+    assert got == eager_pairs(oracle, n)
 
 
 def test_replica_draws_equal_per_replica_generators():
     for seed in KEY_SEEDS:
-        sweep = _draw_blocks(_replica_keys(seed, range(4101)), 3000)
+        # a block that is not a multiple of the chunk, and drift_estimate_mc's
+        # block of k jumps; replicas between the checked ones use part of theirs
+        for block in (3000, 3):
+            sweep = _draw_blocks(_replica_keys(seed, range(4101)), block)
+            for r, draws in enumerate(sweep):
+                if r in KEY_REPLICAS:
+                    oracle = EagerDrawBlock(replica_generator(seed, r), block)
+                    assert_equal_blocks(draws, oracle)
+                else:
+                    chunked_pairs(draws, r % (block + 1))
+            # a single run's stream, keyed by the seed itself
+            draws = next(_draw_blocks([seed_key(seed)], block))
+            assert_equal_blocks(draws, EagerDrawBlock(seed_generator(seed), block))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 255, 256, 257, 3000, simulate._BLOCK])
+def test_chunked_draws_equal_eager_blocks_at_every_jump(block):
+    # three blocks cover the jumps at every chunk boundary, 255/256/257 and
+    # 4095/4096/4097 among them, and the refills between the blocks
+    for seed in (0, 7):
+        draws = _DrawBlock(seed_generator(seed), block)
+        oracle = EagerDrawBlock(seed_generator(seed), block)
+        got, want = chunked_pairs(draws, 3 * block), eager_pairs(oracle, 3 * block)
+        assert got == want
+        assert [j for j, _, _ in got] == list(range(3 * block))
+
+
+@pytest.mark.parametrize("budget", [1, 255, 256, 257, 4096, 5000, 9000])
+def test_chunked_draws_exceed_the_budget_at_the_eager_jump(budget):
+    # the budget is checked when a block is drawn, never at a chunk turn
+    errors = []
+    for draws, take in (
+        (_DrawBlock(seed_generator(3), budget=budget), chunked_pairs),
+        (EagerDrawBlock(seed_generator(3), budget=budget), eager_pairs),
+    ):
+        jumps = 0
+        with pytest.raises(BudgetExceededError) as raised:
+            while True:
+                take(draws, 1)
+                jumps += 1
+        errors.append((jumps, str(raised.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == -(-budget // simulate._BLOCK) * simulate._BLOCK
+
+
+def test_replica_sweep_budget_counts_each_replica_at_its_next_key():
+    # replicas of 300 jumps against a shared budget of 2000: replica 7 is
+    # refused, after 2100 jumps, whatever chunks the replicas crossed
+    sweep = _draw_blocks(_replica_keys(5, range(100)), budget=2000)
+    with pytest.raises(BudgetExceededError, match="after 2100 jumps") as raised:
         for r, draws in enumerate(sweep):
-            if r in KEY_REPLICAS:
-                assert_equal_blocks(draws, _DrawBlock(replica_generator(seed, r), 3000))
-        # a single run's stream, keyed by the seed itself
-        draws = next(_draw_blocks([seed_key(seed)], 3000))
-        assert_equal_blocks(draws, _DrawBlock(seed_generator(seed), 3000))
+            chunked_pairs(draws, 300)
+    assert r == 6
+
+
+def test_walk_over_chunk_boundaries_equals_the_oracle_step():
+    # a walk of 700 jumps turns two chunks of its block
+    table = BD._rate_table
+    for seed in (1, 2):
+        laws = _StateMemo(partial(_jump_law, table))
+        draws = next(_draw_blocks([seed_key(seed)]))
+        got = list(islice(_walk(table, laws, (3,), draws), 700))
+        x, oracle = [3], EagerDrawBlock(seed_generator(seed))
+        want = [(step_by_rates(table, x, oracle)[0], tuple(x)) for _ in range(700)]
+        assert got == want
+        assert (draws.lo, draws.pos) == (512, 700 - 512)
 
 
 def test_replica_sweeps_reject_a_negative_seed():
