@@ -39,7 +39,9 @@ def _count(v, what: str, least: int = 0) -> int:
     """``v`` as an int >= ``least`` (see ``_whole``), else ``ValueError``."""
     n = _whole(v)
     if n is None or n < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {v}")
+        # Python refuses to format an int of 4300 digits or more
+        got = f", got {v}" if n is None or n.bit_length() <= 64 else ""
+        raise ValueError(f"{what} must be an integer >= {least}{got}")
     return n
 
 
@@ -56,14 +58,11 @@ def as_state(x: Iterable[int], dim: int) -> State:
     if len(xs) != dim:
         raise ValueError(f"state has dimension {len(xs)}, expected {dim}")
     for i, v in enumerate(xs):
-        if v < 0:
-            raise ValueError(f"state coordinate {v} is negative")
-        if v > STATE_COORD_MAX:
+        if not 0 <= v <= STATE_COORD_MAX:
             # Python refuses to format an int of 4300 digits or more
             shown = f" ({v})" if v.bit_length() <= 64 else ""
-            raise ValueError(
-                f"state coordinate {i}{shown} exceeds supported maximum {STATE_COORD_MAX}"
-            )
+            problem = "is negative" if v < 0 else f"exceeds supported maximum {STATE_COORD_MAX}"
+            raise ValueError(f"state coordinate {i}{shown} {problem}")
     return xs
 
 

@@ -19,19 +19,24 @@ step for step as ``SeedSequence(s, spawn_key=(r,)).generate_state(2,
 np.uint64)`` does.
 
 Every sampler iterates the same direct-method walk (Gillespie 1977), which
-yields one jump at a time.  Each jump consumes exactly two variates, one
-exponential for the holding time and one uniform for the reaction choice,
-drawn in blocks of 4096 and turned into Python floats ``_CHUNK`` jumps at a
-time as the walk reaches them; the embedded-chain sampler shares this
-discipline, so it visits exactly the states of the full simulation with the
-same seed.
+yields one jump at a time and stops after an optional number of jumps.
+Each jump consumes exactly two variates, one exponential for the holding
+time and one uniform for the reaction choice, drawn in blocks of 4096 into
+two arrays a sampler call allocates once and turned into Python floats
+``_CHUNK`` jumps at a time as the walk reaches them; the embedded-chain
+sampler shares this discipline, so it visits exactly the states of the full
+simulation with the same seed.
 
-A sampler call steps on state tuples and works out each state's jump law
-once: the running sums of the rates, the last being their total, and a slot
-per reaction for the successor state it leads to, filled when first taken.
-The laws sit in a memo by state that is emptied whenever it holds
-``_MEMO_MAX`` states.  Bisection over the sums picks the reaction a linear
-scan of the rates would, so trajectories are unchanged byte for byte.
+A sampler call works out each state's jump law once, as a record: the state,
+the running sums of the rates, the last being their total, a slot per
+reaction for the record of the successor it leads to, filled when first
+taken, and one value the sampler may cache per state.  The walk follows
+these links from record to record, so it looks a state up in the call's
+memo only when a slot is first filled.  The memo is emptied whenever it
+holds ``_MEMO_MAX`` states, and once more when the call ends; emptying it
+cuts every record's links, so no reference cycle outlives the call.
+Bisection over the sums picks the reaction a linear scan of the rates
+would, so trajectories are unchanged byte for byte.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -125,11 +130,12 @@ def _replica_keys(seed, replicas: range) -> Iterator[list]:
 
 class _DrawBlock:
     """Blocked draws: one exponential and one uniform per jump, drawn
-    ``block`` at a time and turned into Python floats ``_CHUNK`` at a time,
-    ``exps[pos]`` and ``unis[pos]`` serving jump ``lo + pos`` of the block;
-    ``_walk`` calls ``turn`` once ``pos`` reaches ``end``.  Once ``spent``,
-    the jumps drawn before a refill, reaches ``budget``, the refill raises:
-    the walk checks nothing, and a caller takes under budget + block jumps."""
+    ``block`` at a time into two arrays allocated once and turned into
+    Python floats ``_CHUNK`` at a time, ``exps[pos]`` and ``unis[pos]``
+    serving jump ``lo + pos`` of the block; ``_walk`` calls ``turn`` once
+    ``pos`` reaches ``end``.  Once ``spent``, the jumps drawn before a
+    refill, reaches ``budget``, the refill raises: the walk checks nothing,
+    and a caller takes under budget + block jumps."""
 
     def __init__(
         self, rng: np.random.Generator, block: int = _BLOCK, budget: float = math.inf
@@ -137,6 +143,8 @@ class _DrawBlock:
         self.rng = rng
         self.block = block
         self.budget = budget
+        self.drawn = np.empty(block), np.empty(block)
+        self.heads = tuple(a[:_CHUNK] for a in self.drawn)  # a short block whole
         self.spent = self.lo = self.pos = 0
         self.refill()
 
@@ -147,11 +155,10 @@ class _DrawBlock:
                 f"stopped after {self.spent} jumps: the horizon needs more "
                 f"than the budget of {self.budget} jumps"
             )
-        exps = self.rng.standard_exponential(self.block)
-        unis = self.rng.random(self.block)
-        if self.block > _CHUNK:  # a short block converts whole, unsliced
-            self.drawn = exps, unis
-            exps, unis = exps[:_CHUNK], unis[:_CHUNK]
+        exps, unis = self.drawn
+        self.rng.standard_exponential(out=exps)
+        self.rng.random(out=unis)
+        exps, unis = self.heads
         # Python floats index and multiply faster than numpy scalars and
         # hold the same values.
         self.exps, self.unis = exps.tolist(), unis.tolist()
@@ -191,14 +198,16 @@ def _draw_blocks(
 
 
 class _StateMemo(dict):
-    """Values of ``fn`` by state tuple, each computed on first use.
+    """Jump-law records by state tuple, each built by ``fn`` on first use.
 
-    A sampler call keeps one per function for its own length.  It is
-    emptied once it holds ``_MEMO_MAX`` states, so a trajectory that never
-    revisits a state keeps memory bounded.
+    A sampler call keeps one for its own length, as a context manager that
+    clears it on exit.  It is emptied once it holds ``_MEMO_MAX`` states,
+    so a trajectory that never revisits a state keeps memory bounded.
+    Records link to each other, so ``clear`` cuts every record's successor
+    slots first: no record is left in a reference cycle.
     """
 
-    def __init__(self, fn: Callable[[State], object]):
+    def __init__(self, fn: Callable[[State], _JumpLaw]):
         self.fn = fn
 
     def __missing__(self, key: State):
@@ -207,47 +216,63 @@ class _StateMemo(dict):
         value = self[key] = self.fn(key)
         return value
 
+    def clear(self) -> None:
+        for law in self.values():
+            law.succ = None
+        super().clear()
 
-def _jump_law(table: tuple, x: State) -> Optional[tuple]:
-    """(running sums of the rates at ``x``, the last being their total, one
-    successor slot per reaction, None until ``_walk`` fills it), or None
-    when ``x`` is absorbing."""
-    rates, total = _rates(table, x)
-    if total == 0.0:
-        return None
-    sums = []
-    acc = 0.0
-    for lam in rates:
-        acc += lam
-        sums.append(acc)
-    return tuple(sums), [None] * len(sums)
+    def __enter__(self) -> "_StateMemo":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.clear()
+
+
+class _JumpLaw:
+    """A state's jump law, built by ``_jump_law``."""
+
+    __slots__ = ("state", "sums", "total", "top", "succ", "value")
+
+
+def _jump_law(table: tuple, x: State, value=None) -> _JumpLaw:
+    """The record of ``x``'s jump law: the state, the running sums of its
+    rates, their ``total`` (the last sum; 0.0 when ``x`` is absorbing) and
+    last index ``top``, one successor slot per reaction, None until
+    ``_walk`` fills it, and one ``value`` a sampler may cache."""
+    law = _JumpLaw()
+    rates, law.total = _rates(table, x)
+    law.state, law.sums, law.top = x, list(accumulate(rates)), len(rates) - 1
+    law.succ, law.value = [None] * len(rates), value
+    return law
 
 
 def _walk(
-    table: tuple, laws: _StateMemo, x: State, draws: _DrawBlock
-) -> Iterator[Tuple[float, State]]:
+    table: tuple, laws: _StateMemo, x: State, draws: _DrawBlock, jumps: int = -1
+) -> Iterator[Tuple[float, _JumpLaw]]:
     """Direct-method jumps from the state tuple ``x``: yields (holding time,
-    next state) per jump, and returns at an absorbing state, where it
-    consumes no draws.
+    record of the next state) per jump, and returns after ``jumps`` jumps
+    (never, when negative) or at an absorbing state, where it consumes no
+    draws.
 
     ``laws`` is the call's memo of ``_jump_law`` over the rate ``table``.
     The reaction is the first whose running sum exceeds the uniform times
-    the total, else the last; its successor is built, and checked against
-    ``STATE_COORD_MAX``, the first time it is taken from a state."""
-    while True:
-        law = laws[x]
-        if law is None:
-            return
-        sums, successors = law
-        total = sums[-1]
+    the total, else the last.  A filled successor slot holds the next
+    state's record, so the memo is consulted only the first time a slot is
+    filled; that is also where the successor is built and checked against
+    ``STATE_COORD_MAX``."""
+    law = laws[x]
+    while jumps and law.total:
+        jumps -= 1
+        total = law.total
         if draws.pos == draws.end:
             draws.turn()
         pos = draws.pos
         draws.pos = pos + 1
-        j = bisect_right(sums, draws.unis[pos] * total, 0, len(sums) - 1)
-        y = successors[j]
-        if y is None:
-            y = list(x)
+        j = bisect_right(law.sums, draws.unis[pos] * total, 0, law.top)
+        succ = law.succ
+        nxt = succ[j]
+        if nxt is None:
+            y = list(law.state)
             for i, c in table[j][2]:
                 y[i] += c
                 if y[i] > STATE_COORD_MAX:
@@ -255,9 +280,9 @@ def _walk(
                         f"state coordinate exceeded supported maximum {STATE_COORD_MAX} "
                         "during simulation"
                     )
-            y = successors[j] = tuple(y)
-        yield draws.exps[pos] / total, y
-        x = y
+            nxt = succ[j] = laws[tuple(y)]  # may clear the memo, cutting law
+        yield draws.exps[pos] / total, nxt
+        law = nxt
 
 
 TERMINATED_MAX_TIME = "max_time"
@@ -311,24 +336,23 @@ def ssa_simulate(
     table = system._rate_table
     dim = system.network.dim
     x = as_state(x0, dim)
-    laws = _StateMemo(partial(_jump_law, table))
     budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
-    walk = _walk(table, laws, x, next(_draw_blocks([key], budget=budget)))
-    if max_jumps is not None:
-        walk = islice(walk, max_jumps)  # stops before drawing for jump max_jumps + 1
+    draws = next(_draw_blocks([key], budget=budget))
     times = array("d", [0.0])
     states = array("q", x)
     t = 0.0
-    for dt, x in walk:
-        if max_time is not None and t + dt > max_time:
-            terminated = TERMINATED_MAX_TIME  # the applied jump is not recorded
-            break
-        t += dt
-        times.append(t)
-        states.extend(x)
-    else:
-        terminated = TERMINATED_MAX_JUMPS if len(times) - 1 == max_jumps else TERMINATED_ABSORBED
+    with _StateMemo(partial(_jump_law, table)) as laws:
+        for dt, law in _walk(table, laws, x, draws, -1 if max_jumps is None else max_jumps):
+            if max_time is not None and t + dt > max_time:
+                terminated = TERMINATED_MAX_TIME  # the applied jump is not recorded
+                break
+            t += dt
+            times.append(t)
+            states.extend(law.state)
+        else:
+            full = len(times) - 1 == max_jumps
+            terminated = TERMINATED_MAX_JUMPS if full else TERMINATED_ABSORBED
     return TrajectorySample(
         times=np.asarray(times, dtype=np.float64),
         states=np.asarray(states, dtype=np.int64).reshape(-1, dim),
@@ -433,20 +457,19 @@ def return_times(
         else getattr(target, "description", "user predicate")
     )
 
-    inside = target
-    if type(target) is _Sublevel:
-        cutoff = target.cutoff
-        inside = _StateMemo(lambda s: sum(map(_f, s)) <= cutoff).__getitem__
     laws = _StateMemo(partial(_jump_law, table))
+    sublevel = type(target) is _Sublevel
+    if sublevel:  # tested once per state, by the sum lyapunov forms
+        laws.fn = lambda x: _jump_law(table, x, sum(map(_f, x)) <= target.cutoff)
 
     def run(draws: _DrawBlock) -> Optional[float]:
         t = 0.0
         left = False
-        for dt, x in _walk(table, laws, x_start, draws):
+        for dt, law in _walk(table, laws, x_start, draws):
             t += dt
             if t > horizon:
                 return None
-            if inside(x):
+            if law.value if sublevel else target(law.state):
                 if left:
                     return t
             else:
@@ -454,7 +477,8 @@ def return_times(
         return None  # stuck outside the target (or inside, pre-exit)
 
     sweep = _draw_blocks(_replica_keys(seed, range(replicas)), budget=_JUMP_BUDGET)
-    results = [run(draws) for draws in sweep]
+    with laws:
+        results = [run(draws) for draws in sweep]
     returned = [t for t in results if t is not None]
     return ReturnTimeStats(
         target_description=desc,
@@ -501,16 +525,17 @@ def occupancy_estimate(
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     table = system._rate_table
     x = as_state(x0, system.network.dim)
-    laws = _StateMemo(partial(_jump_law, table))
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+    draws = next(_draw_blocks([key], budget=_JUMP_BUDGET))
     weights: Dict[State, float] = {}
     t = 0.0
-    for dt, y in _walk(table, laws, x, next(_draw_blocks([key], budget=_JUMP_BUDGET))):
-        if t + dt >= t_max:
-            break
-        weights[x] = weights.get(x, 0.0) + dt
-        t += dt
-        x = y
+    with _StateMemo(partial(_jump_law, table)) as laws:
+        for dt, y in _walk(table, laws, x, draws):
+            if t + dt >= t_max:
+                break
+            weights[x] = weights.get(x, 0.0) + dt
+            t += dt
+            x = y.state
     weights[x] = weights.get(x, 0.0) + (t_max - t)  # to the horizon or absorbed
     support = tuple(sorted(weights))
     probs = np.asarray([weights[s] for s in support], dtype=np.float64)
@@ -627,20 +652,21 @@ def drift_estimate_mc(
 
     block = min(k, _BLOCK)  # a k-step replica consumes at most k draw pairs
     laws = _StateMemo(partial(_jump_law, table))
-    difference = _StateMemo(
-        lambda end: lyapunov_difference(
-            x_start, tuple(a - b for a, b in zip(end, x_start))
-        )
-    )
+    start = laws[x_start]
 
     def run(draws: _DrawBlock) -> float:
-        x = x_start
-        for _, x in islice(_walk(table, laws, x_start, draws), k):
+        end = start
+        for _, end in _walk(table, laws, x_start, draws, k):
             pass
-        return difference[x]
+        if end.value is None:  # the end state's difference, cached on its record
+            end.value = lyapunov_difference(
+                x_start, tuple(a - b for a, b in zip(end.state, x_start))
+            )
+        return end.value
 
     sweep = _draw_blocks(_replica_keys(seed, range(replicas)), block)
-    values = np.asarray([run(draws) for draws in sweep], dtype=np.float64)
+    with laws:
+        values = np.asarray([run(draws) for draws in sweep], dtype=np.float64)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(replicas))
     return mean, stderr

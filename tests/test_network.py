@@ -11,7 +11,7 @@ import pytest
 
 from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork, catalog, parse
 from crnkit.catalog import birth_death, five_complex_cycle
-from crnkit.network import STATE_COORD_MAX, as_state
+from crnkit.network import STATE_COORD_MAX, _count, as_state
 from test_acceptance import random_theorem_network
 
 DEMO_NETWORKS = sorted((Path(__file__).parent.parent / "demos" / "networks").glob("*.crn"))
@@ -205,7 +205,7 @@ def test_as_state_rejects_non_integral_entries_with_value_error():
     for bad in (1.5, 2.9, np.float64(0.5), math.inf, -math.inf, math.nan, "1", None, 1j):
         with pytest.raises(ValueError, match="not an integer"):
             as_state((0, bad), 2)
-    with pytest.raises(ValueError, match="coordinate -1 is negative"):
+    with pytest.raises(ValueError, match=r"^state coordinate 1 \(-1\) is negative$"):
         as_state((0, -1), 2)
 
 
@@ -215,3 +215,18 @@ def test_as_state_names_the_coordinate_above_the_maximum():
     # a value past Python's digit limit for int-to-string is not printed
     with pytest.raises(ValueError, match=r"^state coordinate 1 exceeds supported maximum"):
         as_state((0, 10**5000), 2)
+
+
+def test_huge_negative_values_are_named_without_their_digits():
+    # past Python's digit limit for int-to-string the value is left out of
+    # the message, which names the coordinate or the count instead
+    with pytest.raises(ValueError, match=r"^state coordinate 0 is negative$"):
+        as_state([-(10**5000)], 1)
+    with pytest.raises(ValueError, match=r"^state coordinate 1 \(-18446744073709551615\) is"):
+        as_state([0, -(2**64 - 1)], 2)
+    with pytest.raises(ValueError, match=r"^replicas must be an integer >= 0$"):
+        _count(-(10**5000), "replicas")
+    with pytest.raises(ValueError, match=r"^replicas must be an integer >= 1, got -3$"):
+        _count(-3, "replicas", 1)
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got 1.5$"):
+        _count(1.5, "k")

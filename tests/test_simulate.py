@@ -2,6 +2,7 @@
 checks (chi-square, Kolmogorov-Smirnov, total variation) at significance
 levels far below anything a correct sampler would trip."""
 
+import gc
 import math
 from functools import partial
 from itertools import islice
@@ -494,7 +495,8 @@ def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
         # the first step from (1, 0) fills the reaction's successor slot,
         # the second reads it back
         for _ in range(2):
-            assert next(_walk(table, laws, (1, 0), draws(u))) == (dt, tuple(x)), u
+            got_dt, law = next(_walk(table, laws, (1, 0), draws(u)))
+            assert (got_dt, law.state) == (dt, tuple(x)), u
     assert tuple(x) == (1, -1)  # (1, 0) moved by the last reaction, B -> 0
 
 
@@ -509,8 +511,8 @@ def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
         x, draws = (STATE_COORD_MAX - 2,), next(_draw_blocks([seed_key(seed)]))
         jumps = 0
         with pytest.raises(ValueError, match="exceeded supported maximum"):
-            for jumps, (_, x) in enumerate(islice(_walk(table, laws, x, draws), 1000), 1):
-                pass
+            for jumps, (_, law) in enumerate(islice(_walk(table, laws, x, draws), 1000), 1):
+                x = law.state
         y, oracle_draws = [STATE_COORD_MAX - 2], EagerDrawBlock(seed_generator(seed))
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             for oracle_jumps in range(1000):
@@ -520,6 +522,19 @@ def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             ssa_simulate(growth, (STATE_COORD_MAX - 2,), max_jumps=10**6, seed=seed)
     assert len(set(crossings)) > 1  # the limit falls at different jumps
+
+
+def test_walk_stops_at_its_jump_limit_before_drawing_past_it():
+    table = BD._rate_table
+    for limit in (0, 1, 5, 300):
+        laws = _StateMemo(partial(_jump_law, table))
+        draws = next(_draw_blocks([seed_key(4)]))
+        got = [(dt, law.state) for dt, law in _walk(table, laws, (3,), draws, limit)]
+        x, oracle = [3], EagerDrawBlock(seed_generator(4))
+        assert got == [(step_by_rates(table, x, oracle)[0], tuple(x)) for _ in range(limit)]
+        assert draws.lo + draws.pos == limit
+    sample = ssa_simulate(BD, (3,), max_jumps=0, seed=4)
+    assert (len(sample), sample.final_state, sample.terminated_by) == (1, (3,), "max_jumps")
 
 
 def test_plain_return_target_is_called_once_per_jump_and_for_the_start():
@@ -538,6 +553,62 @@ def test_plain_return_target_is_called_once_per_jump_and_for_the_start():
     assert len(calls) == landings + 1
     assert stats.times.tobytes() == times.tobytes()
     assert stats.non_returning == non_returning
+
+
+def records_in_cycles(call, raises=()):
+    """Jump-law records that ``gc.collect()`` finds unreachable after
+    ``call``, run with the collector off: records kept alive only by
+    reference cycles between their successor slots."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # unreachable objects go to gc.garbage
+    try:
+        try:
+            call()
+        except raises:
+            pass
+        else:
+            assert not raises, "the call should have raised"
+        gc.collect()
+        return sum(type(o) is simulate._JumpLaw for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_samplers_leave_no_jump_law_records_in_cycles(monkeypatch, cap):
+    # a cap of 2 states empties the memo every few jumps, records and all
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_MEMO_MAX", cap)
+
+    def walk_without_clearing():
+        laws = _StateMemo(partial(_jump_law, BD._rate_table))
+        draws = next(_draw_blocks([seed_key(1)]))
+        for _ in _walk(BD._rate_table, laws, (3,), draws, 500):
+            pass
+
+    # the check sees the cycles of a memo nobody clears
+    assert records_in_cycles(walk_without_clearing) > 0
+    growth = parse("species: S\nS -> 2S ; k=2.0\nS -> 0 ; k=1.0\n")
+    sublevel = lyapunov_sublevel(lyapunov((3,)))
+    calls = [
+        lambda: ssa_simulate(BD, (3,), max_jumps=2000, seed=1),
+        lambda: ssa_simulate(BD, (3,), max_time=50.0, seed=1),  # stops mid-walk
+        lambda: occupancy_estimate(BD, (3,), 200.0, seed=1),
+        lambda: return_times(BD, (3,), sublevel, horizon=100.0, replicas=20, seed=1),
+        lambda: return_times(BD, (3,), lambda x: x[0] <= 3, horizon=100.0, replicas=20),
+        lambda: drift_estimate_mc(BD, (3,), 25, replicas=50, seed=1),
+    ]
+    for call in calls:
+        assert records_in_cycles(call) == 0
+    for seed in range(3):
+        crossing = partial(ssa_simulate, growth, (STATE_COORD_MAX - 2,), max_jumps=10**6, seed=seed)
+        assert records_in_cycles(crossing, ValueError) == 0
+    monkeypatch.setattr(simulate, "_JUMP_BUDGET", 5000)
+    refused = partial(return_times, BD, (1,), sublevel, horizon=1e9, replicas=300, seed=1)
+    assert records_in_cycles(refused, BudgetExceededError) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +732,7 @@ def test_walk_over_chunk_boundaries_equals_the_oracle_step():
     for seed in (1, 2):
         laws = _StateMemo(partial(_jump_law, table))
         draws = next(_draw_blocks([seed_key(seed)]))
-        got = list(islice(_walk(table, laws, (3,), draws), 700))
+        got = [(dt, law.state) for dt, law in islice(_walk(table, laws, (3,), draws), 700)]
         x, oracle = [3], EagerDrawBlock(seed_generator(seed))
         want = [(step_by_rates(table, x, oracle)[0], tuple(x)) for _ in range(700)]
         assert got == want
