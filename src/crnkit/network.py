@@ -58,7 +58,7 @@ def as_state(x: Iterable[int], dim: int) -> State:
     if len(xs) != dim:
         raise ValueError(f"state has dimension {len(xs)}, expected {dim}")
     for i, v in enumerate(xs):
-        if not 0 <= v <= STATE_COORD_MAX:
+        if v < 0 or v > STATE_COORD_MAX:
             # Python refuses to format an int of 4300 digits or more
             shown = f" ({v})" if v.bit_length() <= 64 else ""
             problem = "is negative" if v < 0 else f"exceeds supported maximum {STATE_COORD_MAX}"
