@@ -469,7 +469,8 @@ def _parser() -> _Parser:
         type=int,
         default=None,
         metavar="LEN",
-        help="witness path length (default: number of reactions)",
+        help="witness path length (default: number of reactions); the cost is "
+        "linear in LEN, about 6-8 us and 20 bytes of report per step",
     )
     p.set_defaults(fn=_cmd_tiers)
 

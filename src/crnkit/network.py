@@ -25,11 +25,16 @@ State = tuple
 
 
 def _whole(v) -> Optional[int]:
-    """``v`` as an int when it is of an integer type (numpy's included) or a
-    finite real without a fractional part, else None."""
+    """``v`` as an int when it is of an integer type (numpy's included), a
+    rational whose denominator divides its numerator, or a finite real
+    without a fractional part, else None.  A rational is never converted to
+    a float, which a huge one would overflow."""
     try:
         return operator.index(v)
     except TypeError:
+        if isinstance(v, numbers.Rational):
+            whole, part = divmod(v.numerator, v.denominator)
+            return None if part else int(whole)
         if isinstance(v, numbers.Real) and math.isfinite(v) and v == math.floor(v):
             return int(v)
         return None
@@ -40,7 +45,8 @@ def _count(v, what: str, least: int = 0) -> int:
     n = _whole(v)
     if n is None or n < least:
         # Python refuses to format an int of 4300 digits or more
-        got = f", got {v}" if n is None or n.bit_length() <= 64 else ""
+        whole = n if n is not None else v.numerator if isinstance(v, numbers.Rational) else 0
+        got = f", got {v}" if whole.bit_length() <= 64 else ""
         raise ValueError(f"{what} must be an integer >= {least}{got}")
     return n
 

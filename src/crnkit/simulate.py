@@ -21,11 +21,11 @@ np.uint64)`` does.
 Every sampler iterates the same direct-method walk (Gillespie 1977), which
 yields one jump at a time and stops after an optional number of jumps.
 Each jump consumes exactly two variates, one exponential for the holding
-time and one uniform for the reaction choice, drawn in blocks of 4096 into
-two arrays a sampler call allocates once and turned into Python floats
-``_CHUNK`` jumps at a time as the walk reaches them; the embedded-chain
-sampler shares this discipline, so it visits exactly the states of the full
-simulation with the same seed.
+time and one uniform for the reaction choice.  numpy draws them in blocks of
+4096, in place, into two ``array("d")`` buffers a sampler call allocates
+once, and the walk indexes those buffers as Python floats; the
+embedded-chain sampler shares this discipline, so it visits exactly the
+states of the full simulation with the same seed.
 
 A sampler call works out each state's jump law once, as a record: the state,
 the running sums of the rates, the last being their total, a slot per
@@ -46,7 +46,6 @@ import numbers
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
@@ -70,7 +69,6 @@ __all__ = [
 ]
 
 _BLOCK = 4096
-_CHUNK = 256  # jumps of a block whose draws become Python floats at a time
 _KEY_CHUNK = 4096  # replica keys derived per vectorised pass
 _MEMO_MAX = 2**12  # states a sampler call remembers before it forgets them all
 _JUMP_BUDGET = 10**7  # jumps a sampler call without a jump bound may take
@@ -130,12 +128,12 @@ def _replica_keys(seed, replicas: range) -> Iterator[list]:
 
 class _DrawBlock:
     """Blocked draws: one exponential and one uniform per jump, drawn
-    ``block`` at a time into two arrays allocated once and turned into
-    Python floats ``_CHUNK`` at a time, ``exps[pos]`` and ``unis[pos]``
-    serving jump ``lo + pos`` of the block; ``_walk`` calls ``turn`` once
-    ``pos`` reaches ``end``.  Once ``spent``, the jumps drawn before a
-    refill, reaches ``budget``, the refill raises: the walk checks nothing,
-    and a caller takes under budget + block jumps."""
+    ``block`` at a time into two ``array("d")`` buffers allocated once, so
+    ``exps[pos]`` and ``unis[pos]`` are Python floats serving jump ``pos``
+    of the block; ``_walk`` calls ``refill`` once ``pos`` reaches ``block``.
+    Once ``spent``, the jumps drawn before a refill, reaches ``budget``, the
+    refill raises: the walk checks nothing, and a caller takes under
+    budget + block jumps."""
 
     def __init__(
         self, rng: np.random.Generator, block: int = _BLOCK, budget: float = math.inf
@@ -143,35 +141,22 @@ class _DrawBlock:
         self.rng = rng
         self.block = block
         self.budget = budget
-        self.drawn = np.empty(block), np.empty(block)
-        self.heads = tuple(a[:_CHUNK] for a in self.drawn)  # a short block whole
-        self.spent = self.lo = self.pos = 0
+        self.exps, self.unis = array("d", [0.0]) * block, array("d", [0.0]) * block
+        self.views = np.frombuffer(self.exps), np.frombuffer(self.unis)  # filled in place
+        self.spent = self.pos = 0
         self.refill()
 
     def refill(self) -> None:
-        self.spent += self.lo + self.pos
+        self.spent += self.pos
         if self.spent >= self.budget:
             raise BudgetExceededError(
                 f"stopped after {self.spent} jumps: the horizon needs more "
                 f"than the budget of {self.budget} jumps"
             )
-        exps, unis = self.drawn
+        exps, unis = self.views
         self.rng.standard_exponential(out=exps)
         self.rng.random(out=unis)
-        exps, unis = self.heads
-        # Python floats index and multiply faster than numpy scalars and
-        # hold the same values.
-        self.exps, self.unis = exps.tolist(), unis.tolist()
-        self.lo, self.pos, self.end = 0, 0, len(self.exps)
-
-    def turn(self) -> None:
-        """Convert the block's next chunk, or refill once it is used up."""
-        lo = self.lo + self.pos
-        if lo == self.block:
-            return self.refill()
-        hi = lo + _CHUNK
-        self.exps, self.unis = (a[lo:hi].tolist() for a in self.drawn)
-        self.lo, self.pos, self.end = lo, 0, len(self.exps)
+        self.pos = 0
 
 
 def _draw_blocks(
@@ -198,7 +183,8 @@ def _draw_blocks(
 
 
 class _StateMemo(dict):
-    """Jump-law records by state tuple, each built by ``fn`` on first use.
+    """Jump-law records by state tuple, each built from the rate ``table``
+    on first use, with ``value(state)`` cached on it when ``value`` is given.
 
     A sampler call keeps one for its own length, as a context manager that
     clears it on exit.  It is emptied once it holds ``_MEMO_MAX`` states,
@@ -207,14 +193,20 @@ class _StateMemo(dict):
     slots first: no record is left in a reference cycle.
     """
 
-    def __init__(self, fn: Callable[[State], _JumpLaw]):
-        self.fn = fn
+    def __init__(self, table: tuple, value: Optional[Callable[[State], object]] = None):
+        self.table = table
+        self.value = value
 
-    def __missing__(self, key: State):
+    def __missing__(self, x: State) -> _JumpLaw:
         if len(self) >= _MEMO_MAX:
             self.clear()
-        value = self[key] = self.fn(key)
-        return value
+        law = _JumpLaw()
+        rates, law.total = _rates(self.table, x)
+        law.state, law.sums, law.top = x, list(accumulate(rates)), len(rates) - 1
+        law.succ = [None] * len(rates)
+        law.value = None if self.value is None else self.value(x)
+        self[x] = law
+        return law
 
     def clear(self) -> None:
         for law in self.values():
@@ -229,43 +221,35 @@ class _StateMemo(dict):
 
 
 class _JumpLaw:
-    """A state's jump law, built by ``_jump_law``."""
+    """A state's jump law, built by ``_StateMemo``: the state, the running
+    sums of its rates, their ``total`` (the last sum; 0.0 when the state is
+    absorbing) and last index ``top``, one successor slot per reaction,
+    None until ``_walk`` fills it, and one ``value`` a sampler may cache."""
 
     __slots__ = ("state", "sums", "total", "top", "succ", "value")
 
 
-def _jump_law(table: tuple, x: State, value=None) -> _JumpLaw:
-    """The record of ``x``'s jump law: the state, the running sums of its
-    rates, their ``total`` (the last sum; 0.0 when ``x`` is absorbing) and
-    last index ``top``, one successor slot per reaction, None until
-    ``_walk`` fills it, and one ``value`` a sampler may cache."""
-    law = _JumpLaw()
-    rates, law.total = _rates(table, x)
-    law.state, law.sums, law.top = x, list(accumulate(rates)), len(rates) - 1
-    law.succ, law.value = [None] * len(rates), value
-    return law
-
-
 def _walk(
-    table: tuple, laws: _StateMemo, x: State, draws: _DrawBlock, jumps: int = -1
+    laws: _StateMemo, x: State, draws: _DrawBlock, jumps: int = -1
 ) -> Iterator[Tuple[float, _JumpLaw]]:
     """Direct-method jumps from the state tuple ``x``: yields (holding time,
     record of the next state) per jump, and returns after ``jumps`` jumps
     (never, when negative) or at an absorbing state, where it consumes no
     draws.
 
-    ``laws`` is the call's memo of ``_jump_law`` over the rate ``table``.
+    ``laws`` is the call's memo of jump-law records.
     The reaction is the first whose running sum exceeds the uniform times
     the total, else the last.  A filled successor slot holds the next
     state's record, so the memo is consulted only the first time a slot is
     filled; that is also where the successor is built and checked against
     ``STATE_COORD_MAX``."""
+    table = laws.table
     law = laws[x]
     while jumps and law.total:
         jumps -= 1
         total = law.total
-        if draws.pos == draws.end:
-            draws.turn()
+        if draws.pos == draws.block:
+            draws.refill()
         pos = draws.pos
         draws.pos = pos + 1
         j = bisect_right(law.sums, draws.unis[pos] * total, 0, law.top)
@@ -333,7 +317,6 @@ def ssa_simulate(
         raise ValueError(f"max_time must be finite without max_jumps, got {max_time}")
     if max_jumps is not None:
         max_jumps = _count(max_jumps, "max_jumps")
-    table = system._rate_table
     dim = system.network.dim
     x = as_state(x0, dim)
     budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
@@ -342,8 +325,8 @@ def ssa_simulate(
     times = array("d", [0.0])
     states = array("q", x)
     t = 0.0
-    with _StateMemo(partial(_jump_law, table)) as laws:
-        for dt, law in _walk(table, laws, x, draws, -1 if max_jumps is None else max_jumps):
+    with _StateMemo(system._rate_table) as laws:
+        for dt, law in _walk(laws, x, draws, -1 if max_jumps is None else max_jumps):
             if max_time is not None and t + dt > max_time:
                 terminated = TERMINATED_MAX_TIME  # the applied jump is not recorded
                 break
@@ -444,7 +427,6 @@ def return_times(
     (``_JUMP_BUDGET``) over all replicas the call raises
     ``BudgetExceededError``.
     """
-    table = system._rate_table
     x_start = as_state(x0, system.network.dim)
     if not target(x_start):
         raise ValueError(f"start state {x_start} is not in the target set")
@@ -457,15 +439,15 @@ def return_times(
         else getattr(target, "description", "user predicate")
     )
 
-    laws = _StateMemo(partial(_jump_law, table))
     sublevel = type(target) is _Sublevel
-    if sublevel:  # tested once per state, by the sum lyapunov forms
-        laws.fn = lambda x: _jump_law(table, x, sum(map(_f, x)) <= target.cutoff)
+    # a sublevel target is tested once per state, by the sum lyapunov forms
+    in_target = (lambda x: sum(map(_f, x)) <= target.cutoff) if sublevel else None
+    laws = _StateMemo(system._rate_table, in_target)
 
     def run(draws: _DrawBlock) -> Optional[float]:
         t = 0.0
         left = False
-        for dt, law in _walk(table, laws, x_start, draws):
+        for dt, law in _walk(laws, x_start, draws):
             t += dt
             if t > horizon:
                 return None
@@ -523,14 +505,13 @@ def occupancy_estimate(
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    table = system._rate_table
     x = as_state(x0, system.network.dim)
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
     draws = next(_draw_blocks([key], budget=_JUMP_BUDGET))
     weights: Dict[State, float] = {}
     t = 0.0
-    with _StateMemo(partial(_jump_law, table)) as laws:
-        for dt, y in _walk(table, laws, x, draws):
+    with _StateMemo(system._rate_table) as laws:
+        for dt, y in _walk(laws, x, draws):
             if t + dt >= t_max:
                 break
             weights[x] = weights.get(x, 0.0) + dt
@@ -644,19 +625,18 @@ def drift_estimate_mc(
     """
     k = _count(k, "k")
     replicas = _count(replicas, "replicas", 2)  # two for a standard error
-    table = system._rate_table
     x_start = as_state(x, system.network.dim)
     np.random.SeedSequence(seed)  # rejects a bad seed as the replica keys do
     if k == 0:
         return 0.0, 0.0
 
     block = min(k, _BLOCK)  # a k-step replica consumes at most k draw pairs
-    laws = _StateMemo(partial(_jump_law, table))
+    laws = _StateMemo(system._rate_table)
     start = laws[x_start]
 
     def run(draws: _DrawBlock) -> float:
         end = start
-        for _, end in _walk(table, laws, x_start, draws, k):
+        for _, end in _walk(laws, x_start, draws, k):
             pass
         if end.value is None:  # the end state's difference, cached on its record
             end.value = lyapunov_difference(

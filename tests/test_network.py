@@ -205,6 +205,11 @@ def test_as_state_rejects_non_integral_entries_with_value_error():
     for bad in (1.5, 2.9, np.float64(0.5), math.inf, -math.inf, math.nan, "1", None, 1j):
         with pytest.raises(ValueError, match="not an integer"):
             as_state((0, bad), 2)
+    # a rational is tested by its denominator, never through a float
+    for bad in (Fraction(1, 2), Fraction(10**400, 3), Fraction(-(10**400), 7)):
+        with pytest.raises(ValueError, match=r"^state coordinate 1 is not an integer$"):
+            as_state((0, bad), 2)
+    assert as_state((Fraction(6, 2), Fraction(0)), 2) == (3, 0)
     with pytest.raises(ValueError, match=r"^state coordinate 1 \(-1\) is negative$"):
         as_state((0, -1), 2)
 
@@ -215,6 +220,9 @@ def test_as_state_names_the_coordinate_above_the_maximum():
     # a value past Python's digit limit for int-to-string is not printed
     with pytest.raises(ValueError, match=r"^state coordinate 1 exceeds supported maximum"):
         as_state((0, 10**5000), 2)
+    # an integral rational too large for a float is its integer
+    with pytest.raises(ValueError, match=r"^state coordinate 0 exceeds supported maximum"):
+        as_state([Fraction(10**400, 1)], 1)
 
 
 def test_huge_negative_values_are_named_without_their_digits():
@@ -230,3 +238,9 @@ def test_huge_negative_values_are_named_without_their_digits():
         _count(-3, "replicas", 1)
     with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got 1.5$"):
         _count(1.5, "k")
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got 7/2$"):
+        _count(Fraction(7, 2), "k")
+    # a rational past 64 bits is not converted to a float, nor printed
+    for huge in (Fraction(10**400, 3), Fraction(10**5000, 3), Fraction(-(10**400), 1)):
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 0$"):
+            _count(huge, "k")

@@ -32,7 +32,6 @@ from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import (
     _DrawBlock,
     _draw_blocks,
-    _jump_law,
     _replica_keys,
     _StateMemo,
     _walk,
@@ -484,10 +483,10 @@ def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
         "species: A, B\nA -> 0 ; k=1.0\nB -> A ; k=1.0\nA -> 2A ; k=2.0\nB -> 0 ; k=1.0\n"
     )
     table = system._rate_table
-    laws = _StateMemo(partial(_jump_law, table))
+    laws = _StateMemo(table)
 
     def draws(u):
-        return SimpleNamespace(pos=0, block=1, end=1, unis=[u], exps=[1.0])
+        return SimpleNamespace(pos=0, block=1, unis=[u], exps=[1.0])
 
     for u in (0.0, 1 / 3, 0.5, 0.999, 1.0):
         x = [1, 0]
@@ -495,7 +494,7 @@ def test_memo_step_picks_the_oracle_reaction_at_ties_and_at_the_top():
         # the first step from (1, 0) fills the reaction's successor slot,
         # the second reads it back
         for _ in range(2):
-            got_dt, law = next(_walk(table, laws, (1, 0), draws(u)))
+            got_dt, law = next(_walk(laws, (1, 0), draws(u)))
             assert (got_dt, law.state) == (dt, tuple(x)), u
     assert tuple(x) == (1, -1)  # (1, 0) moved by the last reaction, B -> 0
 
@@ -507,17 +506,17 @@ def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
     table = growth._rate_table
     crossings = []
     for seed in range(5):
-        laws = _StateMemo(partial(_jump_law, table))
+        laws = _StateMemo(table)
         x, draws = (STATE_COORD_MAX - 2,), next(_draw_blocks([seed_key(seed)]))
         jumps = 0
         with pytest.raises(ValueError, match="exceeded supported maximum"):
-            for jumps, (_, law) in enumerate(islice(_walk(table, laws, x, draws), 1000), 1):
+            for jumps, (_, law) in enumerate(islice(_walk(laws, x, draws), 1000), 1):
                 x = law.state
         y, oracle_draws = [STATE_COORD_MAX - 2], EagerDrawBlock(seed_generator(seed))
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             for oracle_jumps in range(1000):
                 step_by_rates(table, y, oracle_draws)
-        assert (jumps, x, draws.lo + draws.pos) == (oracle_jumps, tuple(y), oracle_draws.pos)
+        assert (jumps, x, draws.pos) == (oracle_jumps, tuple(y), oracle_draws.pos)
         crossings.append(jumps)
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             ssa_simulate(growth, (STATE_COORD_MAX - 2,), max_jumps=10**6, seed=seed)
@@ -527,12 +526,12 @@ def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
 def test_walk_stops_at_its_jump_limit_before_drawing_past_it():
     table = BD._rate_table
     for limit in (0, 1, 5, 300):
-        laws = _StateMemo(partial(_jump_law, table))
+        laws = _StateMemo(table)
         draws = next(_draw_blocks([seed_key(4)]))
-        got = [(dt, law.state) for dt, law in _walk(table, laws, (3,), draws, limit)]
+        got = [(dt, law.state) for dt, law in _walk(laws, (3,), draws, limit)]
         x, oracle = [3], EagerDrawBlock(seed_generator(4))
         assert got == [(step_by_rates(table, x, oracle)[0], tuple(x)) for _ in range(limit)]
-        assert draws.lo + draws.pos == limit
+        assert draws.pos == limit
     sample = ssa_simulate(BD, (3,), max_jumps=0, seed=4)
     assert (len(sample), sample.final_state, sample.terminated_by) == (1, (3,), "max_jumps")
 
@@ -584,9 +583,9 @@ def test_samplers_leave_no_jump_law_records_in_cycles(monkeypatch, cap):
         monkeypatch.setattr(simulate, "_MEMO_MAX", cap)
 
     def walk_without_clearing():
-        laws = _StateMemo(partial(_jump_law, BD._rate_table))
+        laws = _StateMemo(BD._rate_table)
         draws = next(_draw_blocks([seed_key(1)]))
-        for _ in _walk(BD._rate_table, laws, (3,), draws, 500):
+        for _ in _walk(laws, (3,), draws, 500):
             pass
 
     # the check sees the cycles of a memo nobody clears
@@ -641,11 +640,11 @@ def chunked_pairs(draws, n):
     from a ``_DrawBlock`` as ``_walk`` takes them."""
     out = []
     for _ in range(n):
-        if draws.pos == draws.end:
-            draws.turn()
+        if draws.pos == draws.block:
+            draws.refill()
         pos = draws.pos
         draws.pos = pos + 1
-        out.append((draws.spent + draws.lo + pos, draws.exps[pos], draws.unis[pos]))
+        out.append((draws.spent + pos, draws.exps[pos], draws.unis[pos]))
     return out
 
 
@@ -680,7 +679,7 @@ def test_replica_draws_equal_per_replica_generators():
                     oracle = EagerDrawBlock(replica_generator(seed, r), block)
                     assert_equal_blocks(draws, oracle)
                 else:
-                    chunked_pairs(draws, r % (block + 1))
+                    chunked_pairs(draws, r % 7)
             # a single run's stream, keyed by the seed itself
             draws = next(_draw_blocks([seed_key(seed)], block))
             assert_equal_blocks(draws, EagerDrawBlock(seed_generator(seed), block))
@@ -727,16 +726,16 @@ def test_replica_sweep_budget_counts_each_replica_at_its_next_key():
 
 
 def test_walk_over_chunk_boundaries_equals_the_oracle_step():
-    # a walk of 700 jumps turns two chunks of its block
+    # a walk of 700 jumps reads its one block in place, past 256 and 512
     table = BD._rate_table
     for seed in (1, 2):
-        laws = _StateMemo(partial(_jump_law, table))
+        laws = _StateMemo(table)
         draws = next(_draw_blocks([seed_key(seed)]))
-        got = [(dt, law.state) for dt, law in islice(_walk(table, laws, (3,), draws), 700)]
+        got = [(dt, law.state) for dt, law in islice(_walk(laws, (3,), draws), 700)]
         x, oracle = [3], EagerDrawBlock(seed_generator(seed))
         want = [(step_by_rates(table, x, oracle)[0], tuple(x)) for _ in range(700)]
         assert got == want
-        assert (draws.lo, draws.pos) == (512, 700 - 512)
+        assert draws.pos == 700
 
 
 def test_replica_sweeps_reject_a_negative_seed():
