@@ -40,14 +40,22 @@ def _whole(v) -> Optional[int]:
         return None
 
 
+def _shown(form: str, *values) -> str:
+    """``form.format(*values)`` for a message, or "" when a value is too
+    large to show: Python refuses to format an int of 4300 digits or more,
+    so an int or rational, alone or in a tuple, is shown only while its
+    numerator and denominator fit in 64 bits."""
+    for w in (w for v in values for w in (v if isinstance(v, tuple) else (v,))):
+        if isinstance(w, numbers.Rational) and max(abs(int(w.numerator)), w.denominator) >= 2**64:
+            return ""
+    return form.format(*values)
+
+
 def _count(v, what: str, least: int = 0) -> int:
     """``v`` as an int >= ``least`` (see ``_whole``), else ``ValueError``."""
     n = _whole(v)
     if n is None or n < least:
-        # Python refuses to format an int of 4300 digits or more
-        whole = n if n is not None else v.numerator if isinstance(v, numbers.Rational) else 0
-        got = f", got {v}" if whole.bit_length() <= 64 else ""
-        raise ValueError(f"{what} must be an integer >= {least}{got}")
+        raise ValueError(f"{what} must be an integer >= {least}{_shown(', got {}', v)}")
     return n
 
 
@@ -65,10 +73,8 @@ def as_state(x: Iterable[int], dim: int) -> State:
         raise ValueError(f"state has dimension {len(xs)}, expected {dim}")
     for i, v in enumerate(xs):
         if v < 0 or v > STATE_COORD_MAX:
-            # Python refuses to format an int of 4300 digits or more
-            shown = f" ({v})" if v.bit_length() <= 64 else ""
             problem = "is negative" if v < 0 else f"exceeds supported maximum {STATE_COORD_MAX}"
-            raise ValueError(f"state coordinate {i}{shown} {problem}")
+            raise ValueError(f"state coordinate {i}{_shown(' ({})', v)} {problem}")
     return xs
 
 

@@ -8,9 +8,9 @@ trajectories, and replicas are independent and reproducible; replica sweeps
 run them one after another.
 
 Each stream comes from its key, ``SeedSequence(...).generate_state(2,
-np.uint64)`` as two Python ints, set with a zero counter on the one
-``Philox`` a sampler call reuses; that is the key ``Philox`` takes from the
-sequence itself, so the draws are the same.
+np.uint64)`` as two Python ints, which ``_DrawBlock.start`` sets with a zero
+counter on the one ``Philox`` a sampler call owns; that is the key
+``Philox`` takes from the sequence itself, so the draws are the same.
 A replica sweep derives its keys without building a ``SeedSequence`` per
 replica.  The seed is mixed once (``SeedSequence(s).pool``, which also
 validates it); the spawn word r is then mixed in and the two 64-bit output
@@ -127,24 +127,34 @@ def _replica_keys(seed, replicas: range) -> Iterator[list]:
 
 
 class _DrawBlock:
-    """Blocked draws: one exponential and one uniform per jump, drawn
+    """Blocked draws from one ``Philox``: ``start(key)`` begins the stream
+    of a Philox key (two Python ints) with a zero counter and an empty
+    buffer.  Each jump takes one exponential and one uniform, drawn
     ``block`` at a time into two ``array("d")`` buffers allocated once, so
     ``exps[pos]`` and ``unis[pos]`` are Python floats serving jump ``pos``
     of the block; ``_walk`` calls ``refill`` once ``pos`` reaches ``block``.
-    Once ``spent``, the jumps drawn before a refill, reaches ``budget``, the
-    refill raises: the walk checks nothing, and a caller takes under
-    budget + block jumps."""
+    ``spent`` counts the jumps drawn before the last refill or start, so
+    ``spent + pos`` is the call's jump count; once ``spent`` reaches
+    ``budget``, the refill raises: the walk checks nothing, and a call takes
+    under budget + block jumps."""
 
-    def __init__(
-        self, rng: np.random.Generator, block: int = _BLOCK, budget: float = math.inf
-    ):
-        self.rng = rng
+    def __init__(self, block: int = _BLOCK, budget: float = math.inf):
+        self.bits = np.random.Philox(0)
+        self.rng = np.random.Generator(self.bits)
+        self.state = self.bits.state  # a fresh Philox: empty buffer
+        # zero counter and buffer: the setter reads Python ints twice as fast as arrays
+        self.state["state"]["counter"] = self.state["buffer"] = [0, 0, 0, 0]
         self.block = block
         self.budget = budget
         self.exps, self.unis = array("d", [0.0]) * block, array("d", [0.0]) * block
         self.views = np.frombuffer(self.exps), np.frombuffer(self.unis)  # filled in place
         self.spent = self.pos = 0
+
+    def start(self, key: list) -> "_DrawBlock":
+        self.state["state"]["key"] = key
+        self.bits.state = self.state
         self.refill()
+        return self
 
     def refill(self) -> None:
         self.spent += self.pos
@@ -157,29 +167,6 @@ class _DrawBlock:
         self.rng.standard_exponential(out=exps)
         self.rng.random(out=unis)
         self.pos = 0
-
-
-def _draw_blocks(
-    keys: Iterable[list], block: int = _BLOCK, budget: float = math.inf
-) -> Iterator[_DrawBlock]:
-    """One ``_DrawBlock`` for every stream, yielded once per Philox key in
-    ``keys`` (two Python ints) after a fresh block from that key's stream;
-    ``spent`` counts them all.  One reused ``Philox`` is rekeyed with a zero
-    counter and an empty buffer for each key, so use the block up before
-    taking the next."""
-    bits = np.random.Philox(0)
-    state = bits.state  # a fresh Philox: empty buffer
-    # zero counter and buffer: the setter reads Python ints twice as fast as arrays
-    state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]
-    draws = None
-    for key in keys:
-        state["state"]["key"] = key
-        bits.state = state
-        if draws is None:
-            draws = _DrawBlock(np.random.Generator(bits), block, budget)
-        else:
-            draws.refill()
-        yield draws
 
 
 class _StateMemo(dict):
@@ -202,7 +189,7 @@ class _StateMemo(dict):
             self.clear()
         law = _JumpLaw()
         rates, law.total = _rates(self.table, x)
-        law.state, law.sums, law.top = x, list(accumulate(rates)), len(rates) - 1
+        law.state, law.sums = x, list(accumulate(rates))
         law.succ = [None] * len(rates)
         law.value = None if self.value is None else self.value(x)
         self[x] = law
@@ -223,10 +210,10 @@ class _StateMemo(dict):
 class _JumpLaw:
     """A state's jump law, built by ``_StateMemo``: the state, the running
     sums of its rates, their ``total`` (the last sum; 0.0 when the state is
-    absorbing) and last index ``top``, one successor slot per reaction,
-    None until ``_walk`` fills it, and one ``value`` a sampler may cache."""
+    absorbing), one successor slot per reaction, None until ``_walk`` fills
+    it, and one ``value`` a sampler may cache."""
 
-    __slots__ = ("state", "sums", "total", "top", "succ", "value")
+    __slots__ = ("state", "sums", "total", "succ", "value")
 
 
 def _walk(
@@ -244,6 +231,7 @@ def _walk(
     filled; that is also where the successor is built and checked against
     ``STATE_COORD_MAX``."""
     table = laws.table
+    top = len(table) - 1
     law = laws[x]
     while jumps and law.total:
         jumps -= 1
@@ -252,7 +240,7 @@ def _walk(
             draws.refill()
         pos = draws.pos
         draws.pos = pos + 1
-        j = bisect_right(law.sums, draws.unis[pos] * total, 0, law.top)
+        j = bisect_right(law.sums, draws.unis[pos] * total, 0, top)
         succ = law.succ
         nxt = succ[j]
         if nxt is None:
@@ -321,7 +309,7 @@ def ssa_simulate(
     x = as_state(x0, dim)
     budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
-    draws = next(_draw_blocks([key], budget=budget))
+    draws = _DrawBlock(budget=budget).start(key)
     times = array("d", [0.0])
     states = array("q", x)
     t = 0.0
@@ -458,9 +446,9 @@ def return_times(
                 left = True
         return None  # stuck outside the target (or inside, pre-exit)
 
-    sweep = _draw_blocks(_replica_keys(seed, range(replicas)), budget=_JUMP_BUDGET)
+    draws = _DrawBlock(budget=_JUMP_BUDGET)
     with laws:
-        results = [run(draws) for draws in sweep]
+        results = [run(draws.start(key)) for key in _replica_keys(seed, range(replicas))]
     returned = [t for t in results if t is not None]
     return ReturnTimeStats(
         target_description=desc,
@@ -507,7 +495,7 @@ def occupancy_estimate(
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     x = as_state(x0, system.network.dim)
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
-    draws = next(_draw_blocks([key], budget=_JUMP_BUDGET))
+    draws = _DrawBlock(budget=_JUMP_BUDGET).start(key)
     weights: Dict[State, float] = {}
     t = 0.0
     with _StateMemo(system._rate_table) as laws:
@@ -630,7 +618,6 @@ def drift_estimate_mc(
     if k == 0:
         return 0.0, 0.0
 
-    block = min(k, _BLOCK)  # a k-step replica consumes at most k draw pairs
     laws = _StateMemo(system._rate_table)
     start = laws[x_start]
 
@@ -644,9 +631,9 @@ def drift_estimate_mc(
             )
         return end.value
 
-    sweep = _draw_blocks(_replica_keys(seed, range(replicas)), block)
+    draws = _DrawBlock(min(k, _BLOCK))  # a k-step replica consumes at most k draw pairs
     with laws:
-        values = np.asarray([run(draws) for draws in sweep], dtype=np.float64)
+        values = np.array([run(draws.start(key)) for key in _replica_keys(seed, range(replicas))])
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(replicas))
     return mean, stderr

@@ -54,7 +54,7 @@ from .errors import (
 )
 from .kinetics import _moves, lyapunov_difference
 from .network import Complex, MassActionSystem, Reaction, ReactionNetwork
-from .network import _count, _whole, as_state
+from .network import _count, _shown, _whole, as_state
 
 __all__ = [
     "Const",
@@ -89,8 +89,8 @@ class Const:
         v = _whole(self.value)
         if v is None or v < 0:
             raise InvalidSequenceError(
-                "constant coordinate value must be a nonnegative integer, "
-                f"got {self.value}"
+                "constant coordinate value must be a nonnegative integer"
+                + _shown(", got {}", self.value)
             )
         object.__setattr__(self, "value", v)
 
@@ -105,7 +105,7 @@ class Grow:
     def __post_init__(self):
         if not 0 < self.coef < math.inf:
             raise InvalidSequenceError(
-                f"growth coefficient must be positive and finite, got {self.coef}"
+                "growth coefficient must be positive and finite" + _shown(", got {}", self.coef)
             )
         if not hasattr(self.coef, "as_integer_ratio"):  # e.g. numpy integers
             object.__setattr__(self, "coef", operator.index(self.coef))
@@ -114,7 +114,7 @@ class Grow:
             p = Fraction(p)
             object.__setattr__(self, "power", p)
         if p <= 0:
-            raise InvalidSequenceError(f"growth exponent must be positive, got {p}")
+            raise InvalidSequenceError(f"growth exponent must be positive{_shown(', got {}', p)}")
 
 
 CoordLaw = Union[Const, Grow]
@@ -169,7 +169,7 @@ def _integers(values, what: str) -> tuple:
     values = tuple(values)
     out = tuple(map(_whole, values))
     if None in out:
-        raise InvalidSequenceError(f"{what} must be integers, got {values}")
+        raise InvalidSequenceError(f"{what} must be integers{_shown(', got {}', values)}")
     return out
 
 
@@ -177,7 +177,7 @@ def _check_constants(laws: tuple, offset) -> None:
     for l, w in zip(laws, offset):
         if isinstance(l, Const) and l.value + w < 0:
             raise InvalidSequenceError(
-                f"constant coordinate {l.value} with offset {w} is negative"
+                f"constant coordinate{_shown(' {} with offset {}', l.value, w)} is negative"
             )
 
 
@@ -216,7 +216,9 @@ class ParametricSequence:
         _check_constants(laws, offset)
         n = _whole(start)
         if n is None or n < 1:
-            raise InvalidSequenceError(f"start index must be an integer >= 1, got {start}")
+            raise InvalidSequenceError(
+                f"start index must be an integer >= 1{_shown(', got {}', start)}"
+            )
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "start", _minimal_start(laws, offset, n, -1))
@@ -238,7 +240,9 @@ class ParametricSequence:
     def evaluate(self, n: int) -> tuple:
         """The state x_n; requires n >= start."""
         if n < self.start:
-            raise ValueError(f"n={n} is below the sequence start {self.start}")
+            raise ValueError(
+                f"n{_shown('={}', n)} is below the sequence start{_shown(' {}', self.start)}"
+            )
         return tuple(_raw_value(l, n) + w for l, w in zip(self.laws, self.offset))
 
     def samples(self, ns) -> list:
@@ -1006,7 +1010,9 @@ def exact_kstep_drift(
     if k == 0:
         return 0.0
     if k > budget:
-        raise BudgetExceededError(f"{k} steps exceed the budget of {budget}")
+        raise BudgetExceededError(
+            f"{_shown('{}', k) or 'k'} steps exceed the budget{_shown(' of {}', budget)}"
+        )
 
     law = {x0: 1.0}
     pairs = 0

@@ -149,21 +149,39 @@ def test_library_has_no_dead_private_helpers():
 def unread_attributes(sources: dict) -> list:
     """(module, line, name) of each private attribute assigned to ``self``
     (``self._x = ...``) in ``sources`` that no module reads as an
-    attribute."""
-    assigned, read = [], set()
+    attribute, and of each ``__slots__`` entry of a private class that
+    neither its own module nor a module importing the class reads."""
+    assigned, slots, reads, imported = [], [], {}, {}
     for module, source in sources.items():
+        reads[module], imported[module] = set(), set()
         for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _private(module, node, node.name):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and "__slots__" in _defined(stmt):
+                        slots += [
+                            (module, c.lineno, c.value, node.name)
+                            for c in ast.walk(stmt.value)
+                            if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        ]
+            elif isinstance(node, ast.ImportFrom):
+                imported[module] |= {alias.name for alias in node.names}
             if not isinstance(node, ast.Attribute):
                 continue
             if not isinstance(node.ctx, ast.Store):
-                read.add(node.attr)
+                reads[module].add(node.attr)
             elif (
                 isinstance(node.value, ast.Name)
                 and node.value.id == "self"
                 and _private(module, node, node.attr)
             ):
                 assigned.append((module, node.lineno, node.attr))
-    return sorted(a for a in assigned if a[2] not in read)
+    read = set().union(*reads.values())
+    unread = [a for a in assigned if a[2] not in read]
+    for module, line, name, cls in slots:
+        users = [m for m in sources if m == module or cls in imported[m]]
+        if not any(name in reads[m] for m in users):
+            unread.append((module, line, name))
+    return sorted(unread)
 
 
 def test_checker_flags_an_unread_attribute():
@@ -178,6 +196,25 @@ def test_checker_flags_an_unread_attribute():
         "b": "def g(a):\n    a._stored_only = 0\n    return a._read_elsewhere\n",
     }
     assert unread_attributes(sources) == [("a", 4, "_unread")]
+
+
+def test_checker_flags_an_unread_slot():
+    # a slot counts as read only where its class is defined or imported
+    sources = {
+        "a": (
+            "class _Record:\n    __slots__ = ('read', 'stored_only', 'by_importer', 'elsewhere')\n"
+            "class _One:\n    __slots__ = 'unread'\n"
+            "class Public:\n    __slots__ = ('public',)\n"
+            "def f(r):\n    r.stored_only = 0\n    return r.read\n"
+        ),
+        "b": "from .a import _Record\ndef g(r: _Record):\n    return r.by_importer\n",
+        "c": "def h(t):\n    return t.elsewhere\n",
+    }
+    assert unread_attributes(sources) == [
+        ("a", 2, "elsewhere"),
+        ("a", 2, "stored_only"),
+        ("a", 4, "unread"),
+    ]
 
 
 def test_library_reads_every_private_attribute():

@@ -31,7 +31,6 @@ from crnkit.kinetics import embedded_step_distribution, lyapunov, total_rate
 from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import (
     _DrawBlock,
-    _draw_blocks,
     _replica_keys,
     _StateMemo,
     _walk,
@@ -507,7 +506,7 @@ def test_memo_step_crosses_the_coordinate_limit_on_the_oracle_jump():
     crossings = []
     for seed in range(5):
         laws = _StateMemo(table)
-        x, draws = (STATE_COORD_MAX - 2,), next(_draw_blocks([seed_key(seed)]))
+        x, draws = (STATE_COORD_MAX - 2,), _DrawBlock().start(seed_key(seed))
         jumps = 0
         with pytest.raises(ValueError, match="exceeded supported maximum"):
             for jumps, (_, law) in enumerate(islice(_walk(laws, x, draws), 1000), 1):
@@ -527,7 +526,7 @@ def test_walk_stops_at_its_jump_limit_before_drawing_past_it():
     table = BD._rate_table
     for limit in (0, 1, 5, 300):
         laws = _StateMemo(table)
-        draws = next(_draw_blocks([seed_key(4)]))
+        draws = _DrawBlock().start(seed_key(4))
         got = [(dt, law.state) for dt, law in _walk(laws, (3,), draws, limit)]
         x, oracle = [3], EagerDrawBlock(seed_generator(4))
         assert got == [(step_by_rates(table, x, oracle)[0], tuple(x)) for _ in range(limit)]
@@ -584,7 +583,7 @@ def test_samplers_leave_no_jump_law_records_in_cycles(monkeypatch, cap):
 
     def walk_without_clearing():
         laws = _StateMemo(BD._rate_table)
-        draws = next(_draw_blocks([seed_key(1)]))
+        draws = _DrawBlock().start(seed_key(1))
         for _ in _walk(laws, (3,), draws, 500):
             pass
 
@@ -635,7 +634,7 @@ def test_replica_keys_past_one_spawn_word_and_for_sequence_seeds():
             assert key == want.tolist()
 
 
-def chunked_pairs(draws, n):
+def walk_pairs(draws, n):
     """(jump counter, exponential, uniform) of the next ``n`` jumps, taken
     from a ``_DrawBlock`` as ``_walk`` takes them."""
     out = []
@@ -664,45 +663,47 @@ def assert_equal_blocks(draws, oracle):
     # the block drawn on rekeying, then one drawn by a refill; the sweep's
     # jump counter runs on from the replicas before
     n, start = 2 * oracle.block, draws.spent
-    got = [(j - start, e, u) for j, e, u in chunked_pairs(draws, n)]
+    got = [(j - start, e, u) for j, e, u in walk_pairs(draws, n)]
     assert got == eager_pairs(oracle, n)
 
 
 def test_replica_draws_equal_per_replica_generators():
     for seed in KEY_SEEDS:
-        # a block that is not a multiple of the chunk, and drift_estimate_mc's
-        # block of k jumps; replicas between the checked ones use part of theirs
+        # a block that is not a power of two, and drift_estimate_mc's block
+        # of k jumps; replicas between the checked ones use part of theirs
         for block in (3000, 3):
-            sweep = _draw_blocks(_replica_keys(seed, range(4101)), block)
-            for r, draws in enumerate(sweep):
+            draws = _DrawBlock(block)
+            for r, key in enumerate(_replica_keys(seed, range(4101))):
+                draws.start(key)
                 if r in KEY_REPLICAS:
                     oracle = EagerDrawBlock(replica_generator(seed, r), block)
                     assert_equal_blocks(draws, oracle)
                 else:
-                    chunked_pairs(draws, r % 7)
+                    walk_pairs(draws, r % 7)
             # a single run's stream, keyed by the seed itself
-            draws = next(_draw_blocks([seed_key(seed)], block))
+            draws = _DrawBlock(block).start(seed_key(seed))
             assert_equal_blocks(draws, EagerDrawBlock(seed_generator(seed), block))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 255, 256, 257, 3000, simulate._BLOCK])
 def test_chunked_draws_equal_eager_blocks_at_every_jump(block):
-    # three blocks cover the jumps at every chunk boundary, 255/256/257 and
-    # 4095/4096/4097 among them, and the refills between the blocks
+    # three blocks of each size: the jumps on both sides of the two refills
+    # between them, and every jump of a block read in place
     for seed in (0, 7):
-        draws = _DrawBlock(seed_generator(seed), block)
+        draws = _DrawBlock(block).start(seed_key(seed))
         oracle = EagerDrawBlock(seed_generator(seed), block)
-        got, want = chunked_pairs(draws, 3 * block), eager_pairs(oracle, 3 * block)
+        got, want = walk_pairs(draws, 3 * block), eager_pairs(oracle, 3 * block)
         assert got == want
         assert [j for j, _, _ in got] == list(range(3 * block))
 
 
 @pytest.mark.parametrize("budget", [1, 255, 256, 257, 4096, 5000, 9000])
 def test_chunked_draws_exceed_the_budget_at_the_eager_jump(budget):
-    # the budget is checked when a block is drawn, never at a chunk turn
+    # the budget is checked only when a block is drawn, so the refusal comes
+    # at the first block boundary at or past it
     errors = []
     for draws, take in (
-        (_DrawBlock(seed_generator(3), budget=budget), chunked_pairs),
+        (_DrawBlock(budget=budget).start(seed_key(3)), walk_pairs),
         (EagerDrawBlock(seed_generator(3), budget=budget), eager_pairs),
     ):
         jumps = 0
@@ -717,20 +718,20 @@ def test_chunked_draws_exceed_the_budget_at_the_eager_jump(budget):
 
 def test_replica_sweep_budget_counts_each_replica_at_its_next_key():
     # replicas of 300 jumps against a shared budget of 2000: replica 7 is
-    # refused, after 2100 jumps, whatever chunks the replicas crossed
-    sweep = _draw_blocks(_replica_keys(5, range(100)), budget=2000)
+    # refused when its stream starts, after 2100 jumps
+    draws = _DrawBlock(budget=2000)
     with pytest.raises(BudgetExceededError, match="after 2100 jumps") as raised:
-        for r, draws in enumerate(sweep):
-            chunked_pairs(draws, 300)
-    assert r == 6
+        for r, key in enumerate(_replica_keys(5, range(100))):
+            walk_pairs(draws.start(key), 300)
+    assert r == 7
 
 
-def test_walk_over_chunk_boundaries_equals_the_oracle_step():
-    # a walk of 700 jumps reads its one block in place, past 256 and 512
+def test_walk_within_one_block_equals_the_oracle_step():
+    # a walk of 700 jumps reads them all in place from its first block
     table = BD._rate_table
     for seed in (1, 2):
         laws = _StateMemo(table)
-        draws = next(_draw_blocks([seed_key(seed)]))
+        draws = _DrawBlock().start(seed_key(seed))
         got = [(dt, law.state) for dt, law in islice(_walk(laws, (3,), draws), 700)]
         x, oracle = [3], EagerDrawBlock(seed_generator(seed))
         want = [(step_by_rates(table, x, oracle)[0], tuple(x)) for _ in range(700)]

@@ -189,6 +189,62 @@ def test_sequence_constant_offset_negative_rejected():
         seq.shifted((0, -2))
 
 
+def test_huge_values_are_left_out_of_sequence_and_drift_messages():
+    # past Python's digit limit for int-to-string the value is left out of
+    # the message, which still raises the routine's own error
+    huge = -(10**5000)
+    calls = [
+        (
+            lambda: Const(huge),
+            InvalidSequenceError,
+            "constant coordinate value must be a nonnegative integer",
+        ),
+        (
+            lambda: Grow(huge),
+            InvalidSequenceError,
+            "growth coefficient must be positive and finite",
+        ),
+        (
+            lambda: ParametricSequence((Grow(),), start=huge),
+            InvalidSequenceError,
+            "start index must be an integer >= 1",
+        ),
+        (
+            lambda: ParametricSequence((Grow(), Const(1)), (0, huge)),
+            InvalidSequenceError,
+            "constant coordinate is negative",
+        ),
+        (
+            lambda: ParametricSequence((Grow(), Const(1))).shifted((0, huge)),
+            InvalidSequenceError,
+            "constant coordinate is negative",
+        ),
+        (
+            lambda: ParametricSequence((Grow(),), (Fraction(10**5000, 3),)),
+            InvalidSequenceError,
+            "offsets must be integers",
+        ),
+        (
+            lambda: ParametricSequence((Grow(),)).evaluate(huge),
+            ValueError,
+            "n is below the sequence start 1",
+        ),
+        (
+            lambda: exact_kstep_drift(birth_death(), (1,), -huge),
+            BudgetExceededError,
+            "k steps exceed the budget of 1000000",
+        ),
+    ]
+    for make, error, message in calls:
+        with pytest.raises(error, match=f"^{message}$"):
+            make()
+    # values within 64 bits are still shown
+    with pytest.raises(InvalidSequenceError, match=r"^constant coordinate 1 with offset -2 is"):
+        ParametricSequence((Grow(), Const(1))).shifted((0, -2))
+    with pytest.raises(ValueError, match=r"^n=-3 is below the sequence start 1$"):
+        ParametricSequence((Grow(),)).evaluate(-3)
+
+
 def test_sequence_shift_accumulates_and_start_rises():
     seq = ParametricSequence((Grow(), Const(1)))
     moved = shift(shift(seq, (-2, 1)), (-1, 0))
