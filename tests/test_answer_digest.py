@@ -1,10 +1,12 @@
-"""Answer digest of the samplers: one SHA-256 per public sampler and per
-sampler-driven CLI command, over the catalog systems and the demo networks
-with a few seeds each, error messages included.
+"""Answer digest of the samplers and the tier layer: one SHA-256 per public
+sampler and tier function and per CLI command that drives them, over the
+catalog systems and the demo networks, error messages included.  The
+samplers run with a few seeds each; the tier functions run along a spread of
+each network's scan family, as given and shifted.
 
-The digests in ``answer_digest.json`` were computed once, from the code as
-it was when they were added; a change that keeps every sampler answer equal
-byte for byte leaves them equal.  The test names each group that differs.
+The digests in ``answer_digest.json`` were computed once per group, from the
+code as it was when the group was added; a change that keeps every answer
+equal byte for byte, or by ``repr``, leaves them equal.  The test names each group that differs.
 Rewriting the file is a change of test data, to be recorded with its
 reason.  To rewrite it::
 
@@ -30,6 +32,18 @@ from crnkit.simulate import (
     occupancy_estimate,
     return_times,
     ssa_simulate,
+)
+from crnkit.tiers import (
+    Const,
+    Grow,
+    ParametricSequence,
+    d_partition,
+    hypothesis_violation,
+    path_probability_limit,
+    path_tier_membership,
+    s_partition,
+    scan_patterns,
+    witness_path,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -66,7 +80,7 @@ def _answer(fn, *args, **kwargs) -> str:
     """``repr`` of the call's answer, or its error's type and message."""
     try:
         return repr(fn(*args, **kwargs))
-    except (ValueError, CRNError) as e:
+    except (ValueError, OverflowError, CRNError) as e:
         return f"{type(e).__name__}: {e}"
 
 
@@ -184,7 +198,102 @@ def answers():
         for seed in map(str, SEEDS):
             rows.append(_cli(["drift", path, "--x", x0, "--k", "6", "--mc", "25", "--seed", seed]))
         rows.append(_cli(["drift", path, "--x", x0, "--k", "6", "--mc", "1"]))
+
+    _tier_answers(groups, systems)
     return groups
+
+
+def _spread(net, most: int) -> list:
+    """Up to ``most`` sequences spread over the network's scan family, each
+    followed by a copy shifted by 0, 1 or 2 per coordinate."""
+    seqs = scan_patterns(net).sequences
+    out = []
+    for k, seq in enumerate(seqs[:: -(-len(seqs) // most)]):
+        out += [seq, seq.shifted([(i + k) % 3 for i in range(net.dim)])]
+    return out
+
+
+def _spec(seq, species) -> str:
+    """``seq`` as a ``--seq`` argument."""
+    return ", ".join(
+        f"{name}={law.value if isinstance(law, Const) else f'n^{law.power}'}"
+        for name, law in zip(species, seq.laws)
+    )
+
+
+def _tier_answers(groups, systems):
+    """The tier layer's groups: each public tier function along the spread
+    of each network's scan family, and ``crnkit tiers`` on the demo files."""
+    witness = groups["witness_path"] = []
+    membership = groups["path_tier_membership"] = []
+    limit = groups["path_probability_limit"] = []
+    violation = groups["hypothesis_violation"] = []
+    d_part = groups["d_partition"] = []
+    s_part = groups["s_partition"] = []
+    for name, system, _ in systems:
+        net = system.network
+        first = net.reactions[0]
+        witness.append(name)
+        for bad in (-1, 2.5, "3"):
+            witness.append(_answer(witness_path, net, _spread(net, 1)[0], target_len=bad))
+        wrong = ParametricSequence((Grow(),) * (net.dim + 1))
+        for fn in (witness_path, hypothesis_violation, d_partition, s_partition):
+            witness.append(_answer(fn, net, wrong))
+        for seq in _spread(net, 24):
+            paths = [net.reactions, net.reactions[::-1], (first,) * 3]
+            for length in (None, 1, len(net.reactions) + 7):
+                try:
+                    path = witness_path(net, seq, target_len=length)
+                except (ValueError, OverflowError, CRNError) as e:
+                    witness.append(f"{type(e).__name__}: {e}")
+                else:
+                    witness.append(repr(path))
+                    paths.append(path)
+            for path in paths:
+                membership.append(_answer(path_tier_membership, net, seq, path))
+                limit.append(_answer(path_probability_limit, system, seq, path))
+            violation.append(_answer(hypothesis_violation, net, seq))
+            d_part.append(_answer(d_partition, net, seq))
+            s_part.append(_answer(s_partition, net, seq))
+            s_part.append(_answer(s_partition, net, seq.normalized_for(net)))
+    cycle = catalog.five_complex_cycle()
+    seq = _spread(cycle.network, 1)[0]
+    foreign = [catalog.birth_death().network.reactions[0]]
+    membership.append(_answer(path_tier_membership, cycle.network, seq, foreign))
+    limit.append(_answer(path_probability_limit, cycle, seq, foreign))
+    dead = parse("A + B -> 2A + 2B ; k=1\n").network  # every complex needs an A
+    witness.append(_answer(witness_path, dead, ParametricSequence((Const(0), Grow()))))
+    # leading coefficients past the float range: 2B's is 1e200 ** 2
+    huge = ParametricSequence((Grow(), Grow(1e200), Const(0)))
+    witness.append(_answer(witness_path, cycle.network, huge, target_len=9))
+    limit.append(_answer(path_probability_limit, cycle, huge, cycle.network.reactions[1:2]))
+
+    rows = groups["cli tiers"] = []
+    for path in sorted(NETWORKS.glob("*.crn")):
+        system = parse(path.read_text())
+        net, species = system.network, system.network.species
+        listed = ", ".join(r.format(species) for r in net.reactions)
+        for seq in _spread(net, 4)[::2]:
+            spec = _spec(seq, species)
+            for extra in ([], ["--limit", "0"], ["--limit", str(len(net.reactions) + 5)]):
+                rows.append(_cli(["tiers", str(path), "--seq", spec, "--path", "auto", *extra]))
+            rows.append(_cli(["tiers", str(path), "--seq", spec, "--path", listed]))
+        a = species[0]
+        for spec in (
+            f"{a}=n",
+            ", ".join(f"{s}=1" for s in species),
+            ", ".join(f"{s}=n^1/0" for s in species),
+            ", ".join(f"{s}=x" for s in species),
+            ", ".join(f"{s}=n" for s in species) + ", Q=n",
+        ):
+            rows.append(_cli(["tiers", str(path), "--seq", spec]))
+        spec = _spec(_spread(net, 1)[0], species)
+        rows.append(_cli(["tiers", str(path), "--seq", spec, "--limit", "-1"]))
+        for listed in (",", f"{a} {a}", "0 -> Q", f"{a} -> 5{a}"):
+            rows.append(_cli(["tiers", str(path), "--seq", spec, "--path", listed]))
+    cycle = str(NETWORKS / "cycle.crn")
+    for extra in ([], ["--path", "2B -> A"]):
+        rows.append(_cli(["tiers", cycle, "--seq", "A=n, B=1e200*n, C=0", *extra]))
 
 
 def digests():
@@ -199,7 +308,7 @@ def test_sampler_answers_equal_the_recorded_digests():
     got = digests()
     assert sorted(got) == sorted(want)
     differing = [group for group in want if got[group] != want[group]]
-    assert not differing, f"sampler answers differ in: {', '.join(differing)}"
+    assert not differing, f"answers differ in: {', '.join(differing)}"
 
 
 if __name__ == "__main__":
