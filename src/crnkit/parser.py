@@ -238,9 +238,7 @@ def parse(text: str) -> MassActionSystem:
     else:
         species = []
         seen = set()
-        for s in doc.statements:
-            if s.kind != "reaction":
-                continue
+        for s in doc.statements:  # all reactions: there is no declaration
             for side in (s.payload[0], s.payload[1]):
                 for _, name in side:
                     if name not in seen:

@@ -202,8 +202,10 @@ class ParametricSequence:
         laws = tuple(laws)
         if not laws:
             raise InvalidSequenceError("sequence needs at least one coordinate")
-        if not all(isinstance(l, (Const, Grow)) for l in laws):
-            raise InvalidSequenceError(f"coordinate laws must be Const or Grow, got {laws}")
+        for i, l in enumerate(laws):
+            if not isinstance(l, (Const, Grow)):  # by type: formatting a huge law raises
+                kind = type(l).__name__
+                raise InvalidSequenceError(f"coordinate law {i} is {kind}, not Const or Grow")
         if offset is None:
             offset = (0,) * len(laws)
         offset = _integers(offset, "offsets")
@@ -366,14 +368,15 @@ def _static(net: ReactionNetwork, laws: tuple) -> tuple:
 
 
 class _Tail:
-    """The tail of one sequence along a network, followed through shifts.
+    """The tail of one sequence along a network, followed through shifts from
+    the sequence's own offsets; a walk that starts again takes a fresh tail.
 
-    The static part depends on the network and the laws alone (``_static``).
-    The moving part is the offsets and, per complex, the count of needs the
-    current constant values leave unmet; a complex is live when that count
-    is zero.  A shift touches only the complexes that need a moved
-    coordinate, and the top intensity tier is recomputed only after some
-    complex's liveness flips."""
+    The static part depends on the network and the laws alone (``_static``),
+    so a fresh tail costs one memo lookup and the moving part: the offsets
+    and, per complex, the count of needs the current constant values leave
+    unmet.  A complex is live when that count is zero.  A shift touches only
+    the complexes that need a moved coordinate, and the top intensity tier
+    is recomputed only after some complex's liveness flips."""
 
     def __init__(self, net: ReactionNetwork, seq: ParametricSequence):
         if net.complexes and net.dim != seq.dim:  # as seq.degree(complex) fails
@@ -381,11 +384,7 @@ class _Tail:
         self.laws = seq.laws
         self.rows = net._rows
         self.common, self.users, self.scaled, self.rank = _static(net, seq.laws)
-        self.restart(seq.offset)
-
-    def restart(self, offset) -> None:
-        """Start the walk afresh at ``offset``."""
-        self.offset = list(offset)
+        self.offset = list(seq.offset)
         self.unmet = [0] * len(self.rank)
         for i, users in self.users:
             v = self.laws[i].value + self.offset[i]
@@ -548,23 +547,7 @@ def path_tier_membership(
     coordinate negative.
     """
     path = _check_path(net, path)
-    return _membership(net, _Tail(net, seq), path)
-
-
-def _steps(net: ReactionNetwork, tail: _Tail, path: tuple):
-    """Walk ``path`` on ``tail``: yield each step's (reaction index, source,
-    product) with the tail at that step's shift.  The tail moves by a step's
-    change only when the next step is asked for, so never after the last."""
-    for m, r in enumerate(path):
-        if m:
-            tail.shift(path[m - 1].change)
-        j = net._reaction_index[r]
-        src, prd = net._ends[j]
-        yield j, src, prd
-
-
-def _membership(net: ReactionNetwork, tail: _Tail, path: tuple) -> PathTierReport:
-    """``path_tier_membership`` walked on ``tail`` from its current offsets."""
+    tail = _Tail(net, seq)
     in_top_intensity = True
     sources_in_top_growth = True
     first_drop = None
@@ -581,6 +564,18 @@ def _membership(net: ReactionNetwork, tail: _Tail, path: tuple) -> PathTierRepor
         in_drop=in_drop,
         first_drop_index=first_drop,
     )
+
+
+def _steps(net: ReactionNetwork, tail: _Tail, path: tuple):
+    """Walk ``path`` on ``tail``: yield each step's (reaction index, source,
+    product) with the tail at that step's shift.  The tail moves by a step's
+    change only when the next step is asked for, so never after the last."""
+    for m, r in enumerate(path):
+        if m:
+            tail.shift(path[m - 1].change)
+        j = net._reaction_index[r]
+        src, prd = net._ends[j]
+        yield j, src, prd
 
 
 def path_probability_limit(
@@ -885,9 +880,8 @@ def witness_path(
     from a top-intensity-tier complex, walk the reaction graph to the
     nearest complex below the top growth tier, then extend greedily with
     reactions of asymptotically maximal intensity (unit rate constants, ties
-    by declaration order).  The result is verified as
-    ``path_tier_membership`` verifies a path, on a fresh walk from the
-    sequence's own offsets, before being returned.
+    by declaration order).  The result is returned only once
+    ``path_tier_membership`` finds it in the top intensity tier with a drop.
 
     The cost is linear in ``target_len`` and has no budget: on the 5-complex
     cycle a step takes about 6-8 us (2-core Xeon, Python 3.11), and each
@@ -965,16 +959,14 @@ def witness_path(
         path.append(best)
         tail.shift(best.change)
 
-    # verify on a fresh walk from the sequence's own offsets
-    tail.restart(seq.offset)
-    report = _membership(net, tail, tuple(path))
+    report = path_tier_membership(net, seq, path)
     if not (report.in_top_intensity and report.in_drop):
         raise WitnessPathError(
             "constructed path failed tier verification "
             f"(in_top_intensity={report.in_top_intensity}, "
             f"in_drop={report.in_drop})"
         )
-    return tuple(path)
+    return report.path
 
 
 # ---------------------------------------------------------- embedded drift

@@ -885,7 +885,8 @@ class MemoFreeTail(_Tail):
     """The tier walks' tail with its static part (common denominator,
     constant-coordinate users, scaled degrees, growth ranks) built from the
     network and the laws for every tail, never taken from the network's
-    memo; the walk itself is ``_Tail``'s."""
+    memo, and its moving part (offsets, unmet needs) set at the sequence's
+    own offsets; the walk itself is ``_Tail``'s."""
 
     def __init__(self, net, seq):
         from crnkit.errors import InvalidSequenceError
@@ -913,4 +914,10 @@ class MemoFreeTail(_Tail):
         self.users = tuple(users.items())
         rank_of = {v: r for r, v in enumerate(sorted(set(self.scaled), reverse=True))}
         self.rank = [rank_of[v] for v in self.scaled]
-        self.restart(seq.offset)
+        self.offset = list(seq.offset)
+        self.unmet = [0] * len(self.rank)
+        for i, needs in self.users:
+            for j, c in needs:
+                if laws[i].value + self.offset[i] < c:
+                    self.unmet[j] += 1
+        self._top = None

@@ -275,6 +275,9 @@ def test_negative_seed_names_its_flag(capsys):
         assert main([*argv, "--seed", "-1"]) == 1, argv[0]
         err = capsys.readouterr().err
         assert "argument --seed: expected non-negative integer, got -1" in err, argv[0]
+        assert main([*argv, "--seed", "abc"]) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "argument --seed: invalid int value: 'abc'" in err, argv[0]
 
 
 def test_drift_along_emits_decreasing_csv(capsys):

@@ -8,6 +8,7 @@ module under ``src/crnkit`` (the package ``__init__`` re-exports names on
 purpose and is left out), and of ``tests/oracles.py`` and the test modules."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -146,23 +147,57 @@ def test_library_has_no_dead_private_helpers():
     assert dead_helpers(sources) == []
 
 
+def _methods(node: ast.ClassDef) -> list:
+    return [f for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _inherited(node: ast.ClassDef, classes: dict) -> set:
+    """The attribute names the bases of ``node`` define: a base class of
+    ``classes`` (name -> class statement) by its methods and its own bases,
+    any other by the ``dir`` of the object its dotted name imports."""
+    names = set()
+    for base in map(ast.unparse, node.bases):
+        if base in classes:
+            names |= {f.name for f in _methods(classes[base])} | _inherited(classes[base], classes)
+        else:
+            module, _, name = base.rpartition(".")
+            names |= set(dir(getattr(importlib.import_module(module or "builtins"), name)))
+    return names
+
+
 def unread_attributes(sources: dict) -> list:
     """(module, line, name) of each private attribute assigned to ``self``
     (``self._x = ...``) in ``sources`` that no module reads as an
-    attribute, and of each ``__slots__`` entry of a private class that
-    neither its own module nor a module importing the class reads."""
-    assigned, slots, reads, imported = [], [], {}, {}
-    for module, source in sources.items():
+    attribute, and of each ``__slots__`` entry and each non-dunder method of
+    a private class that neither its own module nor a module importing the
+    class reads.  A method that overrides one its bases define is left out:
+    the base's own code calls it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    classes = {
+        node.name: node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    assigned, members, reads, imported = [], [], {}, {}
+    for module, tree in trees.items():
         reads[module], imported[module] = set(), set()
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and _private(module, node, node.name):
                 for stmt in node.body:
                     if isinstance(stmt, ast.Assign) and "__slots__" in _defined(stmt):
-                        slots += [
+                        members += [
                             (module, c.lineno, c.value, node.name)
                             for c in ast.walk(stmt.value)
                             if isinstance(c, ast.Constant) and isinstance(c.value, str)
                         ]
+                inherited = _inherited(node, classes)
+                members += [
+                    (module, f.lineno, f.name, node.name)
+                    for f in _methods(node)
+                    if not (f.name.startswith("__") and f.name.endswith("__"))
+                    and f.name not in inherited
+                ]
             elif isinstance(node, ast.ImportFrom):
                 imported[module] |= {alias.name for alias in node.names}
             if not isinstance(node, ast.Attribute):
@@ -177,7 +212,7 @@ def unread_attributes(sources: dict) -> list:
                 assigned.append((module, node.lineno, node.attr))
     read = set().union(*reads.values())
     unread = [a for a in assigned if a[2] not in read]
-    for module, line, name, cls in slots:
+    for module, line, name, cls in members:
         users = [m for m in sources if m == module or cls in imported[m]]
         if not any(name in reads[m] for m in users):
             unread.append((module, line, name))
@@ -214,6 +249,34 @@ def test_checker_flags_an_unread_slot():
         ("a", 2, "elsewhere"),
         ("a", 2, "stored_only"),
         ("a", 4, "unread"),
+    ]
+
+
+def test_checker_flags_an_unread_method():
+    # as a slot, a method counts as read only where its class is defined or
+    # imported; one that overrides a method of a base is left out
+    sources = {
+        "a": (
+            "import argparse\n"
+            "class _Walk:\n"
+            "    def __init__(self): ...\n"
+            "    def step(self): ...\n"
+            "    def by_importer(self): ...\n"
+            "    def elsewhere(self): ...\n"
+            "    def _unread(self): ...\n"
+            "class _Memo(dict):\n    def clear(self): ...\n    def __missing__(self, k): ...\n"
+            "class _Deeper(_Memo):\n    def clear(self): ...\n    def fresh(self): ...\n"
+            "class _Parser(argparse.ArgumentParser):\n    def error(self, message): ...\n"
+            "class Public:\n    def unread(self): ...\n"
+            "def f(w):\n    return w.step()\n"
+        ),
+        "b": "from .a import _Walk\ndef g(w: _Walk):\n    return w.by_importer()\n",
+        "c": "def h(w):\n    return w.elsewhere()\n",
+    }
+    assert unread_attributes(sources) == [
+        ("a", 6, "elsewhere"),
+        ("a", 7, "_unread"),
+        ("a", 13, "fresh"),
     ]
 
 

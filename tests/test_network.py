@@ -81,6 +81,17 @@ def test_network_requires_unique_species():
     r = Reaction(Complex((1, 0)), Complex((0, 1)))
     with pytest.raises(ValueError):
         ReactionNetwork.from_reactions(("A", "A"), [r])
+    with pytest.raises(ValueError, match="^species names must be nonempty$"):
+        ReactionNetwork.from_reactions(("A", ""), [r])
+
+
+def test_network_rejects_duplicate_and_misshapen_complexes():
+    a, b = Complex((1, 0)), Complex((0, 1))
+    r = Reaction(a, b)
+    with pytest.raises(ValueError, match="^complex list contains duplicates$"):
+        ReactionNetwork(("A", "B"), [a, b, a], [r])
+    with pytest.raises(ValueError, match=r"^complex \(1,\) has dimension 1, expected 2$"):
+        ReactionNetwork(("A", "B"), [a, b, Complex((1,))], [r])
 
 
 def test_network_rejects_isolated_complex():
@@ -137,12 +148,19 @@ def test_mass_action_accepts_mapping():
     sys_ = MassActionSystem(net, kap)
     assert sys_.rate_constants == (2.0, 3.0)
     assert sys_.rate_constant(net.reactions[1]) == 3.0
+    copy = sys_.kappa  # a copy: changing it leaves the system as it was
+    assert copy == kap
+    copy[net.reactions[1]] = 9.0
+    assert sys_.kappa == kap
 
 
 def test_mass_action_mapping_must_cover_all_reactions():
     net = birth_death().network
     with pytest.raises(ValueError):
         MassActionSystem(net, {net.reactions[0]: 1.0})
+    foreign = five_complex_cycle().network.reactions[0]
+    with pytest.raises(ValueError, match="^rate constants given for unknown reactions$"):
+        MassActionSystem(net, {**dict.fromkeys(net.reactions, 1.0), foreign: 1.0})
 
 
 def test_network_equality_ignores_reaction_order():
@@ -151,6 +169,15 @@ def test_network_equality_ignores_reaction_order():
     b = ReactionNetwork.from_reactions(a.species, rev)
     assert a == b
     assert b.complexes != a.complexes  # presentation differs, identity does not
+    assert a != "network" and a.__eq__(a.species) is NotImplemented
+
+
+def test_network_lookups_and_reprs():
+    sys_ = five_complex_cycle()
+    net = sys_.network
+    assert [net.species_index(s) for s in net.species] == [0, 1, 2]
+    assert repr(net) == "ReactionNetwork(species=['A', 'B', 'C'], |C|=5, |R|=5)"
+    assert repr(sys_) == f"MassActionSystem({net!r})"
 
 
 def test_network_view_agrees_with_complex_index():

@@ -27,6 +27,8 @@ def test_parse_cycle_matches_catalog():
 def test_parse_without_declaration_uses_first_appearance_order():
     sys_ = parse("X -> Y ; k=1\nY -> Z ; k=2\n")
     assert sys_.network.species == ("X", "Y", "Z")
+    # a name that starts with "species" is a species, not a declaration
+    assert parse("speciesA -> 0 ; k=1\n").network.species == ("speciesA",)
 
 
 def test_parse_declaration_fixes_order():
@@ -90,6 +92,11 @@ def test_repeated_species_in_complex_accumulates():
         ("species: A\nA -> B ; k=1\n", "not in declaration"),
         ("1000A -> B ; k=1\n", "exceeds maximum"),
         ("0A -> B ; k=1\n", "positive"),
+        ("500A + 500A -> 0 ; k=1\n", "complex coefficient exceeds maximum"),
+        ("A <-> B ; k=1,\n", "missing backward rate constant"),
+        ("species: A,\nA -> 0 ; k=1\n", "expected species name"),
+        ("species: A B\nA -> 0 ; k=1\n", "trailing"),
+        ("species: A\n", "no reactions found"),
         ("", "no species"),
         ("# only a comment\n", "no species"),
     ],

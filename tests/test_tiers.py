@@ -143,6 +143,8 @@ def test_sequence_requires_growing_coordinate():
 
 def test_sequence_parts_are_checked_at_construction():
     bad = [
+        lambda: ParametricSequence(()),
+        lambda: ParametricSequence((Grow(),), (0, 1)),  # two offsets for one law
         lambda: ParametricSequence([Grow(), 3]),  # not a law
         lambda: ParametricSequence([Grow(), None]),
         lambda: ParametricSequence((Grow(),), (1.7,)),
@@ -169,6 +171,7 @@ def test_sequence_evaluate_basic():
     seq = ParametricSequence((Grow(), Const(1), Const(0)))
     assert seq.evaluate(7) == (7, 1, 0)
     assert evaluate_sequence(seq, 3) == (3, 1, 0)
+    assert seq.samples([1, 7]) == [(1, 1, 0), (7, 1, 0)]
     with pytest.raises(ValueError):
         seq.evaluate(0)
 
@@ -233,6 +236,11 @@ def test_huge_values_are_left_out_of_sequence_and_drift_messages():
             lambda: exact_kstep_drift(birth_death(), (1,), -huge),
             BudgetExceededError,
             "k steps exceed the budget of 1000000",
+        ),
+        (  # the first entry that is not a law is named by its index and type
+            lambda: ParametricSequence((Const(-huge), 3)),
+            InvalidSequenceError,
+            "coordinate law 1 is int, not Const or Grow",
         ),
     ]
     for make, error, message in calls:
@@ -1181,6 +1189,8 @@ def test_parse_sequence_spec_rich_expressions():
     assert seq.laws == (Grow(2.0, Fraction(2)), Const(3))
     seq = parse_sequence_spec("A = 0.5n^3/2 , B = n", ("A", "B"))
     assert seq.laws == (Grow(0.5, Fraction(3, 2)), Grow(1.0, Fraction(1)))
+    # an empty part between commas is skipped
+    assert parse_sequence_spec("A=n,", ("A",)).laws == (Grow(1.0, Fraction(1)),)
 
 
 def test_parse_sequence_spec_errors():
@@ -1200,6 +1210,8 @@ def test_parse_sequence_spec_errors():
         parse_sequence_spec("A=0*n, B=1", ("A", "B"))  # zero coefficient
     with pytest.raises(ValueError, match="divides its power by zero"):
         parse_sequence_spec("A=n^1/0, B=1, C=0", ("A", "B", "C"))
+    with pytest.raises(ValueError, match="^expected 'name=expr' in sequence spec, got 'A'$"):
+        parse_sequence_spec("A", ("A",))
 
 
 # ------------------------------------------ shared tails, trusted sequences
