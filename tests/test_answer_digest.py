@@ -1,8 +1,9 @@
-"""Answer digest of the samplers and the tier layer: one SHA-256 per public
-sampler and tier function and per CLI command that drives them, over the
-catalog systems and the demo networks, error messages included.  The
-samplers run with a few seeds each; the tier functions run along a spread of
-each network's scan family, as given and shifted.
+"""Answer digest of the samplers, the tier layer and the stationary layer:
+one SHA-256 per public sampler, tier and stationary function and per CLI
+command that drives them, over the catalog systems and the demo networks,
+error messages included.  The samplers run with a few seeds each; the tier
+functions run along a spread of each network's scan family, as given and
+shifted; the censored solve runs on boxes around each network's origin.
 
 The digests in ``answer_digest.json`` were computed once per group, from the
 code as it was when the group was added; a change that keeps every answer
@@ -15,8 +16,10 @@ reason.  To rewrite it::
 
 import hashlib
 import io
+import itertools
 import json
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from crnkit.simulate import (
     occupancy_estimate,
     return_times,
     ssa_simulate,
+    truncated_stationary,
 )
 from crnkit.tiers import (
     Const,
@@ -50,6 +54,17 @@ HERE = Path(__file__).resolve().parent
 DIGEST = HERE / "answer_digest.json"
 NETWORKS = HERE.parent / "demos" / "networks"
 SEEDS = (0, 1, 7)
+#: A generated three-species network whose time average from (3, 3, 1) over
+#: [0, 170] visits 6,894 states, more than ``simulate._MEMO_MAX``, so the
+#: call's memo empties mid-run.
+SPREADING = """species: A, B, C
+B -> 2C ; k=2.0
+2C -> A + C ; k=1.0
+A + C -> A ; k=0.5
+A -> B ; k=2.0
+A -> 2C ; k=1.0
+2C -> B ; k=2.0
+"""
 
 
 def _start(dim):
@@ -200,6 +215,7 @@ def answers():
         rows.append(_cli(["drift", path, "--x", x0, "--k", "6", "--mc", "1"]))
 
     _tier_answers(groups, systems)
+    _stationary_answers(groups, systems)
     return groups
 
 
@@ -294,6 +310,63 @@ def _tier_answers(groups, systems):
     cycle = str(NETWORKS / "cycle.crn")
     for extra in ([], ["--path", "2B -> A"]):
         rows.append(_cli(["tiers", cycle, "--seq", "A=n, B=1e200*n, C=0", *extra]))
+
+
+def _estimate(fn, *args, **kwargs) -> str:
+    """A ``StationaryEstimate``'s support, probability bytes, method and
+    detail, or its error, with the closed classes an ambiguous region has."""
+    try:
+        est = fn(*args, **kwargs)
+    except (ValueError, CRNError) as e:
+        return f"{type(e).__name__}: {e} {getattr(e, 'classes', '')}"
+    return repr((est.support, est.probabilities.tobytes(), est.method, est.detail))
+
+
+#: Largest coordinate of the boxes per dimension: boxes of 6 to 343 states.
+BOX_TOP = {1: 30, 2: 6, 3: 4, 4: 2}
+
+
+def _boxes(dim: int) -> list:
+    """Three boxes of dimension ``dim``, each as "lo..hi" per coordinate."""
+    top = BOX_TOP[dim]
+    return [[f"0..{top}"] * dim, [f"1..{top + 2}"] * dim, ["0..1"] * (dim - 1) + [f"0..{top}"]]
+
+
+def _stationary_answers(groups, systems):
+    """The stationary layer's groups: the censored solve on boxes of each
+    network, ``crnkit stationary --region`` on the demo files, and a time
+    average, in process and by the CLI, whose memo empties mid-run."""
+    rows = groups["truncated_stationary"] = []
+    for name, system, _ in systems:
+        rows.append(name)
+        for box in _boxes(system.network.dim):
+            spans = [range(int(lo), int(hi) + 1) for lo, hi in (b.split("..") for b in box)]
+            rows.append(_estimate(truncated_stationary, system, itertools.product(*spans)))
+        rows.append(_estimate(truncated_stationary, system, []))
+        rows.append(_estimate(truncated_stationary, system, [(1,) * (system.network.dim + 1)]))
+
+    rows = groups["cli stationary --region"] = []
+    for path, (_, system, x0) in zip(sorted(NETWORKS.glob("*.crn")), systems[-6:]):
+        dim = system.network.dim
+        for box in _boxes(dim):
+            rows.append(_cli(["stationary", str(path), "--region", ",".join(box)]))
+        for box in (["0-3"] * dim, ["a..3"] * dim, ["3..1"] * dim, ["0..2"] * (dim + 1)):
+            rows.append(_cli(["stationary", str(path), "--region", ",".join(box)]))
+        rows.append(_cli(["stationary", str(path), "--region=" + ",".join(["-1..2"] * dim)]))
+        x0 = ",".join(map(str, x0))
+        rows.append(_cli(["stationary", str(path), "--region", "0..1", "--x0", x0]))
+        rows.append(_cli(["stationary", str(path)]))
+        rows.append(_cli(["stationary", str(path), "--x0", x0]))
+
+    spreading = parse(SPREADING)
+    groups["occupancy_estimate past the memo"] = [
+        _estimate(occupancy_estimate, spreading, (3, 3, 1), 170.0, seed=141598622)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spreading.crn"
+        path.write_text(SPREADING)
+        argv = ["stationary", str(path), "--x0", "3,3,1", "--t-max", "170", "--seed", "141598622"]
+        groups["cli stationary --x0 past the memo"] = [_cli(argv).replace(tmp, "")]
 
 
 def digests():
