@@ -35,6 +35,7 @@ from .structure import (
 )
 from .tiers import (
     Const,
+    Grow,
     ParametricSequence,
     d_partition,
     exact_kstep_drift,
@@ -53,7 +54,7 @@ from .simulate import (
 )
 
 SCHEMA_VERSION = "1"
-_CSV_BLOCK = 4096  # trajectory rows formatted and written per write call
+_CSV_BLOCK = 4096  # trajectory or distribution rows formatted and written per write call
 
 
 class _UsageError(Exception):
@@ -98,6 +99,22 @@ def _emit(report: dict, out: TextIO) -> None:
     out.write("\n")
 
 
+def _emit_stationary(report: dict, est, out: TextIO) -> None:
+    """``_emit`` of ``report`` with the estimate ``est`` under "stationary", in the
+    same bytes; each distribution row fills a template, ``_CSV_BLOCK`` rows a write."""
+    report["stationary"] = {"method": est.method, "detail": est.detail, "distribution": []}
+    head, _, tail = json.dumps(report, indent=2, sort_keys=True).partition('"distribution": []')
+    out.write(head + '"distribution": [')
+    row = '\n{\n  "probability": %s,\n  "state": [\n    %s\n  ]\n}'.replace("\n", "\n      ")
+    for lo in range(0, len(est.support), _CSV_BLOCK):
+        ps = est.probabilities[lo : lo + _CSV_BLOCK].tolist()
+        text = float.__repr__ if math.isfinite(sum(ps)) else json.dumps  # NaN, Infinity
+        rows = zip(est.support[lo : lo + _CSV_BLOCK], map(text, ps))
+        block = ",".join([row % (p, ",\n          ".join(map(str, s))) for s, p in rows])
+        out.write("," + block if lo else block)
+    out.write(("\n    ]" if est.support else "]") + tail + "\n")
+
+
 def _write_csv(out: TextIO, header, blocks) -> None:
     """Write a CSV header, then each block of rows in one ``write``.
 
@@ -138,6 +155,19 @@ def _render_sequence(seq: ParametricSequence, species) -> str:
     return ", ".join(
         f"{name}={_render_law(law)}" for name, law in zip(species, seq.laws)
     )
+
+
+def _along_state(seq: ParametricSequence, n: int) -> State:
+    """``seq.evaluate(n)`` with 2**64 for each coordinate ceil(num / den * n ** p) above
+    2 ** (bl(num) - 1 - bl(den) + (bl(n) - 1) * p) >= 2**64, bl being the bit length:
+    ``as_state`` refuses both by the same message, and the huge one is never computed."""
+    laws = list(seq.laws)
+    for i, law in enumerate(laws):
+        if isinstance(law, Grow):
+            num, den = law.coef.as_integer_ratio()
+            if num.bit_length() - 1 - den.bit_length() + (n.bit_length() - 1) * law.power >= 64:
+                laws[i] = Const(2**64)  # a spec's sequence has no offsets
+    return ParametricSequence._trusted(tuple(laws), seq.offset, seq.start).evaluate(n)
 
 
 def _partition_json(partition, net) -> dict:
@@ -306,7 +336,7 @@ def _cmd_drift(args) -> int:
         except ValueError:
             raise _UsageError(f"--along index list {tail!r} must be integers")
         drifts = (
-            exact_kstep_drift(system, seq.evaluate(n), args.k, budget=budget)
+            exact_kstep_drift(system, _along_state(seq, n), args.k, budget=budget)
             for n in ns
         )
         # one block per row, each written as soon as its drift is known
@@ -401,15 +431,7 @@ def _cmd_stationary(args) -> int:
                 file=sys.stderr,
             )
         estimate = occupancy_estimate(system, x0, args.t_max, seed=args.seed)
-    report["stationary"] = {
-        "method": estimate.method,
-        "detail": estimate.detail,
-        "distribution": [
-            {"state": list(state), "probability": float(p)}
-            for state, p in zip(estimate.support, estimate.probabilities)
-        ],
-    }
-    _emit(report, sys.stdout)
+    _emit_stationary(report, estimate, sys.stdout)
     return 0
 
 

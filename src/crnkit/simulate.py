@@ -30,12 +30,13 @@ states of the full simulation with the same seed.
 A sampler call works out each state's jump law once, as a record: the state,
 the running sums of the rates, the last being their total, a slot per
 reaction for the record of the successor it leads to, filled when first
-taken, and one value the sampler may cache per state.  The walk follows
-these links from record to record, so it looks a state up in the call's
-memo only when a slot is first filled.  The memo is emptied whenever it
-holds ``_MEMO_MAX`` states, and once more when the call ends; emptying it
-cuts every record's links, so no reference cycle outlives the call.
-Bisection over the sums picks the reaction a linear scan of the rates
+taken, and one value the sampler may cache per state (the time average sums
+holding times on it).  The walk follows these links from record to record,
+so it looks a state up in the call's memo only when a slot is first filled.
+The memo is emptied whenever it holds ``_MEMO_MAX`` states, and once more
+when the call ends; emptying it cuts every record's links, so no reference
+cycle outlives the call, and writes the time average's sums back to its
+dict.  Bisection over the sums picks the reaction a linear scan of the rates
 would, so trajectories are unchanged byte for byte.
 """
 
@@ -177,12 +178,11 @@ class _StateMemo(dict):
     clears it on exit.  It is emptied once it holds ``_MEMO_MAX`` states,
     so a trajectory that never revisits a state keeps memory bounded.
     Records link to each other, so ``clear`` cuts every record's successor
-    slots first: no record is left in a reference cycle.
+    slots first, and writes each value but None back to ``sink``, if given.
     """
 
-    def __init__(self, table: tuple, value: Optional[Callable[[State], object]] = None):
-        self.table = table
-        self.value = value
+    def __init__(self, table: tuple, value: Optional[Callable] = None, sink: Optional[dict] = None):
+        self.table, self.value, self.sink = table, value, sink
 
     def __missing__(self, x: State) -> _JumpLaw:
         if len(self) >= _MEMO_MAX:
@@ -198,6 +198,8 @@ class _StateMemo(dict):
     def clear(self) -> None:
         for law in self.values():
             law.succ = None
+        if self.sink is not None:
+            self.sink.update((w.state, w.value) for w in self.values() if w.value is not None)
         super().clear()
 
     def __enter__(self) -> "_StateMemo":
@@ -490,6 +492,8 @@ def occupancy_estimate(
     trajectory absorbed at time t leaves all remaining weight on the
     absorbing state (a point mass when ``x0`` itself is absorbing).  Past
     10**7 jumps (``_JUMP_BUDGET``) the call raises ``BudgetExceededError``.
+    A state's holding times are summed in jump order, on its records' values
+    (None before the first), and written back to its sum at each clear.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
@@ -498,14 +502,17 @@ def occupancy_estimate(
     draws = _DrawBlock(budget=_JUMP_BUDGET).start(key)
     weights: Dict[State, float] = {}
     t = 0.0
-    with _StateMemo(system._rate_table) as laws:
-        for dt, y in _walk(laws, x, draws):
+    with _StateMemo(system._rate_table, weights.get, weights) as laws:
+        law = laws[x]
+        for dt, nxt in _walk(laws, x, draws):
             if t + dt >= t_max:
                 break
-            weights[x] = weights.get(x, 0.0) + dt
+            law.value = dt if law.value is None else law.value + dt
+            if law.succ is None:  # cut by the clear that built nxt: write it back again
+                weights[law.state] = law.value
             t += dt
-            x = y.state
-    weights[x] = weights.get(x, 0.0) + (t_max - t)  # to the horizon or absorbed
+            law = nxt
+    weights[law.state] = weights.get(law.state, 0.0) + (t_max - t)  # to the horizon or absorbed
     support = tuple(sorted(weights))
     probs = np.asarray([weights[s] for s in support], dtype=np.float64)
     probs /= probs.sum()

@@ -23,7 +23,9 @@ samplers do.  ``pooled_rates_by_reactions`` and ``reachable_by_dicts`` are
 the former ``transition_rates`` and the breadth-first search over its dicts,
 as checks on the table-driven expansion; ``linkage_classes_csgraph`` is the
 former scipy linkage-class computation; ``csv_by_writer`` is the CSV the
-command line wrote row by row through ``csv.writer``.
+command line wrote row by row through ``csv.writer``, and
+``stationary_by_dicts`` the stationary report it wrote through ``_emit``
+with every distribution row a dict.
 ``generator_by_reactions`` is the generator summed through
 ``lyapunov_difference`` reaction by reaction, as a check on the sparse
 pass; ``MemoFreeTail`` is the tier walks' tail with its static part built
@@ -51,6 +53,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from crnkit.cli import _emit
 from crnkit.errors import BudgetExceededError
 from crnkit.kinetics import _rates, lyapunov_difference
 from crnkit.network import STATE_COORD_MAX, as_state
@@ -866,6 +869,20 @@ def csv_by_writer(header, rows) -> str:
     for row in rows:
         writer.writerow(row)
     return out.getvalue()
+
+
+def stationary_by_dicts(report: dict, estimate, out) -> None:
+    """``cli._emit_stationary`` as the command line wrote the report: every
+    distribution row a dict, the whole report through ``cli._emit``."""
+    report["stationary"] = {
+        "method": estimate.method,
+        "detail": estimate.detail,
+        "distribution": [
+            {"state": list(state), "probability": float(p)}
+            for state, p in zip(estimate.support, estimate.probabilities)
+        ],
+    }
+    _emit(report, out)
 
 
 def generator_by_reactions(system, x) -> float:

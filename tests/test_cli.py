@@ -2,27 +2,34 @@
 and determinism of every command for a fixed seed."""
 
 import hashlib
+import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import referencing
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from referencing.jsonschema import DRAFT7
 
 import crnkit
 from crnkit import cli, parse, simulate
 from crnkit.cli import main
 from crnkit.kinetics import lyapunov_difference, total_rate
-from crnkit.simulate import ssa_simulate
+from crnkit.simulate import StationaryEstimate, ssa_simulate
 from crnkit.tiers import exact_kstep_drift, parse_sequence_spec
-from oracles import csv_by_writer
+from oracles import csv_by_writer, stationary_by_dicts
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -365,6 +372,35 @@ def test_drift_along_coordinate_past_the_digit_limit_names_its_index(capsys):
     assert "state coordinate 0 exceeds supported maximum" in captured.err
 
 
+@pytest.mark.parametrize("power", ["1000000", "10000000", "1000000/3"])
+def test_drift_along_refuses_a_huge_coordinate_before_computing_it(capsys, power):
+    # the coordinates have 30 million bits and more; computing the first
+    # took 11 s, the other two over 40 s
+    start = time.perf_counter()
+    code = main(["drift", CYCLE, "--k", "1", "--along", f"A=n^{power}, B=1, C=0:1000000000"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert captured.out == "n,drift\n"
+    assert captured.err == "error: state coordinate 0 exceeds supported maximum 100000000\n"
+
+
+def test_along_state_stands_in_only_for_coordinates_past_64_bits():
+    # laws and indices on both sides of 2**64, where the bound must be sound
+    stood = computed = 0
+    for law in ("n^64", "n^63", "n^3", "2*n^3", "0.75*n^64", "1e-300*n^100", "1e19*n", "n^9/4"):
+        seq = parse_sequence_spec(f"A={law}, B=n, C=7", ["A", "B", "C"])
+        for n in (1, 2, 3, 2**21 - 1, 2**21, 2**21 + 1, 2**32, 2**64 - 1, 2**64, 10**30):
+            got, want = cli._along_state(seq, n), seq.evaluate(n)
+            for g, w in zip(got, want):
+                if g != w:
+                    assert g == 2**64 <= w
+                    stood += 1
+                else:
+                    computed += w >= 2**64
+    assert stood > 20 and computed > 0
+
+
 def test_drift_along_csv_equals_csv_writer_oracle(capsys):
     # each row is the drift at the x_n it names, the parsed sequence's own
     system = parse(Path(CYCLE).read_text())
@@ -548,6 +584,117 @@ def test_stationary_absorbing_start_warns_and_gives_point_mass(capsys, tmp_path)
     assert payload["stationary"]["distribution"] == [
         {"state": [0, 4], "probability": 1.0}
     ]
+
+
+#: A box per demo file whose censored chain has one closed class; a box of
+#: more than one state splits the conserved totals of annihilation, isomers
+#: and threeclass into several.
+DEMO_BOXES = {
+    "annihilation.crn": "1..1,2..2",
+    "birthdeath.crn": "0..40",
+    "cycle.crn": "1..6,1..6,1..6",
+    "isomers.crn": "2..2,1..1",
+    "loop.crn": "0..6,0..6,0..6",
+    "threeclass.crn": "1..1,2..2,3..3,1..1",
+}
+
+
+def _stdout(argv) -> tuple:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_stationary_reports_equal_the_dict_rows_through_emit(monkeypatch):
+    # both methods on every demo file; threeclass's time average from
+    # (1, 2, 3, 1) over [0, 50] visits 5,331 states, past one block of rows
+    argvs = []
+    for path in sorted(NETWORKS.glob("*.crn")):
+        x0 = ",".join(str(1 + i % 3) for i in range(parse(path.read_text()).network.dim))
+        argvs.append(["stationary", str(path), "--region", DEMO_BOXES[path.name]])
+        argvs.append(["stationary", str(path), "--x0", x0, "--t-max", "50", "--seed", "3"])
+    got = [_stdout(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_emit_stationary", stationary_by_dicts)
+    want = [_stdout(argv) for argv in argvs]
+    assert [code for code, _ in got] == [0] * len(argvs)
+    assert max(out.count('"probability"') for _, out in got) > cli._CSV_BLOCK
+    for argv, a, b in zip(argvs, got, want):
+        assert a == b, argv
+
+
+def _writes(emit, report: dict, estimate) -> str:
+    out = io.StringIO()
+    emit(dict(report), estimate, out)
+    return out.getvalue()
+
+
+ENVELOPE = {
+    "schema_version": "1",
+    "tool": {"name": "crnkit", "version": crnkit.__version__},
+    "input": {"path": 'a "distribution": [] b', "sha256": "0" * 64},
+}
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-05, 0.1, 1.0, 1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda dim: st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(min_value=0, max_value=10**8)] * dim),
+                st.sampled_from(EDGE_FLOATS) | st.floats(),
+            ),
+            max_size=12,
+        )
+    ),
+    st.text(max_size=8),
+)
+def test_stationary_writer_equals_emit_on_drawn_distributions(rows, detail):
+    estimate = StationaryEstimate(
+        support=tuple(s for s, _ in rows),
+        probabilities=np.asarray([p for _, p in rows], dtype=np.float64),
+        method="time_average",
+        detail=detail,
+    )
+    want = _writes(stationary_by_dicts, ENVELOPE, estimate)
+    assert _writes(cli._emit_stationary, ENVELOPE, estimate) == want
+
+
+def _estimate(n: int, dim: int = 3) -> StationaryEstimate:
+    support = tuple(itertools.islice(itertools.product(range(10**3), repeat=dim), n))
+    probs = np.random.default_rng(n).random(n)
+    return StationaryEstimate(support, probs / probs.sum(), "truncated_solve", "box")
+
+
+@pytest.mark.parametrize("n", [cli._CSV_BLOCK, cli._CSV_BLOCK + 1, 2 * cli._CSV_BLOCK + 3])
+def test_stationary_writer_equals_emit_past_one_block(n):
+    estimate = _estimate(n)
+    out = io.StringIO()
+    writes = []
+    out.write = lambda text: writes.append(text) or io.StringIO.write(out, text)
+    cli._emit_stationary(dict(ENVELOPE), estimate, out)
+    assert out.getvalue() == _writes(stationary_by_dicts, ENVELOPE, estimate)
+    assert len(writes) == 2 + -(-n // cli._CSV_BLOCK)  # head, the blocks, tail
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def _peak(emit, estimate) -> int:
+    tracemalloc.start()
+    try:
+        emit(dict(ENVELOPE), estimate, _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stationary_writer_peaks_no_higher_than_emit():
+    estimate = _estimate(12_000)
+    assert _peak(cli._emit_stationary, estimate) <= _peak(stationary_by_dicts, estimate)
 
 
 def test_simulate_huge_horizon_exits_one_at_the_trajectory_budget(capsys, monkeypatch):
