@@ -108,7 +108,8 @@ def _emit_stationary(report: dict, est, out: TextIO) -> None:
     row = '\n{\n  "probability": %s,\n  "state": [\n    %s\n  ]\n}'.replace("\n", "\n      ")
     for lo in range(0, len(est.support), _CSV_BLOCK):
         ps = est.probabilities[lo : lo + _CSV_BLOCK].tolist()
-        text = float.__repr__ if math.isfinite(sum(ps)) else json.dumps  # NaN, Infinity
+        # json spells NaN and infinities its own way; a block holding one sums to one
+        text = float.__repr__ if math.isfinite(sum(ps)) else json.dumps
         rows = zip(est.support[lo : lo + _CSV_BLOCK], map(text, ps))
         block = ",".join([row % (p, ",\n          ".join(map(str, s))) for s, p in rows])
         out.write("," + block if lo else block)
