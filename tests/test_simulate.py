@@ -686,7 +686,7 @@ def test_replica_draws_equal_per_replica_generators():
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 255, 256, 257, 3000, simulate._BLOCK])
-def test_block_draws_equal_eager_blocks_at_every_jump(block):
+def test_chunked_draws_equal_eager_blocks_at_every_jump(block):
     # three blocks of each size: the jumps on both sides of the two refills
     # between them, and every jump of a block read in place
     for seed in (0, 7):
@@ -698,7 +698,7 @@ def test_block_draws_equal_eager_blocks_at_every_jump(block):
 
 
 @pytest.mark.parametrize("budget", [1, 255, 256, 257, 4096, 5000, 9000])
-def test_block_draws_refuse_the_budget_at_the_eager_jump(budget):
+def test_chunked_draws_exceed_the_budget_at_the_eager_jump(budget):
     # the budget is checked only when a block is drawn, so the refusal comes
     # at the first block boundary at or past it
     errors = []
