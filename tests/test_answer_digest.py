@@ -1,9 +1,11 @@
-"""Answer digest of the samplers, the tier layer and the stationary layer:
-one SHA-256 per public sampler, tier and stationary function and per CLI
-command that drives them, over the catalog systems and the demo networks,
-error messages included.  The samplers run with a few seeds each; the tier
-functions run along a spread of each network's scan family, as given and
-shifted; the censored solve runs on boxes around each network's origin.
+"""Answer digest of the samplers, the tier layer, the stationary layer and
+the pattern scans: one SHA-256 per public sampler, tier, stationary and scan
+function and per CLI command that drives them, over the catalog systems and
+the demo networks, error messages included.  The samplers run with a few
+seeds each; the tier functions run along a spread of each network's scan
+family, as given and shifted; the censored solve runs on boxes around each
+network's origin; the scans run at three budgets on fresh networks, in both
+call orders.
 
 The digests in ``answer_digest.json`` were computed once per group, from the
 code as it was when the group was added; a change that keeps every answer
@@ -23,7 +25,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from crnkit import catalog, parse, simulate
+from crnkit import Complex, Reaction, ReactionNetwork, catalog, parse, simulate, tiers
 from crnkit.cli import main
 from crnkit.errors import CRNError
 from crnkit.kinetics import lyapunov
@@ -42,6 +44,7 @@ from crnkit.tiers import (
     Grow,
     ParametricSequence,
     d_partition,
+    hypothesis_check,
     hypothesis_violation,
     path_probability_limit,
     path_tier_membership,
@@ -49,6 +52,8 @@ from crnkit.tiers import (
     scan_patterns,
     witness_path,
 )
+from test_acceptance import binary_ring
+from test_tiers import TRAP
 
 HERE = Path(__file__).resolve().parent
 DIGEST = HERE / "answer_digest.json"
@@ -65,6 +70,16 @@ A -> B ; k=2.0
 A -> 2C ; k=1.0
 2C -> B ; k=2.0
 """
+#: The catalog systems the groups cover, by function name.
+CATALOG = (
+    "five_complex_cycle",
+    "creation_annihilation_loop",
+    "three_class_network",
+    "birth_death",
+    "pure_birth",
+    "reversible_isomers",
+    "pair_annihilation",
+)
 
 
 def _start(dim):
@@ -74,15 +89,7 @@ def _start(dim):
 def _systems():
     """(name, system, start state) for the catalog and the demo files."""
     out = []
-    for name in (
-        "five_complex_cycle",
-        "creation_annihilation_loop",
-        "three_class_network",
-        "birth_death",
-        "pure_birth",
-        "reversible_isomers",
-        "pair_annihilation",
-    ):
+    for name in CATALOG:
         system = getattr(catalog, name)()
         out.append((name, system, _start(system.network.dim)))
     for path in sorted(NETWORKS.glob("*.crn")):
@@ -216,6 +223,7 @@ def answers():
 
     _tier_answers(groups, systems)
     _stationary_answers(groups, systems)
+    _scan_answers(groups)
     return groups
 
 
@@ -367,6 +375,60 @@ def _stationary_answers(groups, systems):
         path.write_text(SPREADING)
         argv = ["stationary", str(path), "--x0", "3,3,1", "--t-max", "170", "--seed", "141598622"]
         groups["cli stationary --x0 past the memo"] = [_cli(argv).replace(tmp, "")]
+
+
+def _scan_networks() -> list:
+    """(name, maker) for the catalog and demo networks and the hand-built
+    networks of the scan oracle test; each call of a maker builds a new
+    network, which remembers no scan."""
+    makers = [(name, lambda name=name: getattr(catalog, name)().network) for name in CATALOG]
+    for path in sorted(NETWORKS.glob("*.crn")):
+        makers.append((path.name, lambda path=path: parse(path.read_text()).network))
+    # degrees past int64, keyed in 63-bit limbs
+    wide = [((2**62, 0), (0, 1)), ((0, 1), (2**62, 0)), ((0, 0), (1, 0)), ((1, 0), (0, 0))]
+    return makers + [
+        ("TRAP", lambda: parse(TRAP).network),
+        ("3A <-> B", lambda: parse("species: A, B\n3A <-> B ; k=1, 1\n0 <-> B ; k=1, 1").network),
+        ("binary_ring(5)", lambda: binary_ring(5)),
+        (
+            "2**62",
+            lambda: ReactionNetwork.from_reactions(
+                ("A", "B"), [Reaction(Complex(a), Complex(b)) for a, b in wide]
+            ),
+        ),
+    ]
+
+
+def _scan_answers(groups):
+    """The scan groups: ``scan_patterns`` and ``hypothesis_check`` at
+    budgets 0, 7 and the default, the family after a check on the same
+    fresh network and alone on another, each in one chunk of labelings and
+    in chunks of 7, the refusal past 12 species, and ``crnkit analyze
+    --hypothesis-scan`` on the demo files."""
+    family = groups["scan_patterns"] = []
+    check = groups["hypothesis_check"] = []
+    saved = tiers._SCAN_CHUNK
+    try:
+        for chunk in (saved, 7):
+            tiers._SCAN_CHUNK = chunk
+            for name, make in _scan_networks():
+                for budget in ({"pattern_budget": 0}, {"pattern_budget": 7}, {}):
+                    label = repr((name, chunk, budget))
+                    net = make()
+                    check += [label, _answer(hypothesis_check, net, **budget)]
+                    family += [
+                        label,
+                        _answer(scan_patterns, net, **budget),
+                        _answer(scan_patterns, make(), **budget),
+                    ]
+    finally:
+        tiers._SCAN_CHUNK = saved
+    check.append(_answer(hypothesis_check, binary_ring(13)))
+    family.append(_answer(scan_patterns, binary_ring(13)))
+
+    rows = groups["cli analyze --hypothesis-scan"] = []
+    for path in sorted(NETWORKS.glob("*.crn")):
+        rows.append(_cli(["analyze", str(path), "--hypothesis-scan"]))
 
 
 def digests():
