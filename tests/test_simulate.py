@@ -439,10 +439,10 @@ def memo_cases():
     return cases
 
 
-@pytest.mark.parametrize("cap", [None, 2, 8])
+@pytest.mark.parametrize("cap", [None, 1, 2, 8])
 def test_memo_samplers_equal_the_per_jump_oracle(monkeypatch, cap):
     # caps of 2 and 8 states empty the memo every few jumps, successor
-    # slots and all
+    # slots and all; at cap 1 every new state empties it
     if cap is not None:
         monkeypatch.setattr(simulate, "_MEMO_MAX", cap)
     for name, system, x0 in memo_cases():
