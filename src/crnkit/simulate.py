@@ -30,14 +30,14 @@ states of the full simulation with the same seed.
 A sampler call works out each state's jump law once, as a record: the state,
 the running sums of the rates, the last being their total, a slot per
 reaction for the record of the successor it leads to, filled when first
-taken, and one value the sampler may cache per state (the time average sums
-holding times on it).  The walk follows these links from record to record,
-so it looks a state up in the call's memo only when a slot is first filled.
-The memo is emptied whenever it holds ``_MEMO_MAX`` states, and once more
-when the call ends; emptying it cuts every record's links, so no reference
-cycle outlives the call, and writes the time average's sums back to its
-dict.  Bisection over the sums picks the reaction a linear scan of the rates
-would, so trajectories are unchanged byte for byte.
+taken, and one value the sampler may cache per state (the time average keeps
+the state's holding-time sum there).  The walk follows these links from
+record to record, so it looks a state up in the call's memo only when a slot
+is first filled.  The memo is emptied whenever it holds ``_MEMO_MAX``
+states, and once more when the call ends; emptying it cuts every record's
+links, so no reference cycle outlives the call.  Bisection over the sums
+picks the reaction a linear scan of the rates would, so trajectories are
+unchanged byte for byte.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from .errors import AmbiguousRegionError, BudgetExceededError
-from .kinetics import _f, _moves, _rates, lyapunov, lyapunov_difference
+from .kinetics import _moves, _rates, lyapunov, lyapunov_difference
 from .network import STATE_COORD_MAX, MassActionSystem, State, _count, as_state
 
 __all__ = [
@@ -178,11 +178,11 @@ class _StateMemo(dict):
     clears it on exit.  It is emptied once it holds ``_MEMO_MAX`` states,
     so a trajectory that never revisits a state keeps memory bounded.
     Records link to each other, so ``clear`` cuts every record's successor
-    slots first, and writes each value but None back to ``sink``, if given.
+    slots first.
     """
 
-    def __init__(self, table: tuple, value: Optional[Callable] = None, sink: Optional[dict] = None):
-        self.table, self.value, self.sink = table, value, sink
+    def __init__(self, table: tuple, value: Optional[Callable] = None):
+        self.table, self.value = table, value
 
     def __missing__(self, x: State) -> _JumpLaw:
         if len(self) >= _MEMO_MAX:
@@ -198,8 +198,6 @@ class _StateMemo(dict):
     def clear(self) -> None:
         for law in self.values():
             law.succ = None
-        if self.sink is not None:
-            self.sink.update((w.state, w.value) for w in self.values() if w.value is not None)
         super().clear()
 
     def __enter__(self) -> "_StateMemo":
@@ -412,10 +410,9 @@ def return_times(
     until it has left the target set and come back (recording the return
     time), reached an absorbing state outside the target, or exhausted the
     time horizon.  A ``lyapunov_sublevel`` target is tested once per
-    distinct state, by the sum ``lyapunov`` forms; any other target is
-    called once per jump and once for ``x0``.  Past 10**7 jumps
-    (``_JUMP_BUDGET``) over all replicas the call raises
-    ``BudgetExceededError``.
+    distinct state; any other target is called once per jump and once for
+    ``x0``.  Past 10**7 jumps (``_JUMP_BUDGET``) over all replicas the call
+    raises ``BudgetExceededError``.
     """
     x_start = as_state(x0, system.network.dim)
     if not target(x_start):
@@ -430,9 +427,7 @@ def return_times(
     )
 
     sublevel = type(target) is _Sublevel
-    # a sublevel target is tested once per state, by the sum lyapunov forms
-    in_target = (lambda x: sum(map(_f, x)) <= target.cutoff) if sublevel else None
-    laws = _StateMemo(system._rate_table, in_target)
+    laws = _StateMemo(system._rate_table, target if sublevel else None)
 
     def run(draws: _DrawBlock) -> Optional[float]:
         t = 0.0
@@ -492,29 +487,30 @@ def occupancy_estimate(
     trajectory absorbed at time t leaves all remaining weight on the
     absorbing state (a point mass when ``x0`` itself is absorbing).  Past
     10**7 jumps (``_JUMP_BUDGET``) the call raises ``BudgetExceededError``.
-    A state's holding times are summed in jump order, on its records' values
-    (None before the first), and written back to its sum at each clear.
+    A state's holding times are summed in jump order, in a one-element list
+    that every record of the state holds as its value.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     x = as_state(x0, system.network.dim)
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
     draws = _DrawBlock(budget=_JUMP_BUDGET).start(key)
-    weights: Dict[State, float] = {}
+    cells: Dict[State, list] = {}
     t = 0.0
-    with _StateMemo(system._rate_table, weights.get, weights) as laws:
+    with _StateMemo(system._rate_table, cells.get) as laws:
         law = laws[x]
         for dt, nxt in _walk(laws, x, draws):
             if t + dt >= t_max:
                 break
-            law.value = dt if law.value is None else law.value + dt
-            if law.succ is None:  # cut by the clear that built nxt: write it back again
-                weights[law.state] = law.value
+            if law.value is None:  # the state's first holding time
+                law.value = cells[law.state] = [dt]
+            else:
+                law.value[0] += dt
             t += dt
             law = nxt
-    weights[law.state] = weights.get(law.state, 0.0) + (t_max - t)  # to the horizon or absorbed
-    support = tuple(sorted(weights))
-    probs = np.asarray([weights[s] for s in support], dtype=np.float64)
+    cells.setdefault(law.state, [0.0])[0] += t_max - t  # to the horizon or absorbed
+    support = tuple(sorted(cells))
+    probs = np.asarray([cells[s][0] for s in support], dtype=np.float64)
     probs /= probs.sum()
     return StationaryEstimate(
         support=support,

@@ -707,22 +707,19 @@ def _scan_chunks(net: ReactionNetwork, enumerated: int):
     """The first ``enumerated`` labelings with a growing coordinate, in
     ``itertools.product`` order, ``_SCAN_CHUNK`` rows of the enumeration at
     a time; row n is the labeling ``_digits`` reads off n.  Yields
-    (rows, keys, flags) over the rows that come first for their key within
-    the chunk, ascending.  A key is a fixed-width byte string of the row's
-    ``degrees[k, j]``, complex j's sum of y_i * p_i over the growing
-    coordinates (exact: the dtype holds the largest possible degree, and is
-    ``object`` past int64), and ``live[k, j]``, y_i <= value at every
-    constant coordinate; a flag says the live complexes of largest degree
-    (the top intensity tier) sit below the top growth tier."""
+    (rows, keys, flags) over each chunk's kept rows, ascending.  A key is a
+    fixed-width byte string of the row's ``degrees[k, j]``, complex j's sum
+    of y_i * p_i over the growing coordinates (exact: the dtype holds the
+    largest possible degree, and is ``object`` past int64), and
+    ``live[k, j]``, y_i <= value at every constant coordinate; a flag says
+    the live complexes of largest degree (the top intensity tier) sit below
+    the top growth tier."""
     d, base = net.dim, len(_SCAN_LABELS)
     coeffs = [c.coeffs for c in net.complexes]
     powers = [int(l.power) if isinstance(l, Grow) else 0 for l in _SCAN_LABELS]
     top = max(powers) * max((sum(y) for y in coeffs), default=0)
-    dtype = next(
-        (t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max),
-        object,
-    )
-    limbs = 0 if dtype is not object else top.bit_length() // 63 + 1
+    dtype = np.min_scalar_type(-top - 1)  # signed, and object past int64
+    limbs = top.bit_length() // 63 + 1 if dtype == object else 0
     yt = np.array(coeffs, dtype=dtype).reshape(len(coeffs), d).T
     power_of = np.array(powers, dtype=np.int8)
     # per species and label, which complexes the label keeps live
@@ -766,12 +763,10 @@ def _scan_chunks(net: ReactionNetwork, enumerated: int):
             axis=1,
         )
         keys = raw.view(f"V{raw.shape[1]}").ravel()
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        degrees, live = degrees[first], live[first]
         # degrees are nonnegative, so -1 marks a row without live complexes
         best = np.where(live, degrees, -1).max(axis=1, initial=-1)
         most = degrees.max(axis=1, initial=-1)
-        yield rows[first], keys[first], (best >= 0) & (best < most)
+        yield rows, keys, (best >= 0) & (best < most)
 
 
 def _scan_sequences(net: ReactionNetwork, rows) -> list:
