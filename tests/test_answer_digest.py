@@ -10,8 +10,13 @@ call orders.
 The digests in ``answer_digest.json`` were computed once per group, from the
 code as it was when the group was added; a change that keeps every answer
 equal byte for byte, or by ``repr``, leaves them equal.  The test names each group that differs.
-Rewriting the file is a change of test data, to be recorded with its
-reason.  To rewrite it::
+``answer_digest_paths.json`` holds the groups of a second test, on the
+inputs that take ``crnkit simulate`` and the censored solve down their less
+common paths: a trajectory past the sampler memo and past several row
+blocks, written to a file, refused mid-walk; products past int64, regions
+whose bounding box passes 2**63 cells, transient and trapped states.
+Rewriting either file is a change of test data, to be recorded with its
+reason.  To rewrite both::
 
     PYTHONPATH=src python tests/test_answer_digest.py --write
 """
@@ -57,6 +62,7 @@ from test_tiers import TRAP
 
 HERE = Path(__file__).resolve().parent
 DIGEST = HERE / "answer_digest.json"
+PATH_DIGEST = HERE / "answer_digest_paths.json"
 NETWORKS = HERE.parent / "demos" / "networks"
 SEEDS = (0, 1, 7)
 #: A generated three-species network whose time average from (3, 3, 1) over
@@ -431,7 +437,102 @@ def _scan_answers(groups):
         rows.append(_cli(["analyze", str(path), "--hypothesis-scan"]))
 
 
-def digests():
+GROWTH = "species: S\nS -> 2S ; k=2.0\nS -> 0 ; k=1.0\n"
+#: Rates past int64 near the coordinate limit: a cubic source at 10**8.
+CUBIC = "species: A\n0 -> A ; k=1.5\n3A -> 2A ; k=0.25\n"
+#: An order-3 source over two species, whose box near 10**8 is one class.
+PAIRED = "species: A, B\nA + 2B -> 3B ; k=1\nB -> A ; k=2\n0 -> A ; k=1\nA -> 0 ; k=1\n"
+#: A drains into B, so every state with A > 0 is transient.
+DRAIN = "species: A, B\nA -> B ; k=1\nB -> 0 ; k=2\n0 -> B ; k=1\n"
+
+
+def _cli_out(argv, out: Path) -> str:
+    """``_cli`` with ``--out``, and the file's text, or None when the run
+    left no file."""
+    got = _cli([*argv, "--out", str(out)])
+    text = out.read_text() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return repr((got, text))
+
+
+def _box(*spans) -> list:
+    """The states of the product of inclusive (lo, hi) spans."""
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in spans)))
+
+
+def path_answers():
+    """The second test's groups: ``crnkit simulate`` past the memo, past
+    several row blocks, to a file and refused mid-walk, and the censored
+    solve on regions past int64 products and past a 2**63-cell box, with
+    transient and trapped states."""
+    groups = {}
+    top = 10**8
+    rows = groups["cli simulate paths"] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        spreading, growth = Path(tmp) / "spreading.crn", Path(tmp) / "growth.crn"
+        spreading.write_text(SPREADING)
+        growth.write_text(GROWTH)
+        out = Path(tmp) / "rows.csv"
+        bd = str(NETWORKS / "birthdeath.crn")
+        # 39,921 rows over 6,894 states: past the memo and nine row blocks
+        argv = ["simulate", str(spreading), "--x0", "3,3,1", "--t-max", "170"]
+        rows.append(_cli([*argv, "--seed", "141598622"]))
+        rows.append(_cli_out([*argv, "--seed", "141598622"], out))
+        for seed in map(str, SEEDS):
+            for flags in (["--jumps", "20000"], ["--t-max", "2500"], ["--jumps", "9000", "--t-max", "4000"]):
+                rows.append(_cli(["simulate", bd, "--x0", "4", *flags, "--seed", seed]))
+            rows.append(_cli_out(["simulate", bd, "--x0", "4", "--jumps", "12000", "--seed", seed], out))
+            path = str(NETWORKS / "threeclass.crn")
+            rows.append(_cli_out(["simulate", path, "--x0", "1,1,1,1", "--t-max", "40", "--seed", seed], out))
+            # refused: past the trajectory budget, and past STATE_COORD_MAX mid-walk
+            refused = ["simulate", bd, "--x0", "1", "--t-max", "1e12", "--seed", seed]
+            rows.append(_with_budget("_TRAJECTORY_BUDGET", 5000, _cli, refused))
+            rows.append(_with_budget("_TRAJECTORY_BUDGET", 5000, _cli_out, refused, out))
+            start = str(STATE_COORD_MAX - 2)
+            for flags in (["--jumps", "1000000"], ["--t-max", "1e9"]):
+                refused = ["simulate", str(growth), "--x0", start, *flags, "--seed", seed]
+                rows.append(_cli(refused))
+                rows.append(_cli_out(refused, out))
+        rows[:] = [row.replace(tmp, "") for row in rows]
+
+    rows = groups["truncated_stationary regions"] = []
+    cubic, paired, drain = parse(CUBIC), parse(PAIRED), parse(DRAIN)
+    cycle, loop = catalog.five_complex_cycle(), catalog.creation_annihilation_loop()
+    bd, birth = catalog.birth_death(2.0, 1.0), catalog.pure_birth(1.0)
+    far = [(top, 0, top), (top - 1, 1, top), (top, 1, top - 1), (0, top, 3)]
+    cases = [
+        # products past int64: the object path
+        (cubic, _box((top - 5, top))),
+        (cubic, _box((top - 30, top))),
+        (cubic, [(top - 40,), (top - 39,), (top - 1,), (top,)]),
+        (paired, _box((top - 2, top), (top - 2, top))),
+        (paired, _box((top - 3, top), (0, 2))),
+        # scattered regions whose bounding box passes 2**63 cells
+        (cycle, _box((0, 2), (0, 2), (0, 2)) + far),
+        (loop, _box((0, 2), (0, 2), (0, 2)) + far),
+        (cycle, far),
+        (loop, _box((top - 2, top), (0, 2), (top - 2, top)) + [(0, 0, 0), (1, 0, 0)]),
+        # transient states
+        (birth, _box((0, 5))),
+        (drain, _box((0, 2), (0, 3))),
+        (bd, _box((0, 6)) + [(40,)]),
+        # states whose every move leaves the region
+        (birth, [(4,)]),
+        (birth, [(0,), (1,), (2,), (7,)]),
+        (bd, _box((0, 5)) + [(20,)]),
+        (drain, [(1, 9), (0, 0), (0, 1)]),
+    ]
+    for system, region in cases:
+        rows.append(_estimate(truncated_stationary, system, region))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cubic.crn"
+        path.write_text(CUBIC)
+        argv = ["stationary", str(path), "--region", f"{top - 5}..{top}"]
+        rows.append(_cli(argv).replace(tmp, ""))
+    return groups
+
+
+def digests(answers=answers):
     return {
         group: hashlib.sha256("\n".join(rows).encode()).hexdigest()
         for group, rows in answers().items()
@@ -446,7 +547,16 @@ def test_sampler_answers_equal_the_recorded_digests():
     assert not differing, f"answers differ in: {', '.join(differing)}"
 
 
+def test_path_answers_equal_the_recorded_digests():
+    want = json.loads(PATH_DIGEST.read_text())
+    got = digests(path_answers)
+    assert sorted(got) == sorted(want)
+    differing = [group for group in want if got[group] != want[group]]
+    assert not differing, f"answers differ in: {', '.join(differing)}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_answer_digest.py --write")
     DIGEST.write_text(json.dumps(digests(), indent=2) + "\n")
+    PATH_DIGEST.write_text(json.dumps(digests(path_answers), indent=2) + "\n")
