@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import sys
+from array import array
 from typing import Optional, Sequence, TextIO, Tuple
 
 from . import __version__
@@ -47,9 +48,9 @@ from .tiers import (
     witness_path,
 )
 from .simulate import (
+    _Trajectory,
     drift_estimate_mc,
     occupancy_estimate,
-    ssa_simulate,
     truncated_stationary,
 )
 
@@ -374,19 +375,28 @@ def _cmd_simulate(args) -> int:
     x0 = _parse_state(args.x0, net.dim, "--x0")
     if args.t_max is None and args.jumps is None:
         raise _UsageError("give --t-max and/or --jumps")
-    sample = ssa_simulate(
-        system, x0, max_time=args.t_max, max_jumps=args.jumps, seed=args.seed
-    )
-    blocks = (
-        zip(
-            map(repr, sample.times[lo : lo + _CSV_BLOCK].tolist()),
-            *(map(str, col) for col in sample.states[lo : lo + _CSV_BLOCK].T.tolist()),
-        )
-        for lo in range(0, len(sample), _CSV_BLOCK)
-    )
+    # a state's row text after the time (",3,1,4\n") is made when the memo
+    # takes the state in, and a row keeps the text's index: 12 bytes a row
+    # with the time, against 8 + 8 * dim for the trajectory's arrays.
+    # Nothing is written before the walk ends, so a refused run prints no row.
+    tails = []
+
+    def tail(x: State) -> int:
+        tails.append("," + ",".join(map(str, x)) + "\n")
+        return len(tails) - 1
+
+    walk, rows = _Trajectory(system, x0, args.t_max, args.jumps, args.seed, tail), array("I")
+    append = rows.append
+    for law in walk:
+        append(law.value)
+    times = walk.times
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        _write_csv(out, ("t", *net.species), blocks)
+        out.write(",".join(("t", *net.species)) + "\n")
+        for lo in range(0, len(times), _CSV_BLOCK):
+            hi = lo + _CSV_BLOCK
+            texts = map(tails.__getitem__, rows[lo:hi])
+            out.write("".join(itertools.chain.from_iterable(zip(map(repr, times[lo:hi]), texts))))
     finally:
         if args.out:
             out.close()

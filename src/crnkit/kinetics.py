@@ -9,9 +9,12 @@ generator applied to the Lyapunov function
     V(x) = sum_i (x_i (log x_i - 1) + 1),        with 0 log 0 = 0,
 
 and finite-path probabilities of the embedded chain.  Every rate comes from
-``_rates``, and every exact routine (here, in ``structure``, ``tiers`` and
-``simulate``) expands a state through ``_moves``: its successors, each with
-the summed rate of the reactions that reach it.
+``_rates``, and every exact routine (here, in ``structure`` and ``tiers``)
+expands a state through ``_moves``: its successors, each with the summed
+rate of the reactions that reach it.  The censored stationary solve in
+``simulate`` knows its whole region up front and expands it in one array
+pass, ``_region_moves``, which computes the same rates and the same pooled
+sums for every state of the region at once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import math
 from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import AbsorbingStateError
 from .network import STATE_COORD_MAX, Complex, MassActionSystem, Reaction, State
@@ -80,6 +85,83 @@ def _moves(system: MassActionSystem, x: State) -> Dict[State, float]:
     return out
 
 
+_PERM = np.frompyfunc(math.perm, 2, 1)
+
+
+def _falling(col: np.ndarray, c: int) -> np.ndarray:
+    """x (x-1) ... (x-c+1) of each entry of an int64 or object column: on
+    int64, c - 1 products, where an entry below c meets the factor 0 before
+    any negative one; on Python ints, ``math.perm``, as ``_rates`` takes it."""
+    if col.dtype == object:
+        return _PERM(col, c)
+    out = col
+    for k in range(1, c):
+        out = out * (col - k)
+    return out
+
+
+def _region_moves(system: MassActionSystem, states: np.ndarray):
+    """The moves of ``_moves`` that stay inside a region, for all its states
+    at once.
+
+    ``states`` is the region as an (n, d) int64 array of distinct rows in
+    the order of sorted state tuples, no coordinate above
+    ``STATE_COORD_MAX``.  Returns (src, dst, rate): the row of each move's
+    state, the row of its successor and its rate, sorted by (src, dst).
+
+    Each reaction's rate is kappa times the exact falling product of the
+    source's columns, as ``_rates`` gives it.  A source coefficient above
+    its column's largest entry makes the rate 0.0 everywhere.  Otherwise the
+    product is bounded by the columns' largest entries to the coefficients,
+    and it is taken in int64 when the bit lengths prove that bound below
+    2**63, else in Python ints (object arrays), where a rate past the float
+    range raises ``_rates``' ``OverflowError``.  Reactions that share a net
+    change pool their rates in reaction order, 0.0 + l1 + l2, as ``_moves``
+    adds the positive ones.  A successor is found by one binary search over
+    the rows' big-endian bytes, which order nonnegative rows as their
+    tuples, so it holds whatever the region's bounding box.
+    """
+    n, dim = states.shape
+    tops = states.max(axis=0).tolist()
+    pooled: Dict[tuple, np.ndarray] = {}
+    with np.errstate(over="ignore"):  # a rate may overflow to inf, as in _rates
+        for kappa, pairs, change in system._rate_table:
+            prod = 1
+            if any(c > tops[i] for i, c in pairs):
+                prod = 0
+            else:
+                wide = sum(c * tops[i].bit_length() for i, c in pairs) > 63
+                for i, c in pairs:
+                    col = states[:, i].astype(object) if wide else states[:, i]
+                    prod = prod * _falling(col, c)
+            lam = np.broadcast_to(np.asarray(kappa * prod, dtype=np.float64), (n,))
+            pooled[change] = pooled.get(change, 0.0) + lam
+    keys = _row_keys(states)
+    src, dst, rate = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for change, lam in pooled.items():
+        if any(abs(c) > STATE_COORD_MAX for _, c in change):
+            continue  # every successor leaves the coordinate range
+        rows = np.flatnonzero(lam > 0.0)
+        step = np.zeros(dim, dtype=np.int64)
+        for i, c in change:
+            step[i] = c
+        found = _row_keys(states[rows] + step)
+        pos = np.searchsorted(keys, found).clip(max=n - 1)
+        hit = keys[pos] == found
+        src.append(rows[hit])
+        dst.append(pos[hit])
+        rate.append(lam[rows[hit]])
+    src, dst, rate = map(np.concatenate, (src, dst, rate))
+    by_row = np.argsort(src * n + dst)
+    return src[by_row], dst[by_row], rate[by_row]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a nonnegative int64 array as one big-endian byte string."""
+    raw = np.ascontiguousarray(rows, dtype=">i8")
+    return raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1]))).ravel()
+
+
 def intensity(y: Complex, x: Iterable[int]) -> float:
     """Mass-action intensity of complex ``y`` at state ``x``.
 
@@ -133,7 +215,13 @@ def lyapunov(x: Iterable[int]) -> float:
         raise ValueError("lyapunov requires an integer state")
     if any(v < 0 for v in xs):
         raise ValueError("lyapunov requires a nonnegative state")
-    return sum(_f(v) for v in xs)
+    return _lyapunov_sum(xs)
+
+
+def _lyapunov_sum(xs: State) -> float:
+    """V at a state tuple of nonnegative ints, unchecked: the sum that
+    ``lyapunov`` returns after its checks, for states built valid."""
+    return sum(map(_f, xs))
 
 
 def lyapunov_difference(x: Sequence[int], h: Sequence[int]) -> float:

@@ -38,6 +38,12 @@ states, and once more when the call ends; emptying it cuts every record's
 links, so no reference cycle outlives the call.  Bisection over the sums
 picks the reaction a linear scan of the rates would, so trajectories are
 unchanged byte for byte.
+
+``ssa_simulate`` and ``crnkit simulate`` share one trajectory walk,
+``_Trajectory``, which checks the bounds, starts the draws, applies the
+horizon and names the reason the trajectory ended.  ``ssa_simulate`` caches
+each state's int64 bytes on its record and copies them once a row; the
+command line caches each state's row text instead.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from .errors import AmbiguousRegionError, BudgetExceededError
-from .kinetics import _moves, _rates, lyapunov, lyapunov_difference
+from .kinetics import _lyapunov_sum, _rates, _region_moves, lyapunov, lyapunov_difference
 from .network import STATE_COORD_MAX, MassActionSystem, State, _count, as_state
 
 __all__ = [
@@ -280,6 +286,60 @@ class TrajectorySample:
         return len(self.times)
 
 
+class _Trajectory:
+    """One seeded direct-method trajectory, for ``ssa_simulate`` and the
+    command line alike.
+
+    Construction checks the bounds and the start state and starts the
+    draws.  Iterating yields the jump-law record of each row's state, the
+    start state's first, each carrying ``value(state)`` when ``value`` is
+    given, and appends the row's time to ``times`` (0.0 first).  It stops
+    before the jump that would cross ``max_time``, after ``max_jumps`` jumps
+    or at an absorbing state, and then sets ``terminated_by``.
+    """
+
+    def __init__(self, system, x0, max_time, max_jumps, seed, value=None):
+        if max_time is None and max_jumps is None:
+            raise ValueError("give max_time and/or max_jumps")
+        if max_time is not None and not max_time >= 0:
+            raise ValueError(f"max_time must be nonnegative, got {max_time}")
+        if max_jumps is None and not math.isfinite(max_time):
+            raise ValueError(f"max_time must be finite without max_jumps, got {max_time}")
+        if max_jumps is not None:
+            max_jumps = _count(max_jumps, "max_jumps")
+        self.x = as_state(x0, system.network.dim)
+        budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+        self.draws = _DrawBlock(budget=budget).start(key)
+        self.table, self.value = system._rate_table, value
+        self.max_time, self.max_jumps = max_time, max_jumps
+        self.times = array("d")
+        self.terminated_by = None
+
+    def __iter__(self) -> Iterator[_JumpLaw]:
+        horizon = math.inf if self.max_time is None else self.max_time
+        jumps = -1 if self.max_jumps is None else self.max_jumps
+        draws, append = self.draws, self.times.append
+        t = 0.0
+        with _StateMemo(self.table, self.value) as laws:
+            append(t)
+            yield laws[self.x]
+            for dt, law in _walk(laws, self.x, draws, jumps):
+                t += dt
+                if t > horizon:
+                    self.terminated_by = TERMINATED_MAX_TIME  # the jump is not recorded
+                    return
+                append(t)
+                yield law
+        # spent + pos counts the jumps taken
+        full = draws.spent + draws.pos == self.max_jumps
+        self.terminated_by = TERMINATED_MAX_JUMPS if full else TERMINATED_ABSORBED
+
+
+def _state_bytes(x: State) -> bytes:
+    return array("q", x).tobytes()
+
+
 def ssa_simulate(
     system: MassActionSystem,
     x0: Iterable[int],
@@ -297,38 +357,17 @@ def ssa_simulate(
     stores at most 10**6 + 4096 rows.  Trajectories are identical byte for
     byte across runs with equal seeds.
     """
-    if max_time is None and max_jumps is None:
-        raise ValueError("give max_time and/or max_jumps")
-    if max_time is not None and not max_time >= 0:
-        raise ValueError(f"max_time must be nonnegative, got {max_time}")
-    if max_jumps is None and not math.isfinite(max_time):
-        raise ValueError(f"max_time must be finite without max_jumps, got {max_time}")
-    if max_jumps is not None:
-        max_jumps = _count(max_jumps, "max_jumps")
-    dim = system.network.dim
-    x = as_state(x0, dim)
-    budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
-    draws = _DrawBlock(budget=budget).start(key)
-    times = array("d", [0.0])
-    states = array("q", x)
-    t = 0.0
-    with _StateMemo(system._rate_table) as laws:
-        for dt, law in _walk(laws, x, draws, -1 if max_jumps is None else max_jumps):
-            if max_time is not None and t + dt > max_time:
-                terminated = TERMINATED_MAX_TIME  # the applied jump is not recorded
-                break
-            t += dt
-            times.append(t)
-            states.extend(law.state)
-        else:
-            full = len(times) - 1 == max_jumps
-            terminated = TERMINATED_MAX_JUMPS if full else TERMINATED_ABSORBED
+    # each record carries its state's int64 bytes, copied once a row
+    walk = _Trajectory(system, x0, max_time, max_jumps, seed, _state_bytes)
+    states = array("q")
+    extend = states.frombytes
+    for law in walk:
+        extend(law.value)
     return TrajectorySample(
-        times=np.asarray(times, dtype=np.float64),
-        states=np.asarray(states, dtype=np.int64).reshape(-1, dim),
+        times=np.asarray(walk.times, dtype=np.float64),
+        states=np.asarray(states, dtype=np.int64).reshape(-1, system.network.dim),
         seed=seed,
-        terminated_by=terminated,
+        terminated_by=walk.terminated_by,
     )
 
 
@@ -378,7 +417,8 @@ class ReturnTimeStats:
 
 
 class _Sublevel:
-    """The predicate V(x) <= cutoff; ``return_times`` reads its cutoff."""
+    """The predicate V(x) <= cutoff; ``return_times`` tests the states its
+    walk builds with ``unchecked``."""
 
     def __init__(self, cutoff: float):
         self.cutoff = cutoff
@@ -386,6 +426,9 @@ class _Sublevel:
 
     def __call__(self, x) -> bool:
         return lyapunov(x) <= self.cutoff
+
+    def unchecked(self, x: State) -> bool:
+        return _lyapunov_sum(x) <= self.cutoff
 
 
 def lyapunov_sublevel(cutoff: float) -> Callable[[State], bool]:
@@ -427,7 +470,7 @@ def return_times(
     )
 
     sublevel = type(target) is _Sublevel
-    laws = _StateMemo(system._rate_table, target if sublevel else None)
+    laws = _StateMemo(system._rate_table, target.unchecked if sublevel else None)
 
     def run(draws: _DrawBlock) -> Optional[float]:
         t = 0.0
@@ -535,27 +578,27 @@ def truncated_stationary(
     fixed to 1 there, the other balance equations form a nonsingular
     M-matrix system whose solution is nonnegative.  Transient states get
     zero mass, and ``detail`` ends with the residual |pi Q|_1.
+
+    The moves of all the region's states come from one array pass,
+    ``kinetics._region_moves``, and every matrix is built in canonical
+    compressed form straight from the sorted (row, column, rate) triplets.
     """
-    from scipy.sparse import csr_matrix, diags, vstack
+    from scipy.sparse import csc_matrix, csr_matrix
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
+
+    def compressed(kind, major, minor, data, size):
+        # triplets sorted by (major, minor), none repeated
+        indptr = np.searchsorted(major, np.arange(size + 1))
+        return kind((data, minor, indptr), shape=(size, size))
 
     dim = system.network.dim
     states = sorted({as_state(s, dim) for s in region})
     if not states:
         raise ValueError("region is empty")
-    index = {s: i for i, s in enumerate(states)}
     n = len(states)
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(states):
-        # successors are distinct and differ from s: no (i, j) pair repeats
-        for t, lam in _moves(system, s).items():
-            j = index.get(t)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(lam)
-    rates = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    rows, cols, vals = _region_moves(system, np.array(states, dtype=np.int64).reshape(n, dim))
+    rates = compressed(csr_matrix, rows, cols, vals, n)
 
     n_comp, labels = connected_components(rates, directed=True, connection="strong")
     src, dst = labels[rows], labels[cols]
@@ -570,22 +613,53 @@ def truncated_stationary(
         )
     members = closed[0]
     m = len(members)
-    sub = rates[members][:, members]
-    # transposed generator of the class: balance reads q_t @ pi = 0
-    q_t = (sub - diags(np.asarray(sub.sum(axis=1)).ravel())).T.tocsc()
+    # the class's moves, renumbered; none leaves a closed class
+    inside = labels == labels[members[0]]
+    keep = inside[rows]
+    renumber = np.cumsum(inside) - 1
+    rows, cols, vals = renumber[rows[keep]], renumber[cols[keep]], vals[keep]
+    sub = compressed(csr_matrix, rows, cols, vals, m)
+    # Q = sub - diag(row sums), with the entries that come out 0 dropped,
+    # as sparse subtraction drops them; its CSR arrays read as CSC are Q^T,
+    # and balance reads q_t @ pi = 0
+    diag = 0.0 - np.asarray(sub.sum(axis=1)).ravel()
+    at = np.flatnonzero(diag != 0)
+    rows, cols = np.concatenate([rows, at]), np.concatenate([cols, at])
+    vals = np.concatenate([vals, diag[at]])
+    order = np.argsort(rows * m + cols)
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    q_t = compressed(csc_matrix, rows, cols, vals, m)
     pi = np.ones(m)
     if m > 1:
         # balance with sum(pi) = 1 in place of one equation locates the mode;
-        # this ordering keeps the fill from the dense row low
+        # this ordering keeps the fill from the dense row low.  Column j of
+        # the system is row j of Q without its last column, then a 1.0
         unit = np.zeros(m)
         unit[-1] = 1.0
-        normalized = vstack([q_t[:-1], np.ones((1, m))], format="csc")
+        kept = cols < m - 1
+        index = np.arange(m)
+        major = np.concatenate([rows[kept], index])
+        minor = np.concatenate([cols[kept], np.full(m, m - 1)])
+        order = np.argsort(major * m + minor)
+        data = np.concatenate([vals[kept], np.ones(m)])[order]
+        normalized = compressed(csc_matrix, major[order], minor[order], data, m)
         rough = spsolve(normalized, unit, permc_spec="MMD_AT_PLUS_A")
         # fix pi to 1 there: the rest is a nonsingular M-matrix system, well
         # conditioned because that state carries the most mass (a light
         # reference state can leave it singular in floating point)
-        rest = np.arange(m) != np.argmax(rough)
-        pi[rest] = spsolve(q_t[rest][:, rest], -q_t[rest][:, ~rest].toarray().ravel())
+        ref = np.argmax(rough)
+        rest = index != ref
+        # column ref of q_t, less its own row, moves to the right-hand side,
+        # and the other rows and columns close up over ref
+        moved = (rows == ref) & (cols != ref)
+        inner = (rows != ref) & (cols != ref)
+        column = np.zeros(m - 1)
+        column[cols[moved] - (cols[moved] > ref)] = vals[moved]
+        major, minor = rows[inner], cols[inner]
+        reduced = compressed(
+            csc_matrix, major - (major > ref), minor - (minor > ref), vals[inner], m - 1
+        )
+        pi[rest] = spsolve(reduced, -column)
     pi /= pi.sum()
     residual = float(np.abs(q_t @ pi).sum())
     probs = np.zeros(n)

@@ -38,6 +38,11 @@ on the forward pass over the chain's law at depths that full path
 enumeration cannot reach.  ``drop_prefix_by_frontiers`` is the witness
 path's former search for its drop prefix, frontier lists and parent
 pointers walked back, as a check on the breadth-first table.
+``stationary_by_moves`` is the censored solve as it was built before the
+array pass: each state expanded by ``_moves``, its successors looked up in
+a dict, and every matrix made by scipy's fancy indexing, ``diags`` and
+``vstack``, as a check on ``kinetics._region_moves`` and on the matrices
+built from index arrays.
 """
 
 from __future__ import annotations
@@ -54,10 +59,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from crnkit.cli import _emit
-from crnkit.errors import BudgetExceededError
-from crnkit.kinetics import _rates, lyapunov_difference
+from crnkit.errors import AmbiguousRegionError, BudgetExceededError
+from crnkit.kinetics import _moves, _rates, lyapunov_difference
 from crnkit.network import STATE_COORD_MAX, as_state
-from crnkit.simulate import _BLOCK
+from crnkit.simulate import _BLOCK, StationaryEstimate
 from crnkit.tiers import Grow, _Tail
 
 
@@ -938,3 +943,65 @@ class MemoFreeTail(_Tail):
                 if laws[i].value + self.offset[i] < c:
                     self.unmet[j] += 1
         self._top = None
+
+
+def stationary_by_moves(system, region) -> StationaryEstimate:
+    """``truncated_stationary`` as it expanded the region state by state
+    through ``_moves`` and built its matrices from Python lists."""
+    from scipy.sparse import diags, vstack
+    from scipy.sparse.linalg import spsolve
+
+    dim = system.network.dim
+    states = sorted({as_state(s, dim) for s in region})
+    if not states:
+        raise ValueError("region is empty")
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    rows, cols, vals = [], [], []
+    for i, s in enumerate(states):
+        # successors are distinct and differ from s: no (i, j) pair repeats
+        for t, lam in _moves(system, s).items():
+            j = index.get(t)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(lam)
+    rates = csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    n_comp, labels = connected_components(rates, directed=True, connection="strong")
+    src, dst = labels[rows], labels[cols]
+    leaks = np.zeros(n_comp, dtype=bool)
+    leaks[src[src != dst]] = True
+    closed = [np.flatnonzero(labels == c).tolist() for c in np.flatnonzero(~leaks)]
+    if len(closed) != 1:
+        raise AmbiguousRegionError(
+            f"censored region splits into {len(closed)} closed communicating "
+            "classes; truncate to one of them",
+            tuple(sorted(tuple(states[i] for i in members) for members in closed)),
+        )
+    members = closed[0]
+    m = len(members)
+    sub = rates[members][:, members]
+    # transposed generator of the class: balance reads q_t @ pi = 0
+    q_t = (sub - diags(np.asarray(sub.sum(axis=1)).ravel())).T.tocsc()
+    pi = np.ones(m)
+    if m > 1:
+        unit = np.zeros(m)
+        unit[-1] = 1.0
+        normalized = vstack([q_t[:-1], np.ones((1, m))], format="csc")
+        rough = spsolve(normalized, unit, permc_spec="MMD_AT_PLUS_A")
+        rest = np.arange(m) != np.argmax(rough)
+        pi[rest] = spsolve(q_t[rest][:, rest], -q_t[rest][:, ~rest].toarray().ravel())
+    pi /= pi.sum()
+    residual = float(np.abs(q_t @ pi).sum())
+    probs = np.zeros(n)
+    probs[members] = pi
+    return StationaryEstimate(
+        support=tuple(states),
+        probabilities=probs,
+        method="truncated_solve",
+        detail=(
+            f"censored solve on {n} states "
+            f"({n - m} transient), residual {residual:.1e}"
+        ),
+    )

@@ -27,6 +27,7 @@ import crnkit
 from crnkit import cli, parse, simulate
 from crnkit.cli import main
 from crnkit.kinetics import lyapunov_difference, total_rate
+from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import StationaryEstimate, ssa_simulate
 from crnkit.tiers import exact_kstep_drift, parse_sequence_spec
 from oracles import csv_by_writer, stationary_by_dicts
@@ -469,6 +470,56 @@ def test_simulate_csv_equals_csv_writer_oracle(tmp_path, capsys):
             if x0 in absorbing:
                 assert want.count("\n") == 2  # the header and the start state
     assert ends == {"max_jumps", "max_time", "absorbed"}
+
+
+@pytest.mark.parametrize("cap", [1, 2, 8])
+def test_simulate_csv_equals_csv_writer_oracle_at_memo_caps(tmp_path, capsys, monkeypatch, cap):
+    # the memo empties every few states, and with it every record that
+    # carried a row's text; the rows written before and after keep theirs
+    monkeypatch.setattr(simulate, "_MEMO_MAX", cap)
+    test_simulate_csv_equals_csv_writer_oracle(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("refusal", ["budget", "coordinate"])
+def test_refused_simulate_prints_no_row_and_writes_no_file(tmp_path, capsys, monkeypatch, refusal):
+    # the walk is refused after thousands of rows, or after a few; either
+    # way no row reaches stdout or --out, and an existing file is untouched
+    if refusal == "budget":
+        monkeypatch.setattr(simulate, "_TRAJECTORY_BUDGET", 20_000)
+        argv = ["simulate", BIRTHDEATH, "--x0", "1", "--t-max", "1e12"]
+        err = "error: stopped after 20480 jumps: the horizon needs more than the budget of 20000 jumps\n"
+    else:
+        growth = tmp_path / "growth.crn"
+        growth.write_text("species: S\nS -> 2S ; k=2.0\nS -> 0 ; k=1.0\n")
+        argv = ["simulate", str(growth), "--x0", str(STATE_COORD_MAX - 2), "--jumps", "1000000"]
+        err = (
+            f"error: state coordinate exceeded supported maximum {STATE_COORD_MAX} "
+            "during simulation\n"
+        )
+    out = tmp_path / "rows.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main([*argv, *extra]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
+    out.write_text("t,S\n0.0,1\n")
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert out.read_text() == "t,S\n0.0,1\n"
+
+
+def test_simulate_million_rows_peak_below_the_trajectory_arrays():
+    # the command line once held the trajectory's time and state arrays, at
+    # 8 + 8 * dim bytes a row, before it wrote a row; it now keeps each
+    # row's time and the index of its state's text, 12 bytes a row
+    rows = 10**6
+    tracemalloc.start()
+    try:
+        with redirect_stdout(_Discard()):
+            assert main(["simulate", BIRTHDEATH, "--x0", "4", "--jumps", str(rows - 1)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (8 + 8 * 1) * rows
 
 
 def test_simulate_csv_shape_and_header(capsys):

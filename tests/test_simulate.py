@@ -4,8 +4,9 @@ levels far below anything a correct sampler would trip."""
 
 import gc
 import math
+from contextlib import contextmanager
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,8 +27,8 @@ from crnkit.catalog import (
     reversible_isomers,
     three_class_network,
 )
-from crnkit.errors import AmbiguousRegionError, BudgetExceededError
-from crnkit.kinetics import embedded_step_distribution, lyapunov, total_rate
+from crnkit.errors import AmbiguousRegionError, BudgetExceededError, CRNError
+from crnkit.kinetics import _moves, _region_moves, embedded_step_distribution, lyapunov, total_rate
 from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import (
     _DrawBlock,
@@ -43,6 +44,7 @@ from crnkit.simulate import (
     truncated_stationary,
 )
 from crnkit.tiers import exact_kstep_drift
+import oracles
 from oracles import (
     EagerDrawBlock,
     drift_mc_by_rates,
@@ -51,6 +53,7 @@ from oracles import (
     replica_generator,
     return_times_by_rates,
     ssa_by_rates,
+    stationary_by_moves,
     step_by_rates,
 )
 
@@ -326,6 +329,133 @@ def test_single_state_region_is_a_point_mass():
 def test_empty_region_is_rejected():
     with pytest.raises(ValueError, match="empty"):
         truncated_stationary(BD, [])
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "networks"
+#: The catalog and demo networks, with two whose sources reach order 3 and
+#: 4, so that rates near the coordinate limit pass int64.
+REGION_SYSTEMS = [
+    ("cycle", five_complex_cycle()),
+    ("loop", creation_annihilation_loop()),
+    ("three_class", three_class_network()),
+    ("birth_death", BD),
+    ("pure_birth", pure_birth(1.0)),
+    ("isomers", reversible_isomers(0.3, 7.0)),
+    ("annihilation", pair_annihilation(2.0, 0.5)),
+    ("cubic", parse("species: A\n0 -> A ; k=1.5\n3A -> 2A ; k=0.25\n")),
+    (
+        "quartic",
+        parse(
+            "species: A, B, C\nA + B + 2C -> 3B ; k=0.5\nB -> A ; k=2\n"
+            "0 <-> C ; k=3, 1\n2A <-> B ; k=0.75, 1.25\n"
+        ),
+    ),
+] + [(path.stem, parse(path.read_text())) for path in sorted(DEMOS.glob("*.crn"))]
+
+#: A coordinate near the origin or near ``STATE_COORD_MAX``.
+COORD = st.one_of(st.integers(0, 5), st.integers(STATE_COORD_MAX - 5, STATE_COORD_MAX))
+
+
+@st.composite
+def censored_regions(draw):
+    """(name, system, region): a box of up to 4 values a coordinate, each
+    span near the origin or near the coordinate limit, or up to 40
+    scattered states, whose bounding box can pass 2**63 cells."""
+    name, system = draw(st.sampled_from(REGION_SYSTEMS))
+    dim = system.network.dim
+    if draw(st.booleans()):
+        spans = []
+        for _ in range(dim):
+            lo, width = draw(COORD), draw(st.integers(0, 3))
+            lo = min(lo, STATE_COORD_MAX - width)
+            spans.append(range(lo, lo + width + 1))
+        return name, system, list(product(*spans))
+    states = st.tuples(*[COORD] * dim)
+    return name, system, draw(st.lists(states, min_size=1, max_size=40))
+
+
+def _censored(fn, system, region):
+    """The estimate's support, probability bytes, method and detail, or the
+    error's type, message and closed classes."""
+    try:
+        est = fn(system, region)
+    except (ValueError, ArithmeticError, CRNError) as e:
+        return type(e), str(e), getattr(e, "classes", None)
+    return est.support, est.probabilities.tobytes(), est.method, est.detail
+
+
+@contextmanager
+def solver_inputs():
+    """Record every matrix the censored solve and its oracle hand to
+    ``connected_components`` and ``spsolve``: format, the compressed
+    arrays and their index type, and the right-hand side's bytes."""
+    import scipy.sparse.csgraph as csgraph
+    import scipy.sparse.linalg as linalg
+
+    calls = []
+    graph, solve = csgraph.connected_components, linalg.spsolve
+
+    def record(a, b=None):
+        rhs = None if b is None else b.tobytes()
+        calls.append((a.format, a.data.tobytes(), a.indices.tobytes(), a.indptr.tobytes(), rhs))
+
+    def recording_graph(a, **kwargs):
+        record(a)
+        return graph(a, **kwargs)
+
+    def recording_solve(a, b, **kwargs):
+        record(a, b)
+        return solve(a, b, **kwargs)
+
+    csgraph.connected_components = oracles.connected_components = recording_graph
+    linalg.spsolve = recording_solve
+    try:
+        yield calls
+    finally:
+        csgraph.connected_components = oracles.connected_components = graph
+        linalg.spsolve = solve
+
+
+@settings(max_examples=300, deadline=None)
+@given(censored_regions())
+def test_region_moves_equal_moves_state_by_state(case):
+    name, system, region = case
+    states = sorted(set(region))
+    src, dst, rates = _region_moves(system, np.array(states, dtype=np.int64))
+    assert np.all(np.diff(src * len(states) + dst) > 0), name  # sorted, none repeated
+    got = [{} for _ in states]
+    for i, j, lam in zip(src.tolist(), dst.tolist(), rates.tolist()):
+        got[i][states[j]] = repr(lam)
+    inside = set(states)
+    for x, moves in zip(states, got):
+        want = {y: repr(lam) for y, lam in _moves(system, x).items() if y in inside}
+        assert moves == want, (name, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(censored_regions())
+def test_truncated_stationary_equals_the_per_state_oracle(case):
+    name, system, region = case
+    with solver_inputs() as got_inputs:
+        got = _censored(truncated_stationary, system, region)
+    with solver_inputs() as want_inputs:
+        want = _censored(stationary_by_moves, system, region)
+    assert got == want, name
+    # each matrix's (data, indices, indptr) and each right-hand side as before
+    assert got_inputs == want_inputs, name
+
+
+def test_censored_solve_takes_products_past_int64_exactly():
+    # rates of order 1e24 at 10**8: the int64 product would have wrapped
+    cubic = dict(REGION_SYSTEMS)["cubic"]
+    region = [(STATE_COORD_MAX - k,) for k in range(8)]
+    assert _censored(truncated_stationary, cubic, region) == _censored(
+        stationary_by_moves, cubic, region
+    )
+    x = (STATE_COORD_MAX,)
+    src, dst, rates = _region_moves(cubic, np.array([(STATE_COORD_MAX - 1,), x]))
+    assert (src.tolist(), dst.tolist()) == ([0, 1], [1, 0])  # the birth from x leaves
+    assert repr(rates.tolist()[1]) == repr(_moves(cubic, x)[(STATE_COORD_MAX - 1,)])
 
 
 # ---------------------------------------------------------------------------
