@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -336,10 +337,6 @@ class _Trajectory:
         self.terminated_by = TERMINATED_MAX_JUMPS if full else TERMINATED_ABSORBED
 
 
-def _state_bytes(x: State) -> bytes:
-    return array("q", x).tobytes()
-
-
 def ssa_simulate(
     system: MassActionSystem,
     x0: Iterable[int],
@@ -358,7 +355,8 @@ def ssa_simulate(
     byte across runs with equal seeds.
     """
     # each record carries its state's int64 bytes, copied once a row
-    walk = _Trajectory(system, x0, max_time, max_jumps, seed, _state_bytes)
+    pack = struct.Struct(f"{system.network.dim}q").pack
+    walk = _Trajectory(system, x0, max_time, max_jumps, seed, lambda x: pack(*x))
     states = array("q")
     extend = states.frombytes
     for law in walk:
