@@ -385,7 +385,8 @@ def _cmd_simulate(args) -> int:
         tails.append("," + ",".join(map(str, x)) + "\n")
         return len(tails) - 1
 
-    walk, rows = _Trajectory(system, x0, args.t_max, args.jumps, args.seed, tail), array("I")
+    walk = _Trajectory(system, x0, args.t_max, args.jumps, args.seed, tail)
+    rows = array("I")
     append = rows.append
     for law in walk:
         append(law.value)
