@@ -478,12 +478,15 @@ def path_answers():
         argv = ["simulate", str(spreading), "--x0", "3,3,1", "--t-max", "170"]
         rows.append(_cli([*argv, "--seed", "141598622"]))
         rows.append(_cli_out([*argv, "--seed", "141598622"], out))
+        bounds = (["--jumps", "20000"], ["--t-max", "2500"], ["--jumps", "9000", "--t-max", "4000"])
+        three = str(NETWORKS / "threeclass.crn")
         for seed in map(str, SEEDS):
-            for flags in (["--jumps", "20000"], ["--t-max", "2500"], ["--jumps", "9000", "--t-max", "4000"]):
+            for flags in bounds:
                 rows.append(_cli(["simulate", bd, "--x0", "4", *flags, "--seed", seed]))
-            rows.append(_cli_out(["simulate", bd, "--x0", "4", "--jumps", "12000", "--seed", seed], out))
-            path = str(NETWORKS / "threeclass.crn")
-            rows.append(_cli_out(["simulate", path, "--x0", "1,1,1,1", "--t-max", "40", "--seed", seed], out))
+            argv = ["simulate", bd, "--x0", "4", "--jumps", "12000", "--seed", seed]
+            rows.append(_cli_out(argv, out))
+            argv = ["simulate", three, "--x0", "1,1,1,1", "--t-max", "40", "--seed", seed]
+            rows.append(_cli_out(argv, out))
             # refused: past the trajectory budget, and past STATE_COORD_MAX mid-walk
             refused = ["simulate", bd, "--x0", "1", "--t-max", "1e12", "--seed", seed]
             rows.append(_with_budget("_TRAJECTORY_BUDGET", 5000, _cli, refused))

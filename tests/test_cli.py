@@ -487,7 +487,10 @@ def test_refused_simulate_prints_no_row_and_writes_no_file(tmp_path, capsys, mon
     if refusal == "budget":
         monkeypatch.setattr(simulate, "_TRAJECTORY_BUDGET", 20_000)
         argv = ["simulate", BIRTHDEATH, "--x0", "1", "--t-max", "1e12"]
-        err = "error: stopped after 20480 jumps: the horizon needs more than the budget of 20000 jumps\n"
+        err = (
+            "error: stopped after 20480 jumps: the horizon needs more than the "
+            "budget of 20000 jumps\n"
+        )
     else:
         growth = tmp_path / "growth.crn"
         growth.write_text("species: S\nS -> 2S ; k=2.0\nS -> 0 ; k=1.0\n")
@@ -508,9 +511,9 @@ def test_refused_simulate_prints_no_row_and_writes_no_file(tmp_path, capsys, mon
 
 
 def test_simulate_million_rows_peak_below_the_trajectory_arrays():
-    # the command line once held the trajectory's time and state arrays, at
-    # 8 + 8 * dim bytes a row, before it wrote a row; it now keeps each
-    # row's time and the index of its state's text, 12 bytes a row
+    # the bound is what the trajectory's time and state arrays alone take,
+    # 8 + 8 * dim bytes a row; the command line keeps each row's time and
+    # the index of its state's text, 12 bytes a row
     rows = 10**6
     tracemalloc.start()
     try:
