@@ -375,29 +375,42 @@ def _cmd_simulate(args) -> int:
     x0 = _parse_state(args.x0, net.dim, "--x0")
     if args.t_max is None and args.jumps is None:
         raise _UsageError("give --t-max and/or --jumps")
-    # a state's row text after the time (",3,1,4\n") is made when the memo
-    # takes the state in, and a row keeps the text's index: 12 bytes a row
-    # with the time, against 8 + 8 * dim for the trajectory's arrays.
-    # Nothing is written before the walk ends, so a refused run prints no row.
-    tails = []
+    # A row keeps its time and the index of its state among those the walk's
+    # memo took in since it last emptied: 12 bytes a row.  When the memo
+    # empties, those rows' states are packed, 4 bytes a coordinate (they
+    # never pass STATE_COORD_MAX < 2**32), so a walk that keeps reaching new
+    # states stays within the 8 + 8 * dim bytes a row of a trajectory's
+    # arrays.  Row texts after the time (",3,1,4\n") are made at the end,
+    # once per state still indexed, else once per packed row.  Nothing is
+    # written before the walk ends, so a refused run prints no row.
+    states = []
+    rows, packed = array("I"), array("I")
 
-    def tail(x: State) -> int:
-        tails.append("," + ",".join(map(str, x)) + "\n")
-        return len(tails) - 1
+    def take(x: State) -> int:
+        states.append(x)
+        return len(states) - 1
 
-    walk = _Trajectory(system, x0, args.t_max, args.jumps, args.seed, tail)
-    rows = array("I")
+    def emptied() -> None:
+        packed.extend(itertools.chain.from_iterable(map(states.__getitem__, rows)))
+        del rows[:]
+        states.clear()
+
+    walk = _Trajectory(system, x0, args.t_max, args.jumps, args.seed, take, emptied)
     append = rows.append
     for law in walk:
         append(law.value)
     times = walk.times
+    text = "," + ",".join(["%d"] * net.dim) + "\n"
+    tails = [text % x for x in states]
+    texts = itertools.chain(
+        map(text.__mod__, zip(*[iter(packed)] * net.dim)), map(tails.__getitem__, rows)
+    )
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         out.write(",".join(("t", *net.species)) + "\n")
         for lo in range(0, len(times), _CSV_BLOCK):
-            hi = lo + _CSV_BLOCK
-            texts = map(tails.__getitem__, rows[lo:hi])
-            out.write("".join(itertools.chain.from_iterable(zip(map(repr, times[lo:hi]), texts))))
+            block = zip(map(repr, times[lo : lo + _CSV_BLOCK]), itertools.islice(texts, _CSV_BLOCK))
+            out.write("".join(itertools.chain.from_iterable(block)))
     finally:
         if args.out:
             out.close()

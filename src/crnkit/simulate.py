@@ -4,8 +4,11 @@ All randomness comes from numpy's counter-based Philox generator (Salmon
 et al., SC 2011).  A run with seed s uses the stream of
 ``SeedSequence(s)``; replica r of a multi-replica estimate uses
 ``SeedSequence(s, spawn_key=(r,))``.  Equal seeds therefore give identical
-trajectories, and replicas are independent and reproducible; replica sweeps
-run them one after another.
+trajectories, and replicas are independent and reproducible, whichever
+process runs them.  A replica sweep runs its replicas one after another,
+except that a long one may hand the first part of the rest to a helper
+process and run the other meanwhile (``_sweep``, ``_helper``); its answer
+is the same byte for byte.
 
 Each stream comes from its key, ``SeedSequence(...).generate_state(2,
 np.uint64)`` as two Python ints, which ``_DrawBlock.start`` sets with a zero
@@ -51,14 +54,16 @@ from __future__ import annotations
 import math
 import numbers
 import struct
+import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from . import _helper
 from .errors import AmbiguousRegionError, BudgetExceededError
 from .kinetics import _lyapunov_sum, _rates, _region_moves, lyapunov, lyapunov_difference
 from .network import STATE_COORD_MAX, MassActionSystem, State, _count, as_state
@@ -81,6 +86,8 @@ _KEY_CHUNK = 4096  # replica keys derived per vectorised pass
 _MEMO_MAX = 2**12  # states a sampler call remembers before it forgets them all
 _JUMP_BUDGET = 10**7  # jumps a sampler call without a jump bound may take
 _TRAJECTORY_BUDGET = 10**6  # the same for a trajectory, which stores every jump
+_PROBE_S = 1e-4  # a replica sweep projects its length from its replicas of this long
+_SPLIT_S = 2e-3  # a sweep projected longer than this hands part of its rest to the helper
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -183,17 +190,22 @@ class _StateMemo(dict):
 
     A sampler call keeps one for its own length, as a context manager that
     clears it on exit.  It is emptied once it holds ``_MEMO_MAX`` states,
-    so a trajectory that never revisits a state keeps memory bounded.
+    so a trajectory that never revisits a state keeps memory bounded; then
+    ``emptied()`` is called, when given, before the next state is taken in.
     Records link to each other, so ``clear`` cuts every record's successor
     slots first.
     """
 
-    def __init__(self, table: tuple, value: Optional[Callable] = None):
-        self.table, self.value = table, value
+    def __init__(
+        self, table: tuple, value: Optional[Callable] = None, emptied: Optional[Callable] = None
+    ):
+        self.table, self.value, self.emptied = table, value, emptied
 
     def __missing__(self, x: State) -> _JumpLaw:
         if len(self) >= _MEMO_MAX:
             self.clear()
+            if self.emptied is not None:
+                self.emptied()
         law = _JumpLaw()
         rates, law.total = _rates(self.table, x)
         law.state, law.sums = x, list(accumulate(rates))
@@ -294,12 +306,13 @@ class _Trajectory:
     Construction checks the bounds and the start state and starts the
     draws.  Iterating yields the jump-law record of each row's state, the
     start state's first, each carrying ``value(state)`` when ``value`` is
-    given, and appends the row's time to ``times`` (0.0 first).  It stops
-    before the jump that would cross ``max_time``, after ``max_jumps`` jumps
-    or at an absorbing state, and then sets ``terminated_by``.
+    given, and appends the row's time to ``times`` (0.0 first); ``emptied``
+    is the memo's hook (``_StateMemo``).  It stops before the jump that
+    would cross ``max_time``, after ``max_jumps`` jumps or at an absorbing
+    state, and then sets ``terminated_by``.
     """
 
-    def __init__(self, system, x0, max_time, max_jumps, seed, value=None):
+    def __init__(self, system, x0, max_time, max_jumps, seed, value=None, emptied=None):
         if max_time is None and max_jumps is None:
             raise ValueError("give max_time and/or max_jumps")
         if max_time is not None and not max_time >= 0:
@@ -312,7 +325,7 @@ class _Trajectory:
         budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
         key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
         self.draws = _DrawBlock(budget=budget).start(key)
-        self.table, self.value = system._rate_table, value
+        self.table, self.value, self.emptied = system._rate_table, value, emptied
         self.max_time, self.max_jumps = max_time, max_jumps
         self.times = array("d")
         self.terminated_by = None
@@ -322,7 +335,7 @@ class _Trajectory:
         jumps = -1 if self.max_jumps is None else self.max_jumps
         draws, append = self.draws, self.times.append
         t = 0.0
-        with _StateMemo(self.table, self.value) as laws:
+        with _StateMemo(self.table, self.value, self.emptied) as laws:
             append(t)
             yield laws[self.x]
             for dt, law in _walk(laws, self.x, draws, jumps):
@@ -434,6 +447,139 @@ def lyapunov_sublevel(cutoff: float) -> Callable[[State], bool]:
     return _Sublevel(cutoff)
 
 
+# ---------------------------------------------------------------------------
+# replica sweeps
+
+
+def _sweep(sweep, table, x_start, params, seed, replicas, block, budget, split=True) -> list:
+    """The values of the replicas range(replicas), in replica order, from
+    ``sweep(table, x_start, *params, draws, keys)``, which returns the
+    values of the replicas whose Philox keys ``keys`` yields and the jumps
+    they took from the ``_DrawBlock`` ``draws`` of that block size and jump
+    budget.
+
+    Once its first replicas have taken ``_PROBE_S``, a sweep that may
+    ``split`` and is projected from them to take ``_SPLIT_S`` or more hands
+    the first part of the rest to the helper process when the helper is
+    ready (``_helper``), runs the second part meanwhile and joins the two;
+    run in-process instead, it adds its time to what starts the helper.
+    The helper's part starts at half; after each split it moves an eighth
+    of the way to the part at which both would have ended together, since
+    the helper's part starts cold (keys to derive, a memo to fill, an idle
+    core).
+    Every request carries the values it depends on, and the memo is a pure
+    cache, so the values are those of the sweep run in-process.  When either
+    part raises, or their jumps together reach ``budget``, the whole sweep
+    reruns in-process, to raise as it would have.
+    """
+    helper = _helper.HELPER
+    handed = []  # the helper's range and when it was sent
+    unsplit = []  # when the replicas began, if the sweep would have split
+
+    def keys() -> Iterator[list]:
+        order = _replica_keys(seed, range(replicas))
+        first = next(order)  # derives the first chunk of keys, left out of the projection
+        ends = [time.perf_counter()]
+        for key in chain((first,), order):
+            yield key
+            ends.append(time.perf_counter())
+            if ends[-1] - ends[0] >= _PROBE_S:
+                break
+        else:
+            return
+        # the fastest replica sets the pace: the first ones fill the memo and
+        # warm the caches, and a pause of the garbage collector lands in one
+        done = len(ends) - 1
+        rest = replicas - done
+        whole = ends[-1] - ends[0] + rest * min(b - a for a, b in zip(ends, ends[1:]))
+        if split and whole >= _SPLIT_S and rest >= 2:
+            lo = done
+            hi = lo + min(max(round(rest * helper.share), 1), rest - 1)
+            args = sweep, table, x_start, params, seed, lo, hi, block, budget
+            if helper.claim() and helper.send(_run_range, *args):
+                handed.extend((lo, hi, time.perf_counter()))
+                order = islice(order, hi - lo, None)
+            else:
+                unsplit.append(ends[0])
+        yield from order
+
+    try:
+        values, jumps = sweep(table, x_start, *params, _DrawBlock(block, budget), keys())
+    except Exception:
+        if not handed:
+            raise
+        values = None
+    except BaseException:  # an interrupt: the helper's reply will not be read
+        if handed:
+            helper.abandon()
+        raise
+    if handed:
+        lo, hi, sent = handed
+        mine = (time.perf_counter() - sent) / (replicas - hi)
+        reply = helper.collect()
+        if values is None or reply is None or jumps + reply[1] >= budget:
+            return _run_range(sweep, table, x_start, params, seed, 0, replicas, block, budget)[0]
+        theirs = reply[2] / (hi - lo)
+        helper.share += (mine / (mine + theirs) - helper.share) / 8
+        values[lo:lo] = reply[0]
+    elif unsplit:
+        helper.owed += time.perf_counter() - unsplit[0]
+    return values
+
+
+def _run_range(sweep, table, x_start, params, seed, lo, hi, block, budget) -> tuple:
+    """``sweep`` over the replicas range(lo, hi) with draws of its own, as
+    the helper runs its part: the values, the jumps and the seconds taken."""
+    start = time.perf_counter()
+    keys = _replica_keys(seed, range(lo, hi))
+    values, jumps = sweep(table, x_start, *params, _DrawBlock(block, budget), keys)
+    return values, jumps, time.perf_counter() - start
+
+
+def _return_sweep(table, x_start, target, horizon, draws, keys) -> Tuple[list, int]:
+    """Each replica's first-return time to ``target`` within ``horizon``,
+    None when it did not return, one replica per key."""
+    sublevel = type(target) is _Sublevel
+    laws = _StateMemo(table, target.unchecked if sublevel else None)
+    results = []
+    with laws:
+        for key in keys:
+            t = 0.0
+            left = False
+            back = None  # stays None if stuck outside the target (or inside, pre-exit)
+            for dt, law in _walk(laws, x_start, draws.start(key)):
+                t += dt
+                if t > horizon:
+                    break
+                if law.value if sublevel else target(law.state):
+                    if left:
+                        back = t
+                        break
+                else:
+                    left = True
+            results.append(back)
+    return results, draws.spent + draws.pos
+
+
+def _drift_sweep(table, x_start, k, draws, keys) -> Tuple[list, int]:
+    """Each replica's Lyapunov difference over k jumps of the embedded
+    chain from ``x_start`` (an absorbing state freezes V), one per key."""
+    laws = _StateMemo(table)
+    start = laws[x_start]
+    values = []
+    with laws:
+        for key in keys:
+            end = start
+            for _, end in _walk(laws, x_start, draws.start(key), k):
+                pass
+            if end.value is None:  # the end state's difference, cached on its record
+                end.value = lyapunov_difference(
+                    x_start, tuple(a - b for a, b in zip(end.state, x_start))
+                )
+            values.append(end.value)
+    return values, draws.spent + draws.pos
+
+
 def return_times(
     system: MassActionSystem,
     x0: Iterable[int],
@@ -453,7 +599,9 @@ def return_times(
     time horizon.  A ``lyapunov_sublevel`` target is tested once per
     distinct state; any other target is called once per jump and once for
     ``x0``.  Past 10**7 jumps (``_JUMP_BUDGET``) over all replicas the call
-    raises ``BudgetExceededError``.
+    raises ``BudgetExceededError``.  With a ``lyapunov_sublevel`` target, a
+    long sweep may run part of its replicas in a helper process, with the
+    same answer.
     """
     x_start = as_state(x0, system.network.dim)
     if not target(x_start):
@@ -467,26 +615,11 @@ def return_times(
         else getattr(target, "description", "user predicate")
     )
 
-    sublevel = type(target) is _Sublevel
-    laws = _StateMemo(system._rate_table, target.unchecked if sublevel else None)
-
-    def run(draws: _DrawBlock) -> Optional[float]:
-        t = 0.0
-        left = False
-        for dt, law in _walk(laws, x_start, draws):
-            t += dt
-            if t > horizon:
-                return None
-            if law.value if sublevel else target(law.state):
-                if left:
-                    return t
-            else:
-                left = True
-        return None  # stuck outside the target (or inside, pre-exit)
-
-    draws = _DrawBlock(budget=_JUMP_BUDGET)
-    with laws:
-        results = [run(draws.start(key)) for key in _replica_keys(seed, range(replicas))]
+    table, params = system._rate_table, (target, horizon)
+    split = type(target) is _Sublevel  # a user predicate is called here, once per jump
+    results = _sweep(
+        _return_sweep, table, x_start, params, seed, replicas, _BLOCK, _JUMP_BUDGET, split
+    )
     returned = [t for t in results if t is not None]
     return ReturnTimeStats(
         target_description=desc,
@@ -684,7 +817,8 @@ def drift_estimate_mc(
 
     Each replica walks the jump chain k steps (an absorbing state freezes V)
     and evaluates the Lyapunov difference coordinate-wise.  Returns (mean,
-    standard error); k = 0 gives exactly (0.0, 0.0).
+    standard error); k = 0 gives exactly (0.0, 0.0).  A long sweep may run
+    part of its replicas in a helper process, with the same answer.
     """
     k = _count(k, "k")
     replicas = _count(replicas, "replicas", 2)  # two for a standard error
@@ -693,22 +827,9 @@ def drift_estimate_mc(
     if k == 0:
         return 0.0, 0.0
 
-    laws = _StateMemo(system._rate_table)
-    start = laws[x_start]
-
-    def run(draws: _DrawBlock) -> float:
-        end = start
-        for _, end in _walk(laws, x_start, draws, k):
-            pass
-        if end.value is None:  # the end state's difference, cached on its record
-            end.value = lyapunov_difference(
-                x_start, tuple(a - b for a, b in zip(end.state, x_start))
-            )
-        return end.value
-
-    draws = _DrawBlock(min(k, _BLOCK))  # a k-step replica consumes at most k draw pairs
-    with laws:
-        values = np.array([run(draws.start(key)) for key in _replica_keys(seed, range(replicas))])
+    block = min(k, _BLOCK)  # a k-step replica consumes at most k draw pairs
+    table = system._rate_table
+    values = np.array(_sweep(_drift_sweep, table, x_start, (k,), seed, replicas, block, math.inf))
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(replicas))
     return mean, stderr

@@ -474,8 +474,8 @@ def test_simulate_csv_equals_csv_writer_oracle(tmp_path, capsys):
 
 @pytest.mark.parametrize("cap", [1, 2, 8])
 def test_simulate_csv_equals_csv_writer_oracle_at_memo_caps(tmp_path, capsys, monkeypatch, cap):
-    # the memo empties every few states, and with it every record that
-    # carried a row's text; the rows written before and after keep theirs
+    # the memo empties every few states: the rows before each emptying are
+    # packed and formatted one by one, the rows after keep their state's text
     monkeypatch.setattr(simulate, "_MEMO_MAX", cap)
     test_simulate_csv_equals_csv_writer_oracle(tmp_path, capsys)
 
@@ -523,6 +523,27 @@ def test_simulate_million_rows_peak_below_the_trajectory_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= (8 + 8 * 1) * rows
+
+
+def test_simulate_rows_of_new_states_grow_the_peak_less_than_the_trajectory_arrays(tmp_path):
+    # on 0 -> S every row reaches a new state, so the walk's memo empties
+    # every 4,096 rows; between 5 * 10**4 and 2 * 10**5 rows the peak grows
+    # by less than the 8 + 8 * dim bytes a row of a trajectory's time and
+    # state arrays (the memo's own 2-3 MB is in the peak at both lengths)
+    birth = tmp_path / "birth.crn"
+    birth.write_text("species: S\n0 -> S ; k=1.0\n")
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            with redirect_stdout(_Discard()):
+                assert main(["simulate", str(birth), "--x0", "0", "--jumps", str(rows - 1)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 5 * 10**4, 2 * 10**5
+    assert peak(large) - peak(small) <= (8 + 8 * 1) * (large - small)
 
 
 def test_simulate_csv_shape_and_header(capsys):
