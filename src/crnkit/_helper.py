@@ -107,13 +107,10 @@ class Helper:
         if not self.ready:
             import select
 
-            try:
-                if select.select([self.proc.stdout], [], [], 0)[0]:
-                    self.ready = self.proc.stdout.read(1) == _READY
-                    if not self.ready:  # the helper ended before it was ready
-                        self._drop()
-            except OSError:
-                self._drop()
+            if select.select([self.proc.stdout], [], [], 0)[0]:
+                self.ready = self.proc.stdout.read(1) == _READY
+                if not self.ready:  # the helper ended before it was ready
+                    self._drop()
         return self.ready
 
     def _start(self) -> None:
