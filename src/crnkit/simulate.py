@@ -106,13 +106,18 @@ def _replica_keys(seed, replicas: range) -> Iterator[list]:
     seed's words left behind.  Spawn words of r >= 2**32, and seeds that
     are not integers, take the per-replica ``SeedSequence``.
     """
-    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)  # validates
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]  # validates
     integral = isinstance(seed, numbers.Integral)
     if integral:
         # hashmix steps before the spawn word: 4 fill the pool, 12 mix it
         # pairwise, and each seed word past the pool takes 4 more
         words = max(1, -(-int(seed).bit_length() // 32))
         hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) % 2**32
+        # per pool word, one row each: hashmix's constant before and after
+        # its step, then generate_state's
+        a = [hash_a * pow(_MULT_A, w, 2**32) % 2**32 for w in range(5)]
+        b = [_INIT_B * pow(_MULT_B, w, 2**32) % 2**32 for w in range(5)]
+        a0, a1, b0, b1 = (np.array(c, np.uint64)[:, None] for c in (a[:4], a[1:], b[:4], b[1:]))
     for lo in range(0, len(replicas), _KEY_CHUNK):
         chunk = replicas[lo : lo + _KEY_CHUNK]
         if not (integral and chunk[-1] < 2**32):
@@ -121,24 +126,16 @@ def _replica_keys(seed, replicas: range) -> Iterator[list]:
                 yield spawned.generate_state(2, np.uint64).tolist()
             continue
         r = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.uint64)
-        out = []
-        h_a, h_b = hash_a, _INIT_B
-        for word in pool:
-            # hashmix(r), then mix it into this pool word
-            h = r ^ np.uint64(h_a)
-            h_a = h_a * _MULT_A % 2**32
-            h = h * np.uint64(h_a) & _M32
-            h ^= h >> _SHIFT
-            m = (_MIX_L * word - _MIX_R * h) & _M32
-            m ^= m >> _SHIFT
-            # generate_state's hash of this output word
-            m ^= np.uint64(h_b)
-            h_b = h_b * _MULT_B % 2**32
-            m = m * np.uint64(h_b) & _M32
-            m ^= m >> _SHIFT
-            out.append(m)
+        # hashmix(r), then mix it into each pool word
+        h = (r ^ a0) * a1 & _M32
+        h ^= h >> _SHIFT
+        m = (_MIX_L * pool - _MIX_R * h) & _M32
+        m ^= m >> _SHIFT
+        # generate_state's hash of each output word
+        m = (m ^ b0) * b1 & _M32
+        m ^= m >> _SHIFT
         # little-endian pairs of 32-bit words make the two 64-bit words
-        yield from np.stack([out[0] | out[1] << _HIGH, out[2] | out[3] << _HIGH], 1).tolist()
+        yield from np.stack([m[0] | m[1] << _HIGH, m[2] | m[3] << _HIGH], 1).tolist()
 
 
 class _DrawBlock:
