@@ -86,7 +86,7 @@ _KEY_CHUNK = 4096  # replica keys derived per vectorised pass
 _MEMO_MAX = 2**12  # states a sampler call remembers before it forgets them all
 _JUMP_BUDGET = 10**7  # jumps a sampler call without a jump bound may take
 _TRAJECTORY_BUDGET = 10**6  # the same for a trajectory, which stores every jump
-_PROBE_S = 1e-4  # a replica sweep projects its length from its replicas of this long
+_PROBE_S = 1e-4  # seconds of first replicas a sweep projects its length from
 _SPLIT_S = 2e-3  # a sweep projected longer than this hands part of its rest to the helper
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)

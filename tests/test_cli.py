@@ -527,9 +527,9 @@ def test_simulate_million_rows_peak_below_the_trajectory_arrays():
 
 def test_simulate_rows_of_new_states_grow_the_peak_less_than_the_trajectory_arrays(tmp_path):
     # on 0 -> S every row reaches a new state, so the walk's memo empties
-    # every 4,096 rows; between 5 * 10**4 and 2 * 10**5 rows the peak grows
-    # by less than the 8 + 8 * dim bytes a row of a trajectory's time and
-    # state arrays (the memo's own 2-3 MB is in the peak at both lengths)
+    # every 4,096 rows; between 10**4 and 2 * 10**5 rows the peak grows by
+    # less than the 8 + 8 * dim bytes a row of a trajectory's time and state
+    # arrays (the memo's own 2-3 MB is in the peak at both lengths)
     birth = tmp_path / "birth.crn"
     birth.write_text("species: S\n0 -> S ; k=1.0\n")
 
@@ -542,7 +542,7 @@ def test_simulate_rows_of_new_states_grow_the_peak_less_than_the_trajectory_arra
         finally:
             tracemalloc.stop()
 
-    small, large = 5 * 10**4, 2 * 10**5
+    small, large = 10**4, 2 * 10**5
     assert peak(large) - peak(small) <= (8 + 8 * 1) * (large - small)
 
 
