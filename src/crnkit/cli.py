@@ -402,9 +402,8 @@ def _cmd_simulate(args) -> int:
     times = walk.times
     text = "," + ",".join(["%d"] * net.dim) + "\n"
     tails = [text % x for x in states]
-    texts = itertools.chain(
-        map(text.__mod__, zip(*[iter(packed)] * net.dim)), map(tails.__getitem__, rows)
-    )
+    by_row = zip(*[iter(packed)] * net.dim)  # the packed coordinates, dim at a time
+    texts = itertools.chain(map(text.__mod__, by_row), map(tails.__getitem__, rows))
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         out.write(",".join(("t", *net.species)) + "\n")
