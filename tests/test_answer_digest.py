@@ -15,16 +15,21 @@ inputs that take ``crnkit simulate`` and the censored solve down their less
 common paths: a trajectory past the sampler memo and past several row
 blocks, written to a file, refused mid-walk; products past int64, regions
 whose bounding box passes 2**63 cells, transient and trapped states.
-Rewriting either file is a change of test data, to be recorded with its
-reason.  To rewrite both::
+``answer_drift.json`` holds exact k-step drifts in value form, compared
+to 1e-12 rather than by digest, so a change that sums the same terms in
+another order still passes; refusals are held as their type and message.
+Rewriting any of these files is a change of test data, to be recorded with
+its reason.  To rewrite the two digest files, or the drift values::
 
     PYTHONPATH=src python tests/test_answer_digest.py --write
+    PYTHONPATH=src python tests/test_answer_digest.py --write-drift
 """
 
 import hashlib
 import io
 import itertools
 import json
+import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -49,6 +54,7 @@ from crnkit.tiers import (
     Grow,
     ParametricSequence,
     d_partition,
+    exact_kstep_drift,
     hypothesis_check,
     hypothesis_violation,
     path_probability_limit,
@@ -63,6 +69,7 @@ from test_tiers import TRAP
 HERE = Path(__file__).resolve().parent
 DIGEST = HERE / "answer_digest.json"
 PATH_DIGEST = HERE / "answer_digest_paths.json"
+DRIFT = HERE / "answer_drift.json"
 NETWORKS = HERE.parent / "demos" / "networks"
 SEEDS = (0, 1, 7)
 #: A generated three-species network whose time average from (3, 3, 1) over
@@ -558,8 +565,51 @@ def test_path_answers_equal_the_recorded_digests():
     assert not differing, f"answers differ in: {', '.join(differing)}"
 
 
+def _drift(*args, **kwargs):
+    """The exact drift as a float, or its refusal's type and message."""
+    try:
+        return exact_kstep_drift(*args, **kwargs)
+    except (ValueError, CRNError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def drift_answers() -> dict:
+    """Case name -> ``exact_kstep_drift``'s answer: each catalog and demo
+    system from three states at several k, then one case per refusal."""
+    cases = {}
+    for name, system, start in _systems():
+        dim = system.network.dim
+        near = tuple(c + 2 for c in start)
+        far = tuple(40 + 7 * i for i in range(dim))
+        for x in (start, near, far):
+            for k in (1, 2, 4, 7):
+                cases[f"{name} {x} k={k}"] = _drift(system, x, k)
+    cases["absorbing start"] = _drift(catalog.reversible_isomers(), (0, 0), 3)
+    cases["k above the budget"] = _drift(catalog.birth_death(), (5,), 40, budget=39)
+    cases["pairs past the budget"] = _drift(catalog.birth_death(), (5,), 30, budget=200)
+    cases["coordinate past STATE_COORD_MAX"] = _drift(catalog.pure_birth(), (STATE_COORD_MAX,), 2)
+    cases["NaN budget"] = _drift(catalog.birth_death(), (5,), 3, budget=math.nan)
+    cases["negative k"] = _drift(catalog.birth_death(), (5,), -1)
+    return cases
+
+
+def test_exact_drift_values_equal_the_recorded_values():
+    want = json.loads(DRIFT.read_text())
+    got = drift_answers()
+    assert sorted(got) == sorted(want)
+    for case, value in want.items():
+        if isinstance(value, str):  # a refusal: its type and message
+            assert got[case] == value, case
+        else:
+            assert isinstance(got[case], float), (case, got[case])
+            assert math.isclose(got[case], value, rel_tol=1e-12, abs_tol=1e-12), case
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_answer_digest.py --write")
-    DIGEST.write_text(json.dumps(digests(), indent=2) + "\n")
-    PATH_DIGEST.write_text(json.dumps(digests(path_answers), indent=2) + "\n")
+    if sys.argv[1:] == ["--write"]:
+        DIGEST.write_text(json.dumps(digests(), indent=2) + "\n")
+        PATH_DIGEST.write_text(json.dumps(digests(path_answers), indent=2) + "\n")
+    elif sys.argv[1:] == ["--write-drift"]:
+        DRIFT.write_text(json.dumps(drift_answers(), indent=2) + "\n")
+    else:
+        sys.exit("usage: test_answer_digest.py --write | --write-drift")
