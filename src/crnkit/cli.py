@@ -48,7 +48,7 @@ from .tiers import (
     witness_path,
 )
 from .simulate import (
-    _Trajectory,
+    _trajectory,
     drift_estimate_mc,
     occupancy_estimate,
     truncated_stationary,
@@ -115,18 +115,6 @@ def _emit_stationary(report: dict, est, out: TextIO) -> None:
         block = ",".join([row % (p, ",\n          ".join(map(str, s))) for s, p in rows])
         out.write("," + block if lo else block)
     out.write(("\n    ]" if est.support else "]") + tail + "\n")
-
-
-def _write_csv(out: TextIO, header, blocks) -> None:
-    """Write a CSV header, then each block of rows in one ``write``.
-
-    Fields are strings, joined by "," with "\n" after each row.  These are
-    the bytes ``csv.writer`` gives for fields that need no quoting, as
-    species names (identifiers), integers and float reprs do not.
-    """
-    out.write(",".join(header) + "\n")
-    for rows in blocks:
-        out.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 def _parse_state(text: str, dim: int, flag: str) -> State:
@@ -337,13 +325,10 @@ def _cmd_drift(args) -> int:
             ns = [int(p) for p in tail.split(",") if p.strip()]
         except ValueError:
             raise _UsageError(f"--along index list {tail!r} must be integers")
-        drifts = (
-            exact_kstep_drift(system, _along_state(seq, n), args.k, budget=budget)
-            for n in ns
-        )
-        # one block per row, each written as soon as its drift is known
-        blocks = ([(str(n), repr(v))] for n, v in zip(ns, drifts))
-        _write_csv(sys.stdout, ("n", "drift"), blocks)
+        sys.stdout.write("n,drift\n")
+        for n in ns:  # each row is written as soon as its drift is known
+            drift = exact_kstep_drift(system, _along_state(seq, n), args.k, budget=budget)
+            sys.stdout.write(f"{n},{drift!r}\n")
         return 0
     if args.x is None:
         raise _UsageError("--x is required unless --along is given")
@@ -395,11 +380,9 @@ def _cmd_simulate(args) -> int:
         del rows[:]
         states.clear()
 
-    walk = _Trajectory(system, x0, args.t_max, args.jumps, args.seed, take, emptied)
-    append = rows.append
-    for law in walk:
-        append(law.value)
-    times = walk.times
+    times, _ = _trajectory(
+        system, x0, args.t_max, args.jumps, args.seed, take, rows.append, emptied
+    )
     text = "," + ",".join(["%d"] * net.dim) + "\n"
     tails = [text % x for x in states]
     by_row = zip(*[iter(packed)] * net.dim)  # the packed coordinates, dim at a time

@@ -42,11 +42,12 @@ links, so no reference cycle outlives the call.  Bisection over the sums
 picks the reaction a linear scan of the rates would, so trajectories are
 unchanged byte for byte.
 
-``ssa_simulate`` and ``crnkit simulate`` share one trajectory walk,
-``_Trajectory``, which checks the bounds, starts the draws, applies the
-horizon and names the reason the trajectory ended.  ``ssa_simulate`` caches
-each state's int64 bytes on its record and copies them once a row; the
-command line caches each state's row text instead.
+``ssa_simulate`` and ``crnkit simulate`` share one trajectory function,
+``_trajectory``, which checks the bounds, starts the draws, applies the
+horizon, hands each row's cached value to the caller's hook and names the
+reason the trajectory ended.  ``ssa_simulate`` caches each state's int64
+bytes on its record and copies them once a row; the command line caches
+the state's index in its own list.
 """
 
 from __future__ import annotations
@@ -296,55 +297,44 @@ class TrajectorySample:
         return len(self.times)
 
 
-class _Trajectory:
+def _trajectory(system, x0, max_time, max_jumps, seed, value, keep, emptied=None) -> tuple:
     """One seeded direct-method trajectory, for ``ssa_simulate`` and the
-    command line alike.
+    command line alike: (the times of its rows, 0.0 first, as an
+    ``array("d")``; the reason it ended).
 
-    Construction checks the bounds and the start state and starts the
-    draws.  Iterating yields the jump-law record of each row's state, the
-    start state's first, each carrying ``value(state)`` when ``value`` is
-    given, and appends the row's time to ``times`` (0.0 first); ``emptied``
-    is the memo's hook (``_StateMemo``).  It stops before the jump that
-    would cross ``max_time``, after ``max_jumps`` jumps or at an absorbing
-    state, and then sets ``terminated_by``.
+    Checks the bounds and the start state, starts the draws and walks,
+    passing ``keep`` the ``value(state)`` cached on each row's record, the
+    start state's first; ``emptied`` is the memo's hook (``_StateMemo``).
+    It stops before the jump that would cross ``max_time``, after
+    ``max_jumps`` jumps or at an absorbing state.
     """
-
-    def __init__(self, system, x0, max_time, max_jumps, seed, value=None, emptied=None):
-        if max_time is None and max_jumps is None:
-            raise ValueError("give max_time and/or max_jumps")
-        if max_time is not None and not max_time >= 0:
-            raise ValueError(f"max_time must be nonnegative, got {max_time}")
-        if max_jumps is None and not math.isfinite(max_time):
-            raise ValueError(f"max_time must be finite without max_jumps, got {max_time}")
-        if max_jumps is not None:
-            max_jumps = _count(max_jumps, "max_jumps")
-        self.x = as_state(x0, system.network.dim)
-        budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
-        key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
-        self.draws = _DrawBlock(budget=budget).start(key)
-        self.table, self.value, self.emptied = system._rate_table, value, emptied
-        self.max_time, self.max_jumps = max_time, max_jumps
-        self.times = array("d")
-        self.terminated_by = None
-
-    def __iter__(self) -> Iterator[_JumpLaw]:
-        horizon = math.inf if self.max_time is None else self.max_time
-        jumps = -1 if self.max_jumps is None else self.max_jumps
-        draws, append = self.draws, self.times.append
-        t = 0.0
-        with _StateMemo(self.table, self.value, self.emptied) as laws:
+    if max_time is None and max_jumps is None:
+        raise ValueError("give max_time and/or max_jumps")
+    if max_time is not None and not max_time >= 0:
+        raise ValueError(f"max_time must be nonnegative, got {max_time}")
+    if max_jumps is None and not math.isfinite(max_time):
+        raise ValueError(f"max_time must be finite without max_jumps, got {max_time}")
+    if max_jumps is not None:
+        max_jumps = _count(max_jumps, "max_jumps")
+    x = as_state(x0, system.network.dim)
+    budget = _TRAJECTORY_BUDGET if max_jumps is None else math.inf
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+    draws = _DrawBlock(budget=budget).start(key)
+    horizon = math.inf if max_time is None else max_time
+    times = array("d", [0.0])
+    append = times.append
+    t = 0.0
+    with _StateMemo(system._rate_table, value, emptied) as laws:
+        keep(laws[x].value)
+        for dt, law in _walk(laws, x, draws, -1 if max_jumps is None else max_jumps):
+            t += dt
+            if t > horizon:
+                return times, TERMINATED_MAX_TIME  # the jump is not recorded
             append(t)
-            yield laws[self.x]
-            for dt, law in _walk(laws, self.x, draws, jumps):
-                t += dt
-                if t > horizon:
-                    self.terminated_by = TERMINATED_MAX_TIME  # the jump is not recorded
-                    return
-                append(t)
-                yield law
-        # spent + pos counts the jumps taken
-        full = draws.spent + draws.pos == self.max_jumps
-        self.terminated_by = TERMINATED_MAX_JUMPS if full else TERMINATED_ABSORBED
+            keep(law.value)
+    # spent + pos counts the jumps taken
+    full = draws.spent + draws.pos == max_jumps
+    return times, TERMINATED_MAX_JUMPS if full else TERMINATED_ABSORBED
 
 
 def ssa_simulate(
@@ -366,16 +356,15 @@ def ssa_simulate(
     """
     # each record carries its state's int64 bytes, copied once a row
     pack = struct.Struct(f"{system.network.dim}q").pack
-    walk = _Trajectory(system, x0, max_time, max_jumps, seed, lambda x: pack(*x))
     states = array("q")
-    extend = states.frombytes
-    for law in walk:
-        extend(law.value)
+    times, terminated_by = _trajectory(
+        system, x0, max_time, max_jumps, seed, lambda x: pack(*x), states.frombytes
+    )
     return TrajectorySample(
-        times=np.asarray(walk.times, dtype=np.float64),
+        times=np.asarray(times, dtype=np.float64),
         states=np.asarray(states, dtype=np.int64).reshape(-1, system.network.dim),
         seed=seed,
-        terminated_by=walk.terminated_by,
+        terminated_by=terminated_by,
     )
 
 
@@ -451,9 +440,9 @@ def lyapunov_sublevel(cutoff: float) -> Callable[[State], bool]:
 def _sweep(sweep, table, x_start, params, seed, replicas, block, budget, split=True) -> list:
     """The values of the replicas range(replicas), in replica order, from
     ``sweep(table, x_start, *params, draws, keys)``, which returns the
-    values of the replicas whose Philox keys ``keys`` yields and the jumps
-    they took from the ``_DrawBlock`` ``draws`` of that block size and jump
-    budget.
+    values of the replicas whose Philox keys ``keys`` yields, drawn from the
+    ``_DrawBlock`` ``draws`` of that block size and jump budget; the jumps
+    they took are read off ``draws``.
 
     Once its first replicas have taken ``_PROBE_S``, a sweep that may
     ``split`` and is projected from them to take ``_SPLIT_S`` or more hands
@@ -500,8 +489,9 @@ def _sweep(sweep, table, x_start, params, seed, replicas, block, budget, split=T
                 unsplit.append(ends[0])
         yield from order
 
+    draws = _DrawBlock(block, budget)
     try:
-        values, jumps = sweep(table, x_start, *params, _DrawBlock(block, budget), keys())
+        values = sweep(table, x_start, *params, draws, keys())
     except Exception:
         if not handed:
             raise
@@ -514,7 +504,7 @@ def _sweep(sweep, table, x_start, params, seed, replicas, block, budget, split=T
         lo, hi, sent = handed
         mine = (time.perf_counter() - sent) / (replicas - hi)
         reply = helper.collect()
-        if values is None or reply is None or jumps + reply[1] >= budget:
+        if values is None or reply is None or draws.spent + draws.pos + reply[1] >= budget:
             return _run_range(sweep, table, x_start, params, seed, 0, replicas, block, budget)[0]
         theirs = reply[2] / (hi - lo)
         helper.share += (mine / (mine + theirs) - helper.share) / 8
@@ -528,12 +518,12 @@ def _run_range(sweep, table, x_start, params, seed, lo, hi, block, budget) -> tu
     """``sweep`` over the replicas range(lo, hi) with draws of its own, as
     the helper runs its part: the values, the jumps and the seconds taken."""
     start = time.perf_counter()
-    keys = _replica_keys(seed, range(lo, hi))
-    values, jumps = sweep(table, x_start, *params, _DrawBlock(block, budget), keys)
-    return values, jumps, time.perf_counter() - start
+    draws = _DrawBlock(block, budget)
+    values = sweep(table, x_start, *params, draws, _replica_keys(seed, range(lo, hi)))
+    return values, draws.spent + draws.pos, time.perf_counter() - start
 
 
-def _return_sweep(table, x_start, target, horizon, draws, keys) -> Tuple[list, int]:
+def _return_sweep(table, x_start, target, horizon, draws, keys) -> list:
     """Each replica's first-return time to ``target`` within ``horizon``,
     None when it did not return, one replica per key."""
     sublevel = type(target) is _Sublevel
@@ -555,10 +545,10 @@ def _return_sweep(table, x_start, target, horizon, draws, keys) -> Tuple[list, i
                 else:
                     left = True
             results.append(back)
-    return results, draws.spent + draws.pos
+    return results
 
 
-def _drift_sweep(table, x_start, k, draws, keys) -> Tuple[list, int]:
+def _drift_sweep(table, x_start, k, draws, keys) -> list:
     """Each replica's Lyapunov difference over k jumps of the embedded
     chain from ``x_start`` (an absorbing state freezes V), one per key."""
     laws = _StateMemo(table)
@@ -574,7 +564,7 @@ def _drift_sweep(table, x_start, k, draws, keys) -> Tuple[list, int]:
                     x_start, tuple(a - b for a, b in zip(end.state, x_start))
                 )
             values.append(end.value)
-    return values, draws.spent + draws.pos
+    return values
 
 
 def return_times(
