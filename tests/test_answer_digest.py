@@ -15,11 +15,14 @@ inputs that take ``crnkit simulate`` and the censored solve down their less
 common paths: a trajectory past the sampler memo and past several row
 blocks, written to a file, refused mid-walk; products past int64, regions
 whose bounding box passes 2**63 cells, transient and trapped states.
+``answer_digest_reach.json`` holds the groups of a third test, on
+reachability: ``reachable_states`` at caps that truncate and caps that do
+not, and ``crnkit analyze`` without the scan and with ``--reach-from``.
 ``answer_drift.json`` holds exact k-step drifts in value form, compared
 to 1e-12 rather than by digest, so a change that sums the same terms in
 another order still passes; refusals are held as their type and message.
 Rewriting any of these files is a change of test data, to be recorded with
-its reason.  To rewrite the two digest files, or the drift values::
+its reason.  To rewrite the three digest files, or the drift values::
 
     PYTHONPATH=src python tests/test_answer_digest.py --write
     PYTHONPATH=src python tests/test_answer_digest.py --write-drift
@@ -49,6 +52,7 @@ from crnkit.simulate import (
     ssa_simulate,
     truncated_stationary,
 )
+from crnkit.structure import reachable_states
 from crnkit.tiers import (
     Const,
     Grow,
@@ -69,6 +73,7 @@ from test_tiers import TRAP
 HERE = Path(__file__).resolve().parent
 DIGEST = HERE / "answer_digest.json"
 PATH_DIGEST = HERE / "answer_digest_paths.json"
+REACH_DIGEST = HERE / "answer_digest_reach.json"
 DRIFT = HERE / "answer_drift.json"
 NETWORKS = HERE.parent / "demos" / "networks"
 SEEDS = (0, 1, 7)
@@ -542,6 +547,63 @@ def path_answers():
     return groups
 
 
+def _reach(system, x0, cap) -> str:
+    """A ``ReachabilityReport`` with its sets sorted, or its error."""
+    try:
+        got = reachable_states(system, x0, cap=cap)
+    except (ValueError, CRNError) as e:
+        return f"{type(e).__name__}: {e}"
+    return repr(
+        (got.start, sorted(got.states), got.truncated, sorted(got.absorbing), got.min_total_rate)
+    )
+
+
+#: Exploration caps: the smaller ones truncate every infinite state space.
+CAPS = (1, 3, 4, 60, 3000)
+#: A closed network (A + B conserved): every start reaches finitely many states.
+CLOSED = "species: A, B\nA + B -> 2B ; k=1.5\nB -> A ; k=0.5\n"
+
+
+def reach_answers():
+    """The third test's groups: ``reachable_states`` on the catalog and
+    demo systems from two states at caps that truncate and, on the
+    conserving ones, caps that do not, with its refusals; and ``crnkit
+    analyze`` on the demo files without the scan and with ``--reach-from``."""
+    groups = {}
+    rows = groups["reachable_states"] = []
+    closed = parse(CLOSED)
+    cases = _systems() + [("CLOSED", closed, (3, 2)), ("CLOSED", closed, (0, 5))]
+    for name, system, x0 in cases:
+        far = tuple(40 + 7 * i for i in range(system.network.dim))
+        for x in (x0, far):
+            for cap in CAPS:
+                rows += [repr((name, x, cap)), _reach(system, x, cap)]
+    isomers, birth = catalog.reversible_isomers(), catalog.pure_birth()
+    rows.append(_reach(isomers, (0, 0), 1))  # absorbing from the start
+    for cap in (40, 41, 42):  # about the 41 states of A + B = 40
+        rows.append(_reach(isomers, (20, 20), cap))
+    for cap in (1, 2):  # past STATE_COORD_MAX once the next state is expanded
+        rows.append(_reach(birth, (STATE_COORD_MAX,), cap))
+    for cap in (0, -1, 2.5, "3"):
+        rows.append(_reach(isomers, (1, 1), cap))
+    for x0 in ((1,), (1, -1), (1, STATE_COORD_MAX + 1)):
+        rows.append(_reach(isomers, x0, 10))
+
+    rows = groups["cli analyze"] = []
+    for path, (_, system, x0) in zip(sorted(NETWORKS.glob("*.crn")), _systems()[-6:]):
+        dim = system.network.dim
+        x0 = ",".join(map(str, x0))
+        rows.append(_cli(["analyze", str(path)]))
+        for cap in ("1", "4", "60", "10000"):
+            rows.append(_cli(["analyze", str(path), "--reach-from", x0, "--reach-cap", cap]))
+        rows.append(_cli(["analyze", str(path), "--reach-from", ",".join(["0"] * dim)]))
+        for bad in ("1", ",".join(["-1"] * dim), "a" * dim, ",".join(["1"] * (dim + 1))):
+            rows.append(_cli(["analyze", str(path), "--reach-from", bad]))
+        for cap in ("0", "-3", "x"):
+            rows.append(_cli(["analyze", str(path), "--reach-from", x0, "--reach-cap", cap]))
+    return groups
+
+
 def digests(answers=answers):
     return {
         group: hashlib.sha256("\n".join(rows).encode()).hexdigest()
@@ -560,6 +622,14 @@ def test_sampler_answers_equal_the_recorded_digests():
 def test_path_answers_equal_the_recorded_digests():
     want = json.loads(PATH_DIGEST.read_text())
     got = digests(path_answers)
+    assert sorted(got) == sorted(want)
+    differing = [group for group in want if got[group] != want[group]]
+    assert not differing, f"answers differ in: {', '.join(differing)}"
+
+
+def test_reachability_answers_equal_the_recorded_digests():
+    want = json.loads(REACH_DIGEST.read_text())
+    got = digests(reach_answers)
     assert sorted(got) == sorted(want)
     differing = [group for group in want if got[group] != want[group]]
     assert not differing, f"answers differ in: {', '.join(differing)}"
@@ -609,6 +679,7 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         DIGEST.write_text(json.dumps(digests(), indent=2) + "\n")
         PATH_DIGEST.write_text(json.dumps(digests(path_answers), indent=2) + "\n")
+        REACH_DIGEST.write_text(json.dumps(digests(reach_answers), indent=2) + "\n")
     elif sys.argv[1:] == ["--write-drift"]:
         DRIFT.write_text(json.dumps(drift_answers(), indent=2) + "\n")
     else:
