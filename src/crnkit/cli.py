@@ -312,6 +312,8 @@ def _cmd_drift(args) -> int:
     species = net.species
     if args.mc is not None and args.along is not None:
         raise _UsageError("--along computes exact drifts; drop --mc")
+    if args.x is not None and args.along is not None:
+        raise _UsageError("--along takes its states from the sequence; drop --x")
     if not math.isfinite(args.budget):
         raise _UsageError(f"--budget must be finite, got {args.budget}")
     # pairs and k are integers, and an integer n exceeds b iff it exceeds floor(b)

@@ -698,17 +698,12 @@ def truncated_stationary(
     zero mass, and ``detail`` ends with the residual |pi Q|_1.
 
     The moves of all the region's states come from one array pass,
-    ``kinetics._region_moves``, and every matrix is built in canonical
-    compressed form straight from the sorted (row, column, rate) triplets.
+    ``kinetics._region_moves``; the arrays handed to the solver equal those
+    of the per-state oracle, ``tests/oracles.stationary_by_moves``.
     """
-    from scipy.sparse import csc_matrix, csr_matrix
+    from scipy.sparse import csr_matrix, diags, vstack
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
-
-    def compressed(kind, major, minor, data, size):
-        # triplets sorted by (major, minor), none repeated
-        indptr = np.searchsorted(major, np.arange(size + 1))
-        return kind((data, minor, indptr), shape=(size, size))
 
     dim = system.network.dim
     states = sorted({as_state(s, dim) for s in region})
@@ -716,7 +711,7 @@ def truncated_stationary(
         raise ValueError("region is empty")
     n = len(states)
     rows, cols, vals = _region_moves(system, np.array(states, dtype=np.int64).reshape(n, dim))
-    rates = compressed(csr_matrix, rows, cols, vals, n)
+    rates = csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     n_comp, labels = connected_components(rates, directed=True, connection="strong")
     src, dst = labels[rows], labels[cols]
@@ -731,53 +726,22 @@ def truncated_stationary(
         )
     members = closed[0]
     m = len(members)
-    # the class's moves, renumbered; none leaves a closed class
-    inside = labels == labels[members[0]]
-    keep = inside[rows]
-    renumber = np.cumsum(inside) - 1
-    rows, cols, vals = renumber[rows[keep]], renumber[cols[keep]], vals[keep]
-    sub = compressed(csr_matrix, rows, cols, vals, m)
-    # Q = sub - diag(row sums), with the entries that come out 0 dropped,
-    # as sparse subtraction drops them; its CSR arrays read as CSC are Q^T,
-    # and balance reads q_t @ pi = 0
-    diag = 0.0 - np.asarray(sub.sum(axis=1)).ravel()
-    at = np.flatnonzero(diag != 0)
-    rows, cols = np.concatenate([rows, at]), np.concatenate([cols, at])
-    vals = np.concatenate([vals, diag[at]])
-    order = np.argsort(rows * m + cols)
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    q_t = compressed(csc_matrix, rows, cols, vals, m)
+    sub = rates[members][:, members]
+    # transposed generator of the class: balance reads q_t @ pi = 0
+    q_t = (sub - diags(np.asarray(sub.sum(axis=1)).ravel())).T.tocsc()
     pi = np.ones(m)
     if m > 1:
         # balance with sum(pi) = 1 in place of one equation locates the mode;
-        # this ordering keeps the fill from the dense row low.  Column j of
-        # the system is row j of Q without its last column, then a 1.0
+        # this ordering keeps the fill from the dense row low
         unit = np.zeros(m)
         unit[-1] = 1.0
-        kept = cols < m - 1
-        index = np.arange(m)
-        major = np.concatenate([rows[kept], index])
-        minor = np.concatenate([cols[kept], np.full(m, m - 1)])
-        order = np.argsort(major * m + minor)
-        data = np.concatenate([vals[kept], np.ones(m)])[order]
-        normalized = compressed(csc_matrix, major[order], minor[order], data, m)
+        normalized = vstack([q_t[:-1], np.ones((1, m))], format="csc")
         rough = spsolve(normalized, unit, permc_spec="MMD_AT_PLUS_A")
         # fix pi to 1 there: the rest is a nonsingular M-matrix system, well
         # conditioned because that state carries the most mass (a light
         # reference state can leave it singular in floating point)
-        ref = np.argmax(rough)
-        rest = index != ref
-        # column ref of q_t, less its own row, moves to the right-hand side,
-        # and the other rows and columns close up over ref
-        moved = (rows == ref) & (cols != ref)
-        inner = (rows != ref) & (cols != ref)
-        column = np.zeros(m - 1)
-        column[cols[moved] - (cols[moved] > ref)] = vals[moved]
-        major, minor = rows[inner], cols[inner]
-        reduced = compressed(
-            csc_matrix, major - (major > ref), minor - (minor > ref), vals[inner], m - 1
-        )
-        pi[rest] = spsolve(reduced, -column)
+        rest = np.arange(m) != np.argmax(rough)
+        pi[rest] = spsolve(q_t[rest][:, rest], -q_t[rest][:, ~rest].toarray().ravel())
     pi /= pi.sum()
     residual = float(np.abs(q_t @ pi).sum())
     probs = np.zeros(n)

@@ -946,8 +946,9 @@ class MemoFreeTail(_Tail):
 
 
 def stationary_by_moves(system, region) -> StationaryEstimate:
-    """``truncated_stationary`` as it expanded the region state by state
-    through ``_moves`` and built its matrices from Python lists."""
+    """The censored solve with the region expanded state by state through
+    ``_moves``: ``truncated_stationary`` hands its solver arrays equal to
+    this one's, array for array."""
     from scipy.sparse import diags, vstack
     from scipy.sparse.linalg import spsolve
 
