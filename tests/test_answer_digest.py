@@ -572,7 +572,8 @@ def reach_answers():
     groups = {}
     rows = groups["reachable_states"] = []
     closed = parse(CLOSED)
-    cases = _systems() + [("CLOSED", closed, (3, 2)), ("CLOSED", closed, (0, 5))]
+    systems = _systems()
+    cases = systems + [("CLOSED", closed, (3, 2)), ("CLOSED", closed, (0, 5))]
     for name, system, x0 in cases:
         far = tuple(40 + 7 * i for i in range(system.network.dim))
         for x in (x0, far):
@@ -590,7 +591,7 @@ def reach_answers():
         rows.append(_reach(isomers, x0, 10))
 
     rows = groups["cli analyze"] = []
-    for path, (_, system, x0) in zip(sorted(NETWORKS.glob("*.crn")), _systems()[-6:]):
+    for path, (_, system, x0) in zip(sorted(NETWORKS.glob("*.crn")), systems[-6:]):
         dim = system.network.dim
         x0 = ",".join(map(str, x0))
         rows.append(_cli(["analyze", str(path)]))
