@@ -824,10 +824,6 @@ def test_stationary_needs_exactly_one_mode(capsys):
             ["drift", CYCLE, "--k", "1", "--along", "A=n,B=1,C=0:1", "--mc", "5"],
             "--along computes exact drifts; drop --mc",
         ),
-        (
-            ["drift", CYCLE, "--k", "2", "--x", "5,1,0", "--along", "A=n, B=1, C=0:5,10"],
-            "--along takes its states from the sequence; drop --x",
-        ),
         (["drift", CYCLE, "--k", "1"], "--x is required unless --along is given"),
         (["stationary", BIRTHDEATH, "--region", "0-3"], '--region expects "lo..hi"'),
         (["stationary", BIRTHDEATH, "--region", "a..3"], "--region bounds must be integers"),
@@ -842,6 +838,10 @@ def test_stationary_needs_exactly_one_mode(capsys):
         (
             ["tiers", CYCLE, "--seq", "A=n,B=1,C=0", "--path", "A"],
             "--path entry 'A' is not of the form src->prd",
+        ),
+        (
+            ["drift", CYCLE, "--k", "2", "--x", "5,1,0", "--along", "A=n, B=1, C=0:5,10"],
+            "--along takes its states from the sequence; drop --x",
         ),
     ],
 )
