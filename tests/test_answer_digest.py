@@ -18,11 +18,16 @@ whose bounding box passes 2**63 cells, transient and trapped states.
 ``answer_digest_reach.json`` holds the groups of a third test, on
 reachability: ``reachable_states`` at caps that truncate and caps that do
 not, and ``crnkit analyze`` without the scan and with ``--reach-from``.
+``answer_digest_parse.json`` holds the groups of a fourth test, on the
+text format: what ``parse`` and ``parse_document`` make of the demo files,
+of texts that take the parser down its less common paths and of a fixed
+list of bad texts (each ``ParseError``'s message, line and column), and
+``serialize``'s canonical text with its round trips.
 ``answer_drift.json`` holds exact k-step drifts in value form, compared
 to 1e-12 rather than by digest, so a change that sums the same terms in
 another order still passes; refusals are held as their type and message.
 Rewriting any of these files is a change of test data, to be recorded with
-its reason.  To rewrite the three digest files, or the drift values::
+its reason.  To rewrite the four digest files, or the drift values::
 
     PYTHONPATH=src python tests/test_answer_digest.py --write
     PYTHONPATH=src python tests/test_answer_digest.py --write-drift
@@ -40,9 +45,10 @@ from pathlib import Path
 
 from crnkit import Complex, Reaction, ReactionNetwork, catalog, parse, simulate, tiers
 from crnkit.cli import main
-from crnkit.errors import CRNError
+from crnkit.errors import CRNError, ParseError
 from crnkit.kinetics import lyapunov
 from crnkit.network import STATE_COORD_MAX
+from crnkit.parser import parse_document, serialize
 from crnkit.simulate import (
     drift_estimate_mc,
     embedded_chain_simulate,
@@ -74,6 +80,7 @@ HERE = Path(__file__).resolve().parent
 DIGEST = HERE / "answer_digest.json"
 PATH_DIGEST = HERE / "answer_digest_paths.json"
 REACH_DIGEST = HERE / "answer_digest_reach.json"
+PARSE_DIGEST = HERE / "answer_digest_parse.json"
 DRIFT = HERE / "answer_drift.json"
 NETWORKS = HERE.parent / "demos" / "networks"
 SEEDS = (0, 1, 7)
@@ -605,6 +612,93 @@ def reach_answers():
     return groups
 
 
+#: Texts that parse, each down a less common path of the parser.
+GOOD_TEXTS = (
+    "A -> B ; k=1\n",
+    "  A+B->2C;k=1.5  \n\n\t2 C <->  A ; k = 2 , 0.5 # trailing comment\n",
+    "# leading comment\nspecies: C, B, A\nA -> 0 ; k=3e-2\n0 -> A ; k=.5\n",
+    "A + A + B -> B ; k=1\nB -> 2A ; k=1E3\n",
+    "999A -> 0 ; k=1\n0 -> A ; k=2.\n",
+    "species -> A ; k=1\nspeciesX + A -> species ; k=2\n",
+    "0 <-> S ; k=+1, 1e-300\n",
+    "X1 + _y -> 2X1 ; k=1\n2X1 -> _y ; k=0.1\n_y -> 0 ; k=7\n",
+    "species: A, B, Unused\nA <-> B ; k=1, 2\n",
+    "A -> B ; k=1\r\nB -> A ; k=2\r\n",
+)
+#: Texts that do not parse: one or more per ``ParseError`` the parser raises,
+#: on first and later lines and at several columns.
+BAD_TEXTS = (
+    "",
+    "# only a comment\n",
+    "species: A\n",
+    "A -> ; k=1\n",
+    "A => B ; k=1\n",
+    "A -> B k=1\n",
+    "A -> B ; j=1\n",
+    "A -> B ; k 1\n",
+    "A -> B ; k=\n",
+    "A -> B ;\n",
+    "A -> B ; k=0\n",
+    "A -> B ; k=-2\n",
+    "A -> B ; k=1e999\n",
+    "A <-> B ; k=1\n",
+    "A -> B ; k=1, 2\n",
+    "A <-> B ; k=1, 0\n",
+    "A <-> B ; k=1,\n",
+    "A -> A ; k=1\n",
+    "A + B -> B + A ; k=1\n",
+    "A -> B ; k=1\nA -> B ; k=2\n",
+    "A <-> B ; k=1, 1\nB -> A ; k=2\n",
+    "A -> B ; k=1 extra\n",
+    "species: A, A\nA -> 0 ; k=1\n",
+    "species: A\nspecies: B\nA -> 0 ; k=1\n",
+    "species: A\nA -> B ; k=1\n",
+    "species: A,\nA -> 0 ; k=1\n",
+    "species: A B\nA -> 0 ; k=1\n",
+    "1000A -> B ; k=1\n",
+    "0A -> B ; k=1\n",
+    "500A + 500A -> 0 ; k=1\n",
+    "A -> B ; k=1\n\n# comment\n   B ->  ; k=1\n",
+    "A -> B ; k=1\nB -> 2 ; k=1\n",
+    "A -> B ; k=1\n  A + -> B ; k=1\n",
+    "A -> B ; k=nan\n",
+    "A -> B ; k=1 # fine\nC -> D ; k=2 ;\n",
+)
+
+
+def _parsed(text) -> str:
+    """The statements and the system that ``text`` parses to, or its
+    ``ParseError``'s message, line and column."""
+    try:
+        doc = parse_document(text)
+        system = parse(text)
+    except ParseError as e:
+        return repr((str(e), e.message, e.line, e.column))
+    net = system.network
+    reactions = [r.format(net.species) for r in net.reactions]
+    return repr((doc.statements, net.species, reactions, system.rate_constants))
+
+
+def parse_answers():
+    """The fourth test's groups: ``parse`` on the demo files, the good and
+    the bad texts and the catalog's canonical texts; ``serialize`` on the
+    catalog and demo systems and on the good texts, with both round trips
+    (text to system to text, system to text to system)."""
+    demos = [path.read_text() for path in sorted(NETWORKS.glob("*.crn"))]
+    systems = [getattr(catalog, name)() for name in CATALOG]
+    systems += [parse(text) for text in demos + list(GOOD_TEXTS)]
+    groups = {}
+    rows = groups["parse"] = []
+    for text in demos + list(GOOD_TEXTS) + list(BAD_TEXTS):
+        rows += [repr(text), _parsed(text)]
+    rows = groups["serialize"] = []
+    for system in systems:
+        text = serialize(system)
+        again = parse(text)
+        rows += [text, repr(again == system), repr(serialize(again) == text), _parsed(text)]
+    return groups
+
+
 def digests(answers=answers):
     return {
         group: hashlib.sha256("\n".join(rows).encode()).hexdigest()
@@ -631,6 +725,14 @@ def test_path_answers_equal_the_recorded_digests():
 def test_reachability_answers_equal_the_recorded_digests():
     want = json.loads(REACH_DIGEST.read_text())
     got = digests(reach_answers)
+    assert sorted(got) == sorted(want)
+    differing = [group for group in want if got[group] != want[group]]
+    assert not differing, f"answers differ in: {', '.join(differing)}"
+
+
+def test_parse_answers_equal_the_recorded_digests():
+    want = json.loads(PARSE_DIGEST.read_text())
+    got = digests(parse_answers)
     assert sorted(got) == sorted(want)
     differing = [group for group in want if got[group] != want[group]]
     assert not differing, f"answers differ in: {', '.join(differing)}"
@@ -681,6 +783,7 @@ if __name__ == "__main__":
         DIGEST.write_text(json.dumps(digests(), indent=2) + "\n")
         PATH_DIGEST.write_text(json.dumps(digests(path_answers), indent=2) + "\n")
         REACH_DIGEST.write_text(json.dumps(digests(reach_answers), indent=2) + "\n")
+        PARSE_DIGEST.write_text(json.dumps(digests(parse_answers), indent=2) + "\n")
     elif sys.argv[1:] == ["--write-drift"]:
         DRIFT.write_text(json.dumps(drift_answers(), indent=2) + "\n")
     else:
