@@ -11,10 +11,13 @@ generator applied to the Lyapunov function
 and finite-path probabilities of the embedded chain.  Every rate comes from
 ``_rates``, and every exact routine (here, in ``structure`` and ``tiers``)
 expands a state through ``_moves``: its successors, each with the summed
-rate of the reactions that reach it.  The censored stationary solve in
-``simulate`` knows its whole region up front and expands it in one array
-pass, ``_region_moves``, which computes the same rates and the same pooled
-sums for every state of the region at once.
+rate of the reactions that reach it.  Two routines know many states at
+once and take their rates in one array pass, ``_region_rates``, which
+gives every reaction's rate at every state exactly as ``_rates`` does: the
+censored stationary solve in ``simulate``, whose ``_region_moves`` pools
+them as ``_moves`` does, and ``structure.reachable_states``, which takes
+its steps from ``_moves`` once per clipped state and its states' totals
+from the array pass.
 """
 
 from __future__ import annotations
@@ -100,6 +103,36 @@ def _falling(col: np.ndarray, c: int) -> np.ndarray:
     return out
 
 
+def _region_rates(system: MassActionSystem, states: np.ndarray) -> np.ndarray:
+    """Each reaction's rate at every row of an (n, d) int64 array of states
+    with no coordinate above ``STATE_COORD_MAX``, as an (n, reactions)
+    float64 array whose columns follow the rate table.
+
+    Each rate is kappa times the exact falling product of the source's
+    columns, as ``_rates`` gives it.  A source coefficient above its
+    column's largest entry makes the rate 0.0 everywhere.  Otherwise the
+    product is bounded by the columns' largest entries to the coefficients,
+    and it is taken in int64 when the bit lengths prove that bound below
+    2**63, else in Python ints (object arrays), where a rate past the float
+    range raises ``_rates``' ``OverflowError``.
+    """
+    table = system._rate_table
+    tops = states.max(axis=0).tolist()
+    out = np.empty((len(states), len(table)))
+    with np.errstate(over="ignore"):  # a rate may overflow to inf, as in _rates
+        for j, (kappa, pairs, _) in enumerate(table):
+            prod = 1
+            if any(c > tops[i] for i, c in pairs):
+                prod = 0
+            else:
+                wide = sum(c * tops[i].bit_length() for i, c in pairs) > 63
+                for i, c in pairs:
+                    col = states[:, i].astype(object) if wide else states[:, i]
+                    prod = prod * _falling(col, c)
+            out[:, j] = np.asarray(kappa * prod, dtype=np.float64)
+    return out
+
+
 def _region_moves(system: MassActionSystem, states: np.ndarray):
     """The moves of ``_moves`` that stay inside a region, for all its states
     at once.
@@ -109,32 +142,16 @@ def _region_moves(system: MassActionSystem, states: np.ndarray):
     ``STATE_COORD_MAX``.  Returns (src, dst, rate): the row of each move's
     state, the row of its successor and its rate, sorted by (src, dst).
 
-    Each reaction's rate is kappa times the exact falling product of the
-    source's columns, as ``_rates`` gives it.  A source coefficient above
-    its column's largest entry makes the rate 0.0 everywhere.  Otherwise the
-    product is bounded by the columns' largest entries to the coefficients,
-    and it is taken in int64 when the bit lengths prove that bound below
-    2**63, else in Python ints (object arrays), where a rate past the float
-    range raises ``_rates``' ``OverflowError``.  Reactions that share a net
-    change pool their rates in reaction order, 0.0 + l1 + l2, as ``_moves``
-    adds the positive ones.  A successor is found by one binary search over
-    the rows' big-endian bytes, which order nonnegative rows as their
-    tuples, so it holds whatever the region's bounding box.
+    The rates are ``_region_rates``'.  Reactions that share a net change
+    pool their rates in reaction order, 0.0 + l1 + l2, as ``_moves`` adds
+    the positive ones.  A successor is found by one binary search over the
+    rows' big-endian bytes, which order nonnegative rows as their tuples,
+    so it holds whatever the region's bounding box.
     """
     n, dim = states.shape
-    tops = states.max(axis=0).tolist()
     pooled: Dict[tuple, np.ndarray] = {}
-    with np.errstate(over="ignore"):  # a rate may overflow to inf, as in _rates
-        for kappa, pairs, change in system._rate_table:
-            prod = 1
-            if any(c > tops[i] for i, c in pairs):
-                prod = 0
-            else:
-                wide = sum(c * tops[i].bit_length() for i, c in pairs) > 63
-                for i, c in pairs:
-                    col = states[:, i].astype(object) if wide else states[:, i]
-                    prod = prod * _falling(col, c)
-            lam = np.broadcast_to(np.asarray(kappa * prod, dtype=np.float64), (n,))
+    with np.errstate(over="ignore"):  # rates near the float range may pool to inf
+        for (_, _, change), lam in zip(system._rate_table, _region_rates(system, states).T):
             pooled[change] = pooled.get(change, 0.0) + lam
     keys = _row_keys(states)
     src, dst, rate = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]

@@ -1,9 +1,12 @@
 """Structural checks against brute-force graph oracles and known networks."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnkit import Complex, MassActionSystem, Reaction, ReactionNetwork, parse
 from crnkit.catalog import (
@@ -371,3 +374,69 @@ def test_reachable_states_past_the_coordinate_limit_raise_as_the_oracle():
         reachable_by_dicts(bd, (STATE_COORD_MAX - 2,), 10)
     assert str(got.value) == str(want.value)
     assert "exceeds supported maximum" in str(got.value)
+
+
+def _reach_or_refusal(fn, system, x0, cap):
+    """(start, states, truncated, absorbing, repr of the least total rate)
+    of a search, or its refusal's type and message."""
+    try:
+        got = fn(system, x0, cap)
+    except (ValueError, OverflowError) as e:
+        return type(e), str(e)
+    if isinstance(got, ReachabilityReport):
+        got = (got.start, got.states, got.truncated, got.absorbing, got.min_total_rate)
+    return got[:4] + (repr(got[4]),)
+
+
+@st.composite
+def reach_cases(draw):
+    """A network of 1-4 species with coefficients 0-3 (4 in a twin reaction
+    that shares the first one's net change) and non-integer rates, a start
+    near 0 or near ``STATE_COORD_MAX``, and a cap of 1-200."""
+    dim = draw(st.integers(1, 4))
+    coeffs = st.tuples(*[st.integers(0, 3)] * dim)
+    complexes = draw(st.lists(coeffs, min_size=2, max_size=5, unique=True))
+    pairs = [(i, j) for i in range(len(complexes)) for j in range(len(complexes)) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=6, unique=True))
+    reactions = [Reaction(Complex(complexes[i]), Complex(complexes[j])) for i, j in chosen]
+    for r in list(reactions):  # a twin shares r's net change, so their rates pool
+        y, z = r.source.coeffs, r.product.coeffs
+        shift = -1 if min(y[0], z[0]) > 0 else 1
+        twin = Reaction(Complex((y[0] + shift,) + y[1:]), Complex((z[0] + shift,) + z[1:]))
+        if twin not in reactions and draw(st.booleans()):
+            reactions.append(twin)
+    rate = st.integers(1, 10**5).filter(lambda k: k % 997).map(lambda k: k / 997)
+    kappa = draw(st.lists(rate, min_size=len(reactions), max_size=len(reactions)))
+    net = ReactionNetwork.from_reactions([f"S{i}" for i in range(dim)], reactions)
+    coord = st.one_of(st.integers(0, 5), st.integers(STATE_COORD_MAX - 6, STATE_COORD_MAX))
+    x0 = draw(st.tuples(*[coord] * dim))
+    return MassActionSystem(net, kappa), x0, draw(st.integers(1, 200))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reach_cases())
+def test_reachable_states_equal_the_dict_bfs_oracle_on_drawn_networks(case):
+    system, x0, cap = case
+    got = _reach_or_refusal(reachable_states, system, x0, cap)
+    assert got == _reach_or_refusal(reachable_by_dicts, system, x0, cap)
+
+
+def test_reachable_states_refuse_pure_birth_at_the_limit_at_once():
+    birth = pure_birth()
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as got:
+        reachable_states(birth, (STATE_COORD_MAX,), cap=10**6)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ValueError) as want:
+        reachable_by_dicts(birth, (STATE_COORD_MAX,), 10**6)
+    assert str(got.value) == str(want.value)
+
+
+def test_reachable_states_raise_the_oracles_rate_overflow():
+    # the 40 factors of the start's falling product pass the float range
+    system = parse("40A <-> 41A ; k=1, 1\n")
+    with pytest.raises(OverflowError) as got:
+        reachable_states(system, (10**8 - 1,))
+    with pytest.raises(OverflowError) as want:
+        reachable_by_dicts(system, (10**8 - 1,), 10**6)
+    assert str(got.value) == str(want.value)
