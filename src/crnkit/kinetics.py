@@ -11,13 +11,10 @@ generator applied to the Lyapunov function
 and finite-path probabilities of the embedded chain.  Every rate comes from
 ``_rates``, and every exact routine (here, in ``structure`` and ``tiers``)
 expands a state through ``_moves``: its successors, each with the summed
-rate of the reactions that reach it.  Two routines know many states at
-once and take their rates in one array pass, ``_region_rates``, which
-gives every reaction's rate at every state exactly as ``_rates`` does: the
-censored stationary solve in ``simulate``, whose ``_region_moves`` pools
-them as ``_moves`` does, and ``structure.reachable_states``, which takes
-its steps from ``_moves`` once per clipped state and its states' totals
-from the array pass.
+rate of the reactions that reach it.  ``_region_rates`` gives the same
+rates at many states in one array pass: the censored stationary solve in
+``simulate`` pools them as ``_moves`` does (``_region_moves``), and
+``structure.reachable_states`` takes its states' totals from them.
 """
 
 from __future__ import annotations
@@ -104,13 +101,11 @@ def _falling(col: np.ndarray, c: int) -> np.ndarray:
 
 
 def _region_rates(system: MassActionSystem, states: np.ndarray) -> np.ndarray:
-    """Each reaction's rate at every row of an (n, d) int64 array of states
-    with no coordinate above ``STATE_COORD_MAX``, as an (n, reactions)
-    float64 array whose columns follow the rate table.
+    """The rates of ``_rates`` at each row of an (n, d) int64 array of
+    states, no coordinate above ``STATE_COORD_MAX``: an (n, reactions) array.
 
     Each rate is kappa times the exact falling product of the source's
-    columns, as ``_rates`` gives it.  A source coefficient above its
-    column's largest entry makes the rate 0.0 everywhere.  Otherwise the
+    columns, 0.0 for a coefficient above its column's largest entry.  The
     product is bounded by the columns' largest entries to the coefficients,
     and it is taken in int64 when the bit lengths prove that bound below
     2**63, else in Python ints (object arrays), where a rate past the float

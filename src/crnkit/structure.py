@@ -8,9 +8,8 @@ the requirement that each species S appears as the complex S or 2S, a single
 weakly reversible linkage class certifies positive recurrence of the
 associated mass-action chain on every closed irreducible state class.
 
-``reachable_states`` explores that chain's state space breadth first, the
-finite-state-projection set of Munsky and Khammash (J. Chem. Phys. 2006),
-over states packed into Python ints, one fixed-width field per species.
+``reachable_states`` explores the chain's state space (the finite state
+projection of Munsky and Khammash, 2006) over states packed into ints.
 """
 
 from __future__ import annotations
@@ -228,34 +227,24 @@ def reachable_states(
 
     Breadth-first search; stops enqueueing new states once ``cap`` states
     have been collected and marks the report truncated.  A state is one int
-    of w-bit fields, field i holding x_i + G - c_i, where c_i is the largest
-    source coefficient of species i and G > c_i is a power of two above
-    every coordinate the search can meet, so a successor is ``code + step``
-    and bit log2(G) of field i (its guard) is set exactly when x_i >= c_i.
-    Which reactions have positive rates depends only on the clipped state
-    min(x, c), so each clipped state's steps are taken once from
-    ``kinetics._moves``, in its order and with its pooling; every interior
-    state (all guards set) shares one list.  After the search the codes
-    are decoded in one pass and ``kinetics._region_rates`` gives every
-    state's rates; the total is recomputed as ``sum(_moves(x).values())``
-    at the states whose array total is within rounding of the least.  When
-    the bounds cannot rule out a state past ``STATE_COORD_MAX`` (its
-    ``ValueError``) or a rate past the float range (``OverflowError``),
-    each state is also expanded by ``_moves`` as it is taken from the
-    queue, so those errors come where the scalar search meets them.
+    with a field per species holding x_i + G - c_i, where c_i is the largest
+    source coefficient of species i and the power of two G exceeds every
+    coordinate met, so a successor is ``code + step`` and bit log2(G) of a
+    field is set when x_i >= c_i.  The steps depend only on min(x, c), so
+    each such clipped state's are taken once from ``kinetics._moves``, in
+    its order and with its pooling.  Unless the bounds rule out a state past
+    ``STATE_COORD_MAX`` and a rate past the float range, each dequeued state
+    is also expanded by ``_moves``, which raises where the scalar search did.
     """
     cap = _count(cap, "cap", 1)
     dim = system.network.dim
     start = as_state(x0, dim)
     table = system._rate_table
-    need, rise = [0] * dim, [0] * dim
-    for _, pairs, change in table:
-        for i, c in pairs:
-            need[i] = max(need[i], c)
-        for i, h in change:
-            rise[i] = max(rise[i], h)
-    # Every collected state lies within cap - 1 levels of the start, so no
-    # coordinate met passes start + cap * rise, nor one step past the limit.
+    reactions = system.network.reactions
+    need = list(map(max, zip((0,) * dim, *(r.source.coeffs for r in reactions))))
+    rise = list(map(max, zip((0,) * dim, *(r.change for r in reactions))))
+    # collected states lie within cap - 1 levels of the start: no coordinate met
+    # passes start + cap * rise, nor goes more than one step past the limit
     top = [min(x + cap * r, STATE_COORD_MAX + r) for x, r in zip(start, rise)]
     checked = max(top) > STATE_COORD_MAX or any(
         sum(c * top[i].bit_length() for i, c in pairs) > 1023 for _, pairs, _ in table
@@ -265,15 +254,9 @@ def reachable_states(
     shifts = range(0, dim * width, width)
     offs = [(1 << log_g) - c for c in need]
     guards = sum(1 << (log_g + sh) for sh in shifts)
-    field = (1 << width) - 1
 
     def decode(code) -> State:
-        return tuple(((code >> sh) & field) - off for sh, off in zip(shifts, offs))
-
-    def steps_at(key) -> list:  # key: the code of a clipped state
-        x = decode(key)
-        moves = _moves(system, x)
-        return [sum((b - a) << sh for a, b, sh in zip(x, nxt, shifts)) for nxt in moves]
+        return tuple((code >> sh & (1 << width) - 1) - off for sh, off in zip(shifts, offs))
 
     steps = {}
     order = [sum((x + off) << sh for x, off, sh in zip(start, offs, shifts))]
@@ -283,9 +266,11 @@ def reachable_states(
         if checked:
             _moves(system, decode(code))  # raises the scalar search's refusals
         g = code & guards
-        key = guards if g == guards else code & ~(g - (g >> log_g))
+        key = guards if g == guards else code & ~(g - (g >> log_g))  # min(x, c)
         if key not in steps:
-            steps[key] = steps_at(key)
+            x = decode(key)
+            moves = _moves(system, x)
+            steps[key] = [sum((b - a) << sh for a, b, sh in zip(x, y, shifts)) for y in moves]
         for h in steps[key]:
             nxt = code + h
             if nxt not in seen:
@@ -294,10 +279,9 @@ def reachable_states(
                     continue
                 seen.add(nxt)
                 order.append(nxt)
-    del seen
+    del seen  # each part goes once used, to leave room for the report's tuples
     # the codes as little-endian 64-bit words, whose bytes hold the fields in order
-    mask = 2**64 - 1
-    words = [[code >> sh & mask for code in order] for sh in shifts[:: 64 // width]]
+    words = [[c >> sh & 0xFFFF_FFFF_FFFF_FFFF for c in order] for sh in shifts[:: 64 // width]]
     del order
     states = np.array(words, "<u8").T.copy().view(f"<u{width // 8}")[:, :dim] - np.array(offs)
     del words
@@ -312,11 +296,8 @@ def reachable_states(
 
 
 def _least_total(system: MassActionSystem, states: np.ndarray):
-    """(live, least): which rows of ``states`` have a positive rate, and the
-    least ``sum(_moves(x).values())`` over those rows (None if there are
-    none).  The sum is taken at the rows whose array total lies within
-    rounding of the least array total, one row per distinct row of rates:
-    the pooled sum is a function of the rates alone."""
+    """Which rows have a positive rate, and the least ``sum(_moves(x).values())``
+    over them, taken at one row per distinct rate row of near-least total."""
     rates = _region_rates(system, states)
     live = (rates > 0.0).any(axis=1)
     if not live.any():
@@ -324,8 +305,7 @@ def _least_total(system: MassActionSystem, states: np.ndarray):
     rates = rates[live]
     with np.errstate(over="ignore"):
         total = rates.sum(axis=1)
-    least = total.min()
-    near = np.flatnonzero(total <= least + least * rates.shape[1] * 2.0**-50)
+    near = np.flatnonzero(total <= total.min() * (1 + rates.shape[1] * 2.0**-50))
     _, first = np.unique(rates[near], axis=0, return_index=True)
     rows = states[live][near[first]].tolist()
     return live, min(sum(_moves(system, tuple(x)).values()) for x in rows)
