@@ -234,7 +234,8 @@ def reachable_states(
     each such clipped state's are taken once from ``kinetics._moves``, in
     its order and with its pooling.  Unless the bounds rule out a state past
     ``STATE_COORD_MAX`` and a rate past the float range, each dequeued state
-    is also expanded by ``_moves``, which raises where the scalar search did.
+    is also expanded by ``_moves``, so the first state in queue order that
+    has either raises its ``ValueError`` or ``OverflowError``.
     """
     cap = _count(cap, "cap", 1)
     dim = system.network.dim
@@ -264,7 +265,7 @@ def reachable_states(
     truncated = False
     for code in order:
         if checked:
-            _moves(system, decode(code))  # raises the scalar search's refusals
+            _moves(system, decode(code))  # raises if past the limit or overflowing
         g = code & guards
         key = guards if g == guards else code & ~(g - (g >> log_g))  # min(x, c)
         if key not in steps:

@@ -390,9 +390,10 @@ def _reach_or_refusal(fn, system, x0, cap):
 
 @st.composite
 def reach_cases(draw):
-    """A network of 1-4 species with coefficients 0-3 (4 in a twin reaction
-    that shares the first one's net change) and non-integer rates, a start
-    near 0 or near ``STATE_COORD_MAX``, and a cap of 1-200."""
+    """A network of 1-4 species with coefficients 0-3, where a reaction may
+    have a twin of the same net change (a coefficient 4 at most), so that
+    rates pool, and non-integer rates k / 997, whose sums round; a start
+    near 0 or near ``STATE_COORD_MAX``; and a cap of 1-200."""
     dim = draw(st.integers(1, 4))
     coeffs = st.tuples(*[st.integers(0, 3)] * dim)
     complexes = draw(st.lists(coeffs, min_size=2, max_size=5, unique=True))
