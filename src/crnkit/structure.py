@@ -234,8 +234,9 @@ def reachable_states(
     each such clipped state's are taken once from ``kinetics._moves``, in
     its order and with its pooling.  Unless the bounds rule out a state past
     ``STATE_COORD_MAX`` and a rate past the float range, each dequeued state
-    is also expanded by ``_moves``, so the first state in queue order that
-    has either raises its ``ValueError`` or ``OverflowError``.
+    past the limit, or every one when a rate may overflow, is also expanded
+    by ``_moves``, so the first state in queue order that has either raises
+    its ``ValueError`` or ``OverflowError``.
     """
     cap = _count(cap, "cap", 1)
     dim = system.network.dim
@@ -247,9 +248,8 @@ def reachable_states(
     # collected states lie within cap - 1 levels of the start: no coordinate met
     # passes start + cap * rise, nor goes more than one step past the limit
     top = [min(x + cap * r, STATE_COORD_MAX + r) for x, r in zip(start, rise)]
-    checked = max(top) > STATE_COORD_MAX or any(
-        sum(c * top[i].bit_length() for i, c in pairs) > 1023 for _, pairs, _ in table
-    )
+    risky = any(sum(c * top[i].bit_length() for i, c in pairs) > 1023 for _, pairs, _ in table)
+    checked = risky or max(top) > STATE_COORD_MAX
     log_g = max(top + need).bit_length()
     width = max(8, 1 << log_g.bit_length())  # 8, 16 or 32 bits: room for 2G - 1
     shifts = range(0, dim * width, width)
@@ -265,7 +265,9 @@ def reachable_states(
     truncated = False
     for code in order:
         if checked:
-            _moves(system, decode(code))  # raises if past the limit or overflowing
+            x = decode(code)
+            if risky or max(x) > STATE_COORD_MAX:
+                _moves(system, x)  # raises if past the limit or overflowing
         g = code & guards
         key = guards if g == guards else code & ~(g - (g >> log_g))  # min(x, c)
         if key not in steps:
