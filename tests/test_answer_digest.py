@@ -26,11 +26,18 @@ list of bad texts (each ``ParseError``'s message, line and column), and
 ``answer_drift.json`` holds exact k-step drifts in value form, compared
 to 1e-12 rather than by digest, so a change that sums the same terms in
 another order still passes; refusals are held as their type and message.
+``answer_exact.json`` holds the rest of the exact layer the same way:
+``crnkit drift`` with ``--x`` and with ``--along`` (each printed drift in
+value form, the exit code, the other bytes of standard output and standard
+error as they are), ``theorem_verdict`` with its reports and
+``linkage_classes``, and the kinetics functions that ``crnkit`` exports.
 Rewriting any of these files is a change of test data, to be recorded with
-its reason.  To rewrite the four digest files, or the drift values::
+its reason.  To rewrite the four digest files, the drift values or the
+exact layer's values::
 
     PYTHONPATH=src python tests/test_answer_digest.py --write
     PYTHONPATH=src python tests/test_answer_digest.py --write-drift
+    PYTHONPATH=src python tests/test_answer_digest.py --write-exact
 """
 
 import hashlib
@@ -38,6 +45,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -46,7 +54,17 @@ from pathlib import Path
 from crnkit import Complex, Reaction, ReactionNetwork, catalog, parse, simulate, tiers
 from crnkit.cli import main
 from crnkit.errors import CRNError, ParseError
-from crnkit.kinetics import lyapunov
+from crnkit.kinetics import (
+    embedded_step_distribution,
+    generator_applied,
+    intensity,
+    lyapunov,
+    lyapunov_difference,
+    path_probability,
+    reaction_rate,
+    total_rate,
+    transition_rates,
+)
 from crnkit.network import STATE_COORD_MAX
 from crnkit.parser import parse_document, serialize
 from crnkit.simulate import (
@@ -58,7 +76,7 @@ from crnkit.simulate import (
     ssa_simulate,
     truncated_stationary,
 )
-from crnkit.structure import reachable_states
+from crnkit.structure import linkage_classes, reachable_states, theorem_verdict
 from crnkit.tiers import (
     Const,
     Grow,
@@ -82,6 +100,7 @@ PATH_DIGEST = HERE / "answer_digest_paths.json"
 REACH_DIGEST = HERE / "answer_digest_reach.json"
 PARSE_DIGEST = HERE / "answer_digest_parse.json"
 DRIFT = HERE / "answer_drift.json"
+EXACT = HERE / "answer_exact.json"
 NETWORKS = HERE.parent / "demos" / "networks"
 SEEDS = (0, 1, 7)
 #: A generated three-species network whose time average from (3, 3, 1) over
@@ -778,6 +797,168 @@ def test_exact_drift_values_equal_the_recorded_values():
             assert math.isclose(got[case], value, rel_tol=1e-12, abs_tol=1e-12), case
 
 
+def _value_form(answer):
+    """An answer as JSON data: tuples as lists and a dict as its [key,
+    value] pairs in order, so that its floats can be compared to 1e-12."""
+    if isinstance(answer, dict):
+        return [[_value_form(k), _value_form(v)] for k, v in answer.items()]
+    if isinstance(answer, (tuple, list)):
+        return [_value_form(v) for v in answer]
+    return answer
+
+
+def _valued(fn, *args):
+    """``fn(*args)`` in value form, or its error's type and message."""
+    try:
+        return _value_form(fn(*args))
+    except (ValueError, OverflowError, KeyError, CRNError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+#: A printed drift: the value of a ``drift`` report, or a CSV row's second field.
+_PRINTED_DRIFT = re.compile(r'^(    "value": |\d+,)(.+?)(,?)$', re.M)
+
+
+def _drift_cli(argv) -> list:
+    """``crnkit drift``'s exit code, standard output with each printed
+    drift cut out, the drifts as floats, and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    drifts = []
+
+    def cut(m):
+        drifts.append(float(m[2]))
+        return m[1] + "<drift>" + m[3]
+
+    text = _PRINTED_DRIFT.sub(cut, out.getvalue())
+    return [code, text.replace(str(NETWORKS), ""), drifts, err.getvalue()]
+
+
+#: Networks for the structural groups beyond the scan networks: none of them
+#: weakly reversible, or with several linkage classes, or not binary.
+STRUCTURES = (SPREADING, GROWTH, CUBIC, PAIRED, DRAIN, CLOSED, TRAP)
+
+
+def _kinetics_answers(cases, name, system, x):
+    """The kinetics exports at state ``x`` of ``system``, in value form."""
+    net = system.network
+    at = f"{name} {x}"
+    cases[f"{at} intensity"] = [_valued(intensity, y, x) for y in net.complexes]
+    cases[f"{at} reaction_rate"] = [_valued(reaction_rate, system, r, x) for r in net.reactions]
+    for fn in (total_rate, transition_rates, generator_applied, embedded_step_distribution):
+        cases[f"{at} {fn.__name__}"] = _valued(fn, system, x)
+    cases[f"{at} lyapunov"] = _valued(lyapunov, x)
+    cases[f"{at} lyapunov_difference"] = [
+        _valued(lyapunov_difference, x, r.change) for r in net.reactions
+    ]
+    paths = (net.reactions, net.reactions[::-1], net.reactions[:1] * 3)
+    cases[f"{at} path_probability"] = [_valued(path_probability, system, x, p) for p in paths]
+
+
+def exact_answers() -> dict:
+    """Case name -> answer in value form: ``crnkit drift --x`` and
+    ``--along`` on the demo files, ``theorem_verdict`` and
+    ``linkage_classes`` on the scan networks and a few more, and the
+    kinetics exports on the catalog and demo systems."""
+    cases = {}
+    systems = _systems()
+    for path, (_, system, x0) in zip(sorted(NETWORKS.glob("*.crn")), systems[-6:]):
+        net, file = system.network, str(path)
+        dim, name = net.dim, path.name
+        near = tuple(c + 2 for c in x0)
+        far = tuple(40 + 7 * i for i in range(dim))
+        for x in (x0, near, far):
+            for k in ("0", "1", "3", "6"):
+                argv = ["drift", file, "--x", ",".join(map(str, x)), "--k", k]
+                cases[f"{name} --x {x} --k {k}"] = _drift_cli(argv)
+        x = ",".join(map(str, x0))
+        for label, extra in (
+            ("--k -1", ["--x", x, "--k", "-1"]),
+            ("--budget 10", ["--x", x, "--k", "6", "--budget", "10"]),
+            ("--budget 6.5", ["--x", x, "--k", "6", "--budget", "6.5"]),
+            ("--budget nan", ["--x", x, "--k", "2", "--budget", "nan"]),
+            ("--x short", ["--x", "1" * dim + ",1", "--k", "2"]),
+            ("--x=-1", ["--x=" + ",".join(["-1"] * dim), "--k", "2"]),
+            ("--x words", ["--x", "a" * dim, "--k", "2"]),
+            ("--x past the limit", ["--x", ",".join([str(STATE_COORD_MAX + 1)] * dim)]),
+            ("--x at the limit", ["--x", ",".join([str(STATE_COORD_MAX)] * dim), "--k", "2"]),
+        ):
+            argv = ["drift", file, *extra]
+            if "--k" not in extra:
+                argv += ["--k", "1"]
+            cases[f"{name} {label}"] = _drift_cli(argv)
+        species = net.species
+        for seq in _spread(net, 2):
+            spec = _spec(seq, species)
+            for k, ns in (("1", "1,2,3,10,40"), ("4", "2,5,11")):
+                argv = ["drift", file, "--k", k, "--along", f"{spec}:{ns}"]
+                cases[f"{name} --along {spec}:{ns} --k {k}"] = _drift_cli(argv)
+        grow = ", ".join(f"{s}=n" for s in species)
+        for label, along, extra in (
+            ("below the start", f"{grow}:1,0,3", []),
+            ("empty list", f"{grow}:", []),
+            ("no list", grow, []),
+            ("words", f"{grow}:1,x", []),
+            ("huge power", f"{species[0]}=n^100000, " + grow.partition(", ")[2] + ":10", []),
+            ("huge coordinate", f"{grow}:100000001", []),
+            ("budget", f"{grow}:1,2,3,30", ["--budget", "60"]),
+            ("with --x", f"{grow}:1", ["--x", x]),
+            ("with --mc", f"{grow}:1", ["--mc", "3"]),
+        ):
+            argv = ["drift", file, "--k", "5", "--along", along, *extra]
+            cases[f"{name} --along {label}"] = _drift_cli(argv)
+
+    networks = [(name, make()) for name, make in _scan_networks()]
+    networks += [(text, parse(text).network) for text in STRUCTURES]
+    networks.append(("no reactions", ReactionNetwork.from_reactions(("A",), [])))
+    for name, net in networks:
+        cases[f"{name} theorem_verdict"] = repr(theorem_verdict(net))
+        cases[f"{name} linkage_classes"] = repr(linkage_classes(net))
+
+    for name, system, x0 in systems:
+        dim = system.network.dim
+        for x in ((0,) * dim, x0, tuple(40 + 7 * i for i in range(dim))):
+            _kinetics_answers(cases, name, system, x)
+    for text, x in ((CUBIC, (10**8,)), (CUBIC, (10**8 - 1,)), ("40A <-> 41A ; k=1, 1", (10**8 - 1,))):
+        _kinetics_answers(cases, text, parse(text), x)
+    bd, cycle = catalog.birth_death(), catalog.five_complex_cycle()
+    for label, fn, args in (
+        ("total_rate past the limit", total_rate, (bd, (STATE_COORD_MAX + 1,))),
+        ("total_rate short state", total_rate, (cycle, (1, 1))),
+        ("total_rate negative state", total_rate, (bd, (-1,))),
+        ("lyapunov of a fraction", lyapunov, ((1.5, 2),)),
+        ("lyapunov of an integral float", lyapunov, ((2.0, 3),)),
+        ("lyapunov negative", lyapunov, ((-1, 2),)),
+        ("lyapunov_difference of unequal lengths", lyapunov_difference, ((1, 2), (1,))),
+        ("lyapunov_difference below zero", lyapunov_difference, ((1, 2), (-2, 0))),
+        ("intensity short state", intensity, (Complex((1, 1)), (3,))),
+        ("path_probability foreign reaction", path_probability, (cycle, (3, 1, 0), bd.network.reactions)),
+        ("path_probability empty path", path_probability, (cycle, (3, 1, 0), ())),
+        ("path_probability leaving the range", path_probability, (catalog.pure_birth(), (STATE_COORD_MAX,), catalog.pure_birth().network.reactions * 2)),
+        ("embedded_step_distribution absorbing", embedded_step_distribution, (catalog.reversible_isomers(), (0, 0))),
+    ):
+        cases[label] = _valued(fn, *args)
+    return cases
+
+
+def _agrees(got, want) -> bool:
+    """Equal answers in value form, floats to 1e-12 and the rest exactly."""
+    if isinstance(want, float) and isinstance(got, float):
+        return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12) or got == want
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(map(_agrees, got, want))
+    return type(got) is type(want) and got == want
+
+
+def test_exact_layer_answers_equal_the_recorded_values():
+    want = json.loads(EXACT.read_text())
+    got = json.loads(json.dumps(exact_answers()))
+    assert sorted(got) == sorted(want)
+    differing = [case for case in want if not _agrees(got[case], want[case])]
+    assert not differing, f"answers differ in: {', '.join(differing[:10])}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         DIGEST.write_text(json.dumps(digests(), indent=2) + "\n")
@@ -786,5 +967,7 @@ if __name__ == "__main__":
         PARSE_DIGEST.write_text(json.dumps(digests(parse_answers), indent=2) + "\n")
     elif sys.argv[1:] == ["--write-drift"]:
         DRIFT.write_text(json.dumps(drift_answers(), indent=2) + "\n")
+    elif sys.argv[1:] == ["--write-exact"]:
+        EXACT.write_text(json.dumps(exact_answers(), indent=2) + "\n")
     else:
-        sys.exit("usage: test_answer_digest.py --write | --write-drift")
+        sys.exit("usage: test_answer_digest.py --write | --write-drift | --write-exact")
