@@ -11,10 +11,10 @@ generator applied to the Lyapunov function
 and finite-path probabilities of the embedded chain.  Every rate comes from
 ``_rates``, and every exact routine (here, in ``structure`` and ``tiers``)
 expands a state through ``_moves``: its successors, each with the summed
-rate of the reactions that reach it.  ``_region_rates`` gives the same
-rates at many states in one array pass: the censored stationary solve in
-``simulate`` pools them as ``_moves`` does (``_region_moves``), and
-``structure.reachable_states`` takes its states' totals from them.
+rate of the reactions that reach it.  ``_region_pooled`` gives the same
+pooled rates at many states in one array pass: the censored stationary solve
+in ``simulate`` looks their successors up in its region (``_region_moves``),
+and ``structure.reachable_states`` takes its states' totals from them.
 """
 
 from __future__ import annotations
@@ -100,32 +100,35 @@ def _falling(col: np.ndarray, c: int) -> np.ndarray:
     return out
 
 
-def _region_rates(system: MassActionSystem, states: np.ndarray) -> np.ndarray:
-    """The rates of ``_rates`` at each row of an (n, d) int64 array of
-    states, no coordinate above ``STATE_COORD_MAX``: an (n, reactions) array.
+def _region_pooled(system: MassActionSystem, states: np.ndarray):
+    """The pooled rates of ``_moves`` at each row of an (n, d) int64 array
+    of states, no coordinate above ``STATE_COORD_MAX``: (changes, pooled).
+    ``changes`` holds the distinct sparse net changes in first-appearance
+    order, and column j of ``pooled`` the rates of change j, summed in
+    reaction order, 0.0 + l1 + l2, as ``_moves`` adds the positive ones.
 
-    Each rate is kappa times the exact falling product of the source's
-    columns, 0.0 for a coefficient above its column's largest entry.  The
-    product is bounded by the columns' largest entries to the coefficients,
-    and it is taken in int64 when the bit lengths prove that bound below
-    2**63, else in Python ints (object arrays), where a rate past the float
-    range raises ``_rates``' ``OverflowError``.
+    A reaction's rate is kappa times the exact falling product of the
+    source's columns, 0.0 for a coefficient above its column's largest
+    entry.  The product is bounded by the columns' largest entries to the
+    coefficients, and it is taken in int64 when the bit lengths prove that
+    bound below 2**63, else in Python ints (object arrays), where a rate
+    past the float range raises ``_rates``' ``OverflowError``.
     """
     table = system._rate_table
+    index: Dict[tuple, int] = {}
+    cols = [index.setdefault(change, len(index)) for _, _, change in table]
     tops = states.max(axis=0).tolist()
-    out = np.empty((len(states), len(table)))
+    pooled = np.zeros((len(states), len(index)))
     with np.errstate(over="ignore"):  # a rate may overflow to inf, as in _rates
-        for j, (kappa, pairs, _) in enumerate(table):
-            prod = 1
+        for col, (kappa, pairs, _) in zip(cols, table):
             if any(c > tops[i] for i, c in pairs):
-                prod = 0
-            else:
-                wide = sum(c * tops[i].bit_length() for i, c in pairs) > 63
-                for i, c in pairs:
-                    col = states[:, i].astype(object) if wide else states[:, i]
-                    prod = prod * _falling(col, c)
-            out[:, j] = np.asarray(kappa * prod, dtype=np.float64)
-    return out
+                continue
+            wide = sum(c * tops[i].bit_length() for i, c in pairs) > 63
+            prod = 1
+            for i, c in pairs:
+                prod = prod * _falling(states[:, i].astype(object) if wide else states[:, i], c)
+            pooled[:, col] += np.asarray(kappa * prod, dtype=np.float64)
+    return list(index), pooled
 
 
 def _region_moves(system: MassActionSystem, states: np.ndarray):
@@ -137,20 +140,16 @@ def _region_moves(system: MassActionSystem, states: np.ndarray):
     ``STATE_COORD_MAX``.  Returns (src, dst, rate): the row of each move's
     state, the row of its successor and its rate, sorted by (src, dst).
 
-    The rates are ``_region_rates``'.  Reactions that share a net change
-    pool their rates in reaction order, 0.0 + l1 + l2, as ``_moves`` adds
-    the positive ones.  A successor is found by one binary search over the
-    rows' big-endian bytes, which order nonnegative rows as their tuples,
-    so it holds whatever the region's bounding box.
+    The rates are ``_region_pooled``'s, one column per net change.  A
+    successor is found by one binary search over the rows' big-endian
+    bytes, which order nonnegative rows as their tuples, so it holds
+    whatever the region's bounding box.
     """
     n, dim = states.shape
-    pooled: Dict[tuple, np.ndarray] = {}
-    with np.errstate(over="ignore"):  # rates near the float range may pool to inf
-        for (_, _, change), lam in zip(system._rate_table, _region_rates(system, states).T):
-            pooled[change] = pooled.get(change, 0.0) + lam
+    changes, pooled = _region_pooled(system, states)
     keys = _row_keys(states)
     src, dst, rate = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    for change, lam in pooled.items():
+    for change, lam in zip(changes, pooled.T):
         if any(abs(c) > STATE_COORD_MAX for _, c in change):
             continue  # every successor leaves the coordinate range
         rows = np.flatnonzero(lam > 0.0)

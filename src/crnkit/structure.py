@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .kinetics import _moves, _region_rates
+from .kinetics import _moves, _region_pooled
 from .network import (
     STATE_COORD_MAX,
     Complex,
@@ -236,7 +236,8 @@ def reachable_states(
     ``STATE_COORD_MAX`` and a rate past the float range, each dequeued state
     past the limit, or every one when a rate may overflow, is also expanded
     by ``_moves``, so the first state in queue order that has either raises
-    its ``ValueError`` or ``OverflowError``.
+    its ``ValueError`` or ``OverflowError``.  The absorbing states and the
+    least total come from ``kinetics._region_pooled`` over all the states.
     """
     cap = _count(cap, "cap", 1)
     dim = system.network.dim
@@ -299,16 +300,15 @@ def reachable_states(
 
 
 def _least_total(system: MassActionSystem, states: np.ndarray):
-    """Which rows have a positive rate, and the least ``sum(_moves(x).values())``
-    over them, taken at one row per distinct rate row of near-least total."""
-    rates = _region_rates(system, states)
-    live = (rates > 0.0).any(axis=1)
+    """Which rows have a positive rate, and the least ``sum(_moves(x).values())`` over
+    them, taken at the near-least rows, one per source-species value (fixing its rates)."""
+    changes, pooled = _region_pooled(system, states)
+    live = (pooled > 0.0).any(axis=1)
     if not live.any():
         return live, None
-    rates = rates[live]
     with np.errstate(over="ignore"):
-        total = rates.sum(axis=1)
-    near = np.flatnonzero(total <= total.min() * (1 + rates.shape[1] * 2.0**-50))
-    _, first = np.unique(rates[near], axis=0, return_index=True)
-    rows = states[live][near[first]].tolist()
-    return live, min(sum(_moves(system, tuple(x)).values()) for x in rows)
+        total = pooled[live].sum(axis=1)
+    rows = states[live][total <= total.min() * (1 + len(changes) * 2.0**-50)]
+    sources = sorted({i for _, pairs, _ in system._rate_table for i, _ in pairs})
+    _, first = np.unique(rows[:, sources], axis=0, return_index=True)
+    return live, min(sum(_moves(system, tuple(x)).values()) for x in rows[first].tolist())

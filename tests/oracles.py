@@ -43,6 +43,10 @@ array pass: each state expanded by ``_moves``, its successors looked up in
 a dict, and every matrix made by scipy's fancy indexing, ``diags`` and
 ``vstack``, as a check on ``kinetics._region_moves`` and on the matrices
 built from index arrays.
+``drift_backward`` is the exact k-step drift from many starts by a second
+algorithm: the one-step drift g = PV - V summed along the chain by the
+backward recursion w <- g + P w, as a check on the forward pass over the
+chain's law.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from scipy.sparse.csgraph import connected_components
 
 from crnkit.cli import _emit
 from crnkit.errors import AmbiguousRegionError, BudgetExceededError
-from crnkit.kinetics import _moves, _rates, lyapunov_difference
+from crnkit.kinetics import _moves, _rates, _region_moves, lyapunov_difference
 from crnkit.network import STATE_COORD_MAX, as_state
 from crnkit.simulate import _BLOCK, StationaryEstimate
 from crnkit.tiers import Grow, _Tail
@@ -1006,3 +1010,45 @@ def stationary_by_moves(system, region) -> StationaryEstimate:
             f"({n - m} transient), residual {residual:.1e}"
         ),
     )
+
+
+def drift_backward(system, starts, k: int) -> list:
+    """The exact k-step drift E[V(Z_k)] - V(x) of the embedded chain from
+    each state x of ``starts``, as the sum over j < k of (P^j g)(x).
+
+    g = PV - V is the one-step drift, from ``_moves`` and
+    ``lyapunov_difference``, and 0 at an absorbing state.  P is the jump
+    matrix over the states within k - 1 steps of the starts (found by
+    ``_moves`` levels): ``_region_moves``' rates, each divided by its
+    state's full ``_moves`` total, with no row at an absorbing state.  The
+    recursion w <- g + P w, taken k - 1 times from w = g, leaves the sum at
+    the starts: a state d steps out needs its value after k - 1 - d rounds,
+    which looks no further than the region's edge.
+    """
+    starts = [as_state(x, system.network.dim) for x in starts]
+    if k == 0:
+        return [0.0] * len(starts)
+    moves, level = {}, set(starts)
+    for _ in range(k):
+        moves.update((x, _moves(system, x)) for x in level)
+        level = {y for x in level for y in moves[x]} - moves.keys()
+    states = sorted(moves)
+    g, totals = [], []
+    for x in states:
+        total = sum(moves[x].values())
+        totals.append(total or 1.0)  # an absorbing state has no row of P
+        g.append(
+            sum(
+                lam / total * lyapunov_difference(x, tuple(b - a for a, b in zip(x, y)))
+                for y, lam in moves[x].items()
+            )
+        )
+    src, dst, rate = _region_moves(system, np.array(states, dtype=np.int64))
+    n = len(states)
+    p = csr_matrix((rate / np.array(totals)[src], (src, dst)), shape=(n, n))
+    g = np.array(g)
+    w = g
+    for _ in range(k - 1):
+        w = g + p @ w
+    row = {x: i for i, x in enumerate(states)}
+    return [float(w[row[x]]) for x in starts]

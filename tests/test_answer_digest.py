@@ -40,6 +40,7 @@ exact layer's values::
     PYTHONPATH=src python tests/test_answer_digest.py --write-exact
 """
 
+import ast
 import hashlib
 import io
 import itertools
@@ -91,6 +92,7 @@ from crnkit.tiers import (
     scan_patterns,
     witness_path,
 )
+from oracles import drift_backward
 from test_acceptance import binary_ring
 from test_tiers import TRAP
 
@@ -795,6 +797,28 @@ def test_exact_drift_values_equal_the_recorded_values():
         else:
             assert isinstance(got[case], float), (case, got[case])
             assert math.isclose(got[case], value, rel_tol=1e-12, abs_tol=1e-12), case
+
+
+#: A network whose state (0, 0) is absorbing and next to every start below.
+DRAINED = "species: A, B\nA -> B ; k=1\nB -> 0 ; k=2\nA -> 0 ; k=0.5\n"
+
+
+def test_exact_drift_equals_the_backward_oracle_at_the_recorded_starts():
+    # one backward recursion per (system, k) over the starts of the drift values
+    systems = {name: system for name, system, _ in _systems()}
+    starts = {}
+    for case, value in json.loads(DRIFT.read_text()).items():
+        m = re.fullmatch(r"(\S+) (\(.*\)) k=(\d+)", case)
+        if m and isinstance(value, float):
+            starts.setdefault((m[1], int(m[3])), []).append(ast.literal_eval(m[2]))
+    drained = parse(DRAINED)
+    assert len(starts) == 13 * 4
+    cases = [(systems[name], k, xs) for (name, k), xs in starts.items()]
+    cases += [(drained, k, [(0, 1), (1, 0), (1, 1), (2, 3)]) for k in (1, 2, 4, 7)]
+    for system, k, xs in cases:
+        for x, want in zip(xs, drift_backward(system, xs, k)):
+            got = exact_kstep_drift(system, x, k)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (x, k, got, want)
 
 
 def _value_form(answer):

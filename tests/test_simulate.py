@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from crnkit import parse
+from crnkit import MassActionSystem, ReactionNetwork, parse
 from crnkit import simulate
 from crnkit.catalog import (
     birth_death,
@@ -28,7 +28,14 @@ from crnkit.catalog import (
     three_class_network,
 )
 from crnkit.errors import AmbiguousRegionError, BudgetExceededError, CRNError
-from crnkit.kinetics import _moves, _region_moves, embedded_step_distribution, lyapunov, total_rate
+from crnkit.kinetics import (
+    _moves,
+    _region_moves,
+    _region_pooled,
+    embedded_step_distribution,
+    lyapunov,
+    total_rate,
+)
 from crnkit.network import STATE_COORD_MAX
 from crnkit.simulate import (
     _DrawBlock,
@@ -50,6 +57,7 @@ from oracles import (
     drift_mc_by_rates,
     occupancy_by_rates,
     poisson_truncated,
+    pooled_rates_by_reactions,
     replica_generator,
     return_times_by_rates,
     ssa_by_rates,
@@ -443,6 +451,78 @@ def test_truncated_stationary_equals_the_per_state_oracle(case):
     assert got == want, name
     # each matrix's (data, indices, indptr) and each right-hand side as before
     assert got_inputs == want_inputs, name
+
+
+#: Reactions that share a net change (twins), with rates that round when
+#: pooled, and a twin whose product passes int64 near the coordinate limit.
+TWINS = parse(
+    "species: A, B\nA -> B ; k=0.7\nA + B -> 2B ; k=1.3\n3A -> 2A + B ; k=0.001\n"
+    "0 -> A ; k=2\nB -> A + B ; k=0.3\nB -> 0 ; k=1\n"
+)
+
+
+@st.composite
+def twin_regions(draw):
+    """("twins", TWINS, region): a box of up to 4 values a coordinate near
+    the origin or near the coordinate limit."""
+    spans = []
+    for _ in range(2):
+        lo = min(draw(COORD), STATE_COORD_MAX - 3)
+        spans.append(range(lo, lo + draw(st.integers(0, 3)) + 1))
+    return "twins", TWINS, list(product(*spans))
+
+
+def _pooled_by_repr(changes, row, dim) -> dict:
+    """A row of ``_region_pooled`` as net change -> ``repr`` of its nonzero
+    pooled rate, the changes made dense as the oracle keys them."""
+    out = {}
+    for change, lam in zip(changes, row):
+        if lam != 0.0:
+            dense = [0] * dim
+            for i, c in change:
+                dense[i] = c
+            out[tuple(dense)] = repr(lam)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(censored_regions(), twin_regions()))
+def test_region_pooled_equals_the_pooled_oracle_state_by_state(case):
+    name, system, region = case
+    states = sorted(set(region))
+    dim = system.network.dim
+    changes, pooled = _region_pooled(system, np.array(states, dtype=np.int64))
+    assert pooled.shape == (len(states), len(changes)), name
+    assert not (pooled < 0.0).any() and not np.isnan(pooled).any(), name
+    assert len(set(changes)) == len(changes), name  # one column per net change
+    for x, row in zip(states, pooled.tolist()):
+        want = {h: repr(lam) for h, lam in pooled_rates_by_reactions(system, x).items()}
+        # the zeros are exactly the changes that the oracle omits
+        assert _pooled_by_repr(changes, row, dim) == want, (name, x)
+
+
+def test_region_pooled_edge_networks():
+    # a rate past the float range as a float, though its product converts
+    huge = parse("species: A\n2A -> A ; k=1e300\n0 -> A ; k=1\n")
+    states = [(0,), (1,), (2,), (10**8,)]
+    changes, pooled = _region_pooled(huge, np.array(states, dtype=np.int64))
+    assert changes == [((0, -1),), ((0, 1),)]
+    assert pooled[3, 0] == pooled_rates_by_reactions(huge, (10**8,))[(-1,)] == math.inf
+    for x, row in zip(states, pooled.tolist()):
+        want = {h: repr(lam) for h, lam in pooled_rates_by_reactions(huge, x).items()}
+        assert _pooled_by_repr(changes, row, 1) == want, x
+    # a product past the float range raises as _rates does
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        _region_pooled(parse("40A <-> 41A ; k=1, 1\n"), np.array([(10**8 - 1,)]))
+    # no reactions: one row per state, no column
+    empty = MassActionSystem(ReactionNetwork.from_reactions(("A",), []), [])
+    changes, pooled = _region_pooled(empty, np.array([(0,), (3,)], dtype=np.int64))
+    assert changes == [] and pooled.shape == (2, 0)
+    # the only source is the empty complex: every state has the rates kappa
+    birth = parse("species: A, B\n0 -> A ; k=2\n0 -> 2B ; k=0.5\n")
+    changes, pooled = _region_pooled(birth, np.array([(0, 0), (4, 9)], dtype=np.int64))
+    assert changes == [((0, 1),), ((1, 2),)]
+    assert pooled.tolist() == [[2.0, 0.5], [2.0, 0.5]]
 
 
 def test_censored_solve_takes_products_past_int64_exactly():

@@ -18,6 +18,7 @@ from crnkit.catalog import (
     reversible_isomers,
     three_class_network,
 )
+from crnkit import structure
 from crnkit.structure import (
     ReachabilityReport,
     is_binary,
@@ -441,3 +442,22 @@ def test_reachable_states_raise_the_oracles_rate_overflow():
     with pytest.raises(OverflowError) as want:
         reachable_by_dicts(system, (10**8 - 1,), 10**6)
     assert str(got.value) == str(want.value)
+
+
+def test_reachable_states_with_a_product_only_species(monkeypatch):
+    # S is never a source, so every state (0, s) has the least total rate 1:
+    # their rows are one row of the source-species columns, expanded once
+    system = parse("species: A, S\n0 <-> A ; k=1, 1\nA -> A + S ; k=1\n")
+    calls = []
+
+    def counted(system, x):
+        calls.append(x)
+        return _moves(system, x)
+
+    monkeypatch.setattr(structure, "_moves", counted)
+    rep = reachable_states(system, (0, 0), cap=5000)
+    assert len(calls) <= 3
+    assert rep.truncated and len(rep.states) == 5000
+    want = reachable_by_dicts(system, (0, 0), 5000)
+    assert (rep.start, rep.states, rep.truncated, rep.absorbing) == want[:4]
+    assert repr(rep.min_total_rate) == repr(want[4]) == "1.0"
