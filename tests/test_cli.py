@@ -843,6 +843,24 @@ def test_stationary_needs_exactly_one_mode(capsys):
             ["drift", CYCLE, "--k", "2", "--x", "5,1,0", "--along", "A=n, B=1, C=0:5,10"],
             "--along takes its states from the sequence; drop --x",
         ),
+        # a value that starts with a minus, in both spellings
+        *[
+            (argv, message)
+            for flag, argv, message in (
+                ("--x", ["drift", CYCLE, "--k", "1"], "--x needs 3 nonnegative"),
+                ("--x0", ["simulate", CYCLE, "--jumps", "3"], "--x0 needs 3 nonnegative"),
+                ("--x0", ["stationary", CYCLE, "--t-max", "3"], "--x0 needs 3 nonnegative"),
+                ("--reach-from", ["analyze", CYCLE], "--reach-from needs 3 nonnegative"),
+            )
+            for argv in ([*argv, flag, "-1,0,0"], [*argv, f"{flag}=-1,0,0"])
+        ],
+        *[
+            (argv, "range '-1..3' is empty or negative")
+            for argv in (
+                ["stationary", CYCLE, "--region", "-1..3,0..1,0..1"],
+                ["stationary", CYCLE, "--region=-1..3,0..1,0..1"],
+            )
+        ],
     ],
 )
 def test_usage_errors_exit_one_with_their_message(capsys, argv, message):
