@@ -67,21 +67,19 @@ class _Parser(argparse.ArgumentParser):
     process-level exit code stays under our control (errors are 1, never
     argparse's 2, which this tool reserves for Inconclusive verdicts)."""
 
+    _STATE_FLAGS = ("--x", "--x0", "--reach-from", "--region")
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-    _STATE_FLAGS = ("--x", "--x0", "--reach-from", "--region")
 
     def parse_known_args(self, args=None, namespace=None):
         # argparse takes a value like "-1,0,0" for an option; joined to its state
         # or box flag as "--x=-1,0,0", it reaches the flag's own check
-        joined = []
-        for arg in sys.argv[1:] if args is None else args:
-            if joined and joined[-1] in self._STATE_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
-                joined[-1] += "=" + arg
-            else:
-                joined.append(arg)
-        return super().parse_known_args(joined, namespace)
+        args = list(sys.argv[1:] if args is None else args)
+        for i in reversed(range(1, len(args))):
+            if args[i - 1] in self._STATE_FLAGS and args[i][:1] == "-" and args[i][1:2].isdigit():
+                args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+        return super().parse_known_args(args, namespace)
 
 
 def _seed(text: str) -> int:
@@ -137,7 +135,9 @@ def _parse_state(text: str, dim: int, flag: str) -> State:
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}")
     if len(values) != dim or any(v < 0 for v in values):
-        raise _UsageError(f"{flag} needs {dim} nonnegative coordinates, got {text!r}")
+        raise _UsageError(
+            f"{flag} needs {dim} nonnegative coordinates, got {text!r}"
+        )
     return values
 
 
@@ -153,7 +153,9 @@ def _render_law(law) -> str:
 
 
 def _render_sequence(seq: ParametricSequence, species) -> str:
-    return ", ".join(f"{name}={_render_law(law)}" for name, law in zip(species, seq.laws))
+    return ", ".join(
+        f"{name}={_render_law(law)}" for name, law in zip(species, seq.laws)
+    )
 
 
 def _along_state(seq: ParametricSequence, n: int) -> State:
@@ -174,12 +176,16 @@ def _partition_json(partition, net) -> dict:
     return {
         "tiers": [
             {
-                "complexes": sorted(net.complexes[i].format(species) for i in tier),
+                "complexes": sorted(
+                    net.complexes[i].format(species) for i in tier
+                ),
                 "degree": str(partition.degrees[next(iter(tier))]),
             }
             for tier in partition.tiers
         ],
-        "infinite": sorted(net.complexes[i].format(species) for i in partition.infinite),
+        "infinite": sorted(
+            net.complexes[i].format(species) for i in partition.infinite
+        ),
     }
 
 
@@ -190,7 +196,9 @@ def _parse_path_flag(text: str, system: MassActionSystem):
     atoms = [a.strip() for a in text.replace(";", ",").split(",") if a.strip()]
     if not atoms:
         raise _UsageError("--path expects at least one reaction")
-    lookup = {(r.source, r.product): r for r in system.network.reactions}
+    lookup = {
+        (r.source, r.product): r for r in system.network.reactions
+    }
     path = []
     for atom in atoms:
         if "->" not in atom:
@@ -199,7 +207,9 @@ def _parse_path_flag(text: str, system: MassActionSystem):
         reaction = probe.network.reactions[0]
         match = lookup.get((reaction.source, reaction.product))
         if match is None:
-            raise _UsageError(f"--path entry {atom!r} does not name a reaction of the network")
+            raise _UsageError(
+                f"--path entry {atom!r} does not name a reaction of the network"
+            )
         path.append(match)
     return tuple(path)
 

@@ -88,18 +88,6 @@ def _moves(system: MassActionSystem, x: State) -> Dict[State, float]:
 _PERM = np.frompyfunc(math.perm, 2, 1)
 
 
-def _falling(col: np.ndarray, c: int) -> np.ndarray:
-    """x (x-1) ... (x-c+1) of each entry of an int64 or object column: on
-    int64, c - 1 products, where an entry below c meets the factor 0 before
-    any negative one; on Python ints, ``math.perm``, as ``_rates`` takes it."""
-    if col.dtype == object:
-        return _PERM(col, c)
-    out = col
-    for k in range(1, c):
-        out = out * (col - k)
-    return out
-
-
 def _region_pooled(system: MassActionSystem, states: np.ndarray):
     """The pooled rates of ``_moves`` at each row of an (n, d) int64 array
     of states, no coordinate above ``STATE_COORD_MAX``: (changes, pooled).
@@ -126,7 +114,11 @@ def _region_pooled(system: MassActionSystem, states: np.ndarray):
             wide = sum(c * tops[i].bit_length() for i, c in pairs) > 63
             prod = 1
             for i, c in pairs:
-                prod = prod * _falling(states[:, i].astype(object) if wide else states[:, i], c)
+                if wide:  # math.perm on Python ints, as _rates takes it
+                    prod = prod * _PERM(states[:, i].astype(object), c)
+                else:  # an entry below c meets the factor 0 before any negative one
+                    for k in range(c):
+                        prod = prod * (states[:, i] - k)
             pooled[:, col] += np.asarray(kappa * prod, dtype=np.float64)
     return list(index), pooled
 
@@ -147,22 +139,19 @@ def _region_moves(system: MassActionSystem, states: np.ndarray):
     """
     n, dim = states.shape
     changes, pooled = _region_pooled(system, states)
-    keys = _row_keys(states)
-    src, dst, rate = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    for change, lam in zip(changes, pooled.T):
+    steps = np.zeros((len(changes), dim), dtype=np.int64)
+    for j, change in enumerate(changes):
         if any(abs(c) > STATE_COORD_MAX for _, c in change):
-            continue  # every successor leaves the coordinate range
-        rows = np.flatnonzero(lam > 0.0)
-        step = np.zeros(dim, dtype=np.int64)
-        for i, c in change:
-            step[i] = c
-        found = _row_keys(states[rows] + step)
-        pos = np.searchsorted(keys, found).clip(max=n - 1)
-        hit = keys[pos] == found
-        src.append(rows[hit])
-        dst.append(pos[hit])
-        rate.append(lam[rows[hit]])
-    src, dst, rate = map(np.concatenate, (src, dst, rate))
+            pooled[:, j] = 0.0  # every successor leaves the coordinate range
+        else:
+            for i, c in change:
+                steps[j, i] = c
+    src, col = np.nonzero(pooled > 0.0)
+    keys = _row_keys(states)
+    found = _row_keys(states[src] + steps[col])
+    dst = np.searchsorted(keys, found).clip(max=n - 1)
+    hit = keys[dst] == found
+    src, dst, rate = src[hit], dst[hit], pooled[src[hit], col[hit]]
     by_row = np.argsort(src * n + dst)
     return src[by_row], dst[by_row], rate[by_row]
 
